@@ -17,7 +17,8 @@ import numpy as np
 
 from . import moments, operator
 from .core import (NonlinearKernel, PhiFunction, PhiPair, SamplingScheme,
-                   Signal, SlopeFunction, ValidationError, difference_signal)
+                   Signal, SlopeFunction, ValidationError, difference_signal,
+                   gauss_legendre)
 from .operator import GridFunction, QuadratureSpec, eval_on_log_grid
 from .ratefit import fit_loglog
 
@@ -106,14 +107,9 @@ class ModularValue:
                 "diverged": self.diverged}
 
 
-_GAUSS_CACHE: dict = {}
-
-
 def _panel_integrate(fun: Callable[[np.ndarray], np.ndarray], lo: float,
                      hi: float, panels: int, nodes: int = 8) -> float:
-    if nodes not in _GAUSS_CACHE:
-        _GAUSS_CACHE[nodes] = np.polynomial.legendre.leggauss(nodes)
-    xg, wg = _GAUSS_CACHE[nodes]
+    xg, wg = gauss_legendre(nodes)
     edges = np.linspace(lo, hi, panels + 1)
     a, b = edges[:-1], edges[1:]
     mid, half = 0.5 * (a + b), 0.5 * (b - a)

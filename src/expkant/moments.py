@@ -16,7 +16,7 @@ import numpy as np
 
 from . import backend
 from .core import (KernelProfile, NonlinearKernel, SamplingScheme,
-                   ValidationError)
+                   ValidationError, gauss_legendre)
 from .ratefit import RateFit, fit_loglog
 
 EXACT_SUP = 1e-12
@@ -377,7 +377,7 @@ def _log_tail_integral(profile: KernelProfile, threshold: float) -> float:
             return 0.0
     else:
         hi = max(1e4, 100.0 * threshold)
-    nodes, weights = np.polynomial.legendre.leggauss(8)
+    nodes, weights = gauss_legendre(8)
     # panels narrow enough to resolve oscillatory profiles
     n_panels = max(8, int(math.ceil((hi - threshold) / 0.5)))
     edges = np.linspace(threshold, hi, n_panels + 1)

@@ -9,6 +9,7 @@ supported signals the retained index set is finite and the sum is exact.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -17,9 +18,11 @@ import numpy as np
 
 from . import backend, moments
 from .core import (EvaluationError, NonlinearKernel, SamplingScheme, Signal,
-                   ValidationError)
+                   ValidationError, gauss_legendre)
 
 MAX_RETAINED_TERMS = 2_000_000
+
+_log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -83,7 +86,7 @@ def default_truncation(f: Signal, kernel: NonlinearKernel,
 
 
 def _gauss_cells(a: np.ndarray, b: np.ndarray, m: int):
-    nodes, weights = np.polynomial.legendre.leggauss(m)
+    nodes, weights = gauss_legendre(m)
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
     u = mid[:, None] + half[:, None] * nodes[None, :]
@@ -101,29 +104,54 @@ def _midpoint_cells(a: np.ndarray, b: np.ndarray, m: int):
 def mean_values(f: Signal, k_lo: int, k_hi: int, w: float,
                 scheme: SamplingScheme, quad: QuadratureSpec) -> np.ndarray:
     """Steklov means (w/Delta_k) * int_{t_k/w}^{t_{k+1}/w} f(e^u) du for
-    k in [k_lo, k_hi], refined until the quadrature tolerance is met."""
+    k in [k_lo, k_hi].
+
+    Each cell's node count doubles until its own mean changes by at most
+    quad.tolerance * max(1, max_k |mean_k|); cells that met it are not
+    evaluated again.  When max_doublings runs out, the last values are
+    returned."""
     if k_hi < k_lo:
         return np.empty(0)
     t = scheme.nodes(k_lo, k_hi + 1)
     a, b = t[:-1] / w, t[1:] / w
     cells = _gauss_cells if quad.rule == "gauss_legendre" else _midpoint_cells
     m = quad.nodes
-    prev = None
+    vals = None
+    active = None  # rows still refined; None means every cell, ungathered
     for _ in range(quad.max_doublings + 1):
-        u, wts = cells(a, b, m)
+        lo, hi = (a, b) if active is None else (a[active], b[active])
+        u, wts = cells(lo, hi, m)
         fv = f.log_evaluate(u)
-        if not np.all(np.isfinite(fv)):
-            bad = k_lo + int(np.argmax(~np.all(np.isfinite(fv), axis=1)))
+        finite = np.isfinite(fv).all(axis=1)
+        if not finite.all():
+            row = int(np.argmin(finite))
+            bad = k_lo + (row if active is None else int(active[row]))
             raise EvaluationError(
                 f"non-finite signal value inside the mean cell of k={bad}")
-        vals = (fv * wts).sum(axis=1) / (b - a)
-        if prev is not None:
+        new = (fv * wts).sum(axis=1) / (hi - lo)
+        if vals is None:
+            vals = new
+        else:
+            if active is None:
+                change = np.abs(new - vals)
+                vals = new
+            else:
+                change = np.abs(new - vals[active])
+                vals[active] = new
             scale = max(1.0, float(np.max(np.abs(vals))))
-            if float(np.max(np.abs(vals - prev))) <= quad.tolerance * scale:
+            keep = ~(change <= quad.tolerance * scale)  # NaN stays active
+            active = np.flatnonzero(keep) if active is None else active[keep]
+            change = change[keep]
+            if active.size == 0:
                 return vals
-        prev = vals
         m *= 2
-    return prev
+    if active is not None:  # None: max_doublings = 0, nothing compared
+        worst = int(np.argmax(change))
+        _log.debug("mean_values: %d of %d cells unconverged after %d "
+                   "doublings; worst k=%d changed by %.3g",
+                   active.size, vals.size, quad.max_doublings,
+                   k_lo + int(active[worst]), float(change[worst]))
+    return vals
 
 
 def mean_value(f: Signal, k: int, w: float, scheme: SamplingScheme,

@@ -3,12 +3,15 @@
 import csv
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import expkant
 from expkant import cli, experiments
 from expkant.core import ValidationError
 
@@ -168,8 +171,12 @@ class TestThreads:
 
 
 def run_cli(args, **kw):
+    # the child imports the same expkant as this process, installed or not
+    src = str(Path(expkant.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     return subprocess.run([sys.executable, "-m", "expkant.cli", *args],
-                          capture_output=True, text=True, **kw)
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, **kw)
 
 
 class TestCli:

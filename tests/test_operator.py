@@ -1,14 +1,17 @@
 """Series evaluation: Steklov means, exact reproduction laws, truncation
 soundness and the structural operator properties."""
 
+import logging
 import math
+import re
 
 import numpy as np
 import pytest
 
 from expkant import moments, operator, signals
 from expkant.core import (EvaluationError, NonlinearKernel, SamplingScheme,
-                          Signal, make_builtin_profile, make_response)
+                          Signal, gauss_legendre, make_builtin_profile,
+                          make_response)
 from expkant.operator import QuadratureSpec, TruncationPolicy
 
 UNIT = SamplingScheme.uniform()
@@ -54,6 +57,91 @@ class TestMeanValue:
                                                np.nan, 1.0), sup_norm=1.0)
         with pytest.raises(EvaluationError, match="k="):
             operator.mean_value(bad, 3, 2.0, UNIT)
+
+
+def _global_doubling_means(f, k_lo, k_hi, w, quad):
+    """Reference: every cell doubled until the worst cell converges."""
+    t = UNIT.nodes(k_lo, k_hi + 1)
+    a, b = t[:-1] / w, t[1:] / w
+    m, prev = quad.nodes, None
+    for _ in range(quad.max_doublings + 1):
+        x, wx = np.polynomial.legendre.leggauss(m)
+        u = 0.5 * (a + b)[:, None] + 0.5 * (b - a)[:, None] * x[None, :]
+        vals = 0.5 * (f.log_evaluate(u) * wx[None, :]).sum(axis=1)
+        if prev is not None:
+            scale = max(1.0, float(np.max(np.abs(vals))))
+            if float(np.max(np.abs(vals - prev))) <= quad.tolerance * scale:
+                return vals
+        prev = vals
+        m *= 2
+    return prev
+
+
+class TestCellRefinement:
+    """mean_values refines only the cells that have not converged."""
+
+    QUAD = QuadratureSpec()
+
+    @pytest.mark.parametrize("f, quad", [
+        (signals.holder_bump(0.5), QUAD),                      # all 9 levels
+        (signals.holder_bump(0.5), QuadratureSpec(max_doublings=3)),  # capped
+        (signals.cc_bump(), QUAD),                             # level 2
+    ], ids=["holder_bump", "holder_bump-capped", "cc_bump"])
+    def test_agrees_with_global_doubling(self, f, quad):
+        ref = _global_doubling_means(f, -34, 33, 16.0, quad)
+        got = operator.mean_values(f, -34, 33, 16.0, UNIT, quad)
+        tol = quad.tolerance * max(1.0, float(np.max(np.abs(ref))))
+        assert np.max(np.abs(got - ref)) <= tol
+
+    def test_only_cusp_cells_refined(self):
+        # holder_bump(0.5, 2) at w = 16: the cusp at v = 0 is the edge
+        # between cells k = -1 and k = 0; the kinks at |v| = 2 are cell
+        # edges too, where the bump is smooth from either side
+        base = signals.holder_bump(0.5, 2.0)
+        shapes, cells = [], []
+
+        def counting(x):
+            shapes.append(x.shape)
+            cells.append(np.floor(16.0 * np.log(x).mean(axis=1)).astype(int))
+            return base.evaluate(x)
+
+        f = Signal("counted", counting, sup_norm=1.0, support=base.support)
+        operator.mean_values(f, -34, 33, 16.0, UNIT, self.QUAD)
+        assert shapes[:2] == [(68, 8), (68, 16)]
+        assert shapes[2:] == [(2, 8 * 2 ** i) for i in range(2, 9)]
+        for level in cells[2:]:
+            assert sorted(level) == [-1, 0]
+
+    def test_doubling_cap_logged(self, caplog):
+        # the cusp cells need 2048 nodes at w = 16; 3 doublings stop at 64
+        f = signals.holder_bump(0.5, 2.0)
+        quad = QuadratureSpec(max_doublings=3)
+        with caplog.at_level(logging.DEBUG, logger="expkant.operator"):
+            operator.mean_values(f, -34, 33, 16.0, UNIT, quad)
+        assert re.search(r"2 of 68 cells unconverged after 3 doublings; "
+                         r"worst k=(-1|0) changed by 4\.6\de-07", caplog.text)
+
+    def test_nonfinite_at_refined_level_named(self):
+        # finite on the 8- and 16-node levels; the refined levels evaluate
+        # only the cells next to the kink at v = 5.5, and cell k = 5 is NaN
+        def kinked(x):
+            v = np.log(x)
+            vals = np.sqrt(np.abs(v - 5.5))
+            if v.shape[-1] > 16:
+                vals = np.where((v > 5.0) & (v < 6.0), np.nan, vals)
+            return vals
+
+        f = Signal("kinked", kinked, sup_norm=3.0)
+        with pytest.raises(EvaluationError, match=r"k=5$"):
+            operator.mean_values(f, 0, 9, 1.0, UNIT, self.QUAD)
+
+    def test_cached_rule_read_only(self):
+        nodes, weights = gauss_legendre(8)
+        assert gauss_legendre(8)[0] is nodes
+        with pytest.raises(ValueError):
+            nodes[0] = 0.0
+        with pytest.raises(ValueError):
+            weights[0] = 0.0
 
 
 class TestKantorovich:
