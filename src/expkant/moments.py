@@ -9,6 +9,8 @@ which is periodic in y with the scheme's phase period and independent of w.
 from __future__ import annotations
 
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -55,24 +57,6 @@ class ConditionReport:
 
 # ---------------------------------------------------------------------------
 # phase sums
-
-
-def _phase_sum(profile: KernelProfile, y: np.ndarray, t: np.ndarray,
-               beta: float) -> np.ndarray:
-    """sum_k L(e^{y_i - t_k}) |y_i - t_k|^beta over the retained window."""
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    if profile.fast_kind is not None:
-        return backend.phase_weighted_sum(y, t, beta, profile.fast_kind,
-                                          profile.fast_order)
-    out = np.empty(y.size)
-    chunk = max(1, 4_000_000 // max(1, t.size))
-    for lo in range(0, y.size, chunk):
-        block = y[lo:lo + chunk, None] - t[None, :]
-        vals = profile.log_values(block)
-        if beta != 0.0:
-            vals = vals * np.abs(block) ** beta
-        out[lo:lo + chunk] = vals.sum(axis=1)
-    return out
 
 
 def _window_nodes(scheme: SamplingScheme, center: float, half: float) -> np.ndarray:
@@ -135,7 +119,7 @@ def discrete_moment(profile: KernelProfile, scheme: SamplingScheme,
         def sup_on(ys):
             t = _window_nodes(scheme, 0.5 * (ys[0] + ys[-1]),
                               half + 0.5 * (ys[-1] - ys[0]) + scheme.upper_gap)
-            return _phase_sum(profile, ys, t, beta)
+            return backend.profile_sum(profile, ys, t, beta=beta)
 
         ys = np.linspace(0.0, period, probe_points, endpoint=False)
         vals = sup_on(ys)
@@ -156,7 +140,7 @@ def discrete_moment(profile: KernelProfile, scheme: SamplingScheme,
     history = []
     for _ in range(7):
         t = _window_nodes(scheme, 0.5 * period, half)
-        vals = _phase_sum(profile, ys, t, beta)
+        vals = backend.profile_sum(profile, ys, t, beta=beta)
         history.append(float(vals.max()))
         half *= 2.0
     diverged = history[-2] > 0 and history[-1] / history[-2] > 1.1
@@ -164,20 +148,33 @@ def discrete_moment(profile: KernelProfile, scheme: SamplingScheme,
     return MomentReport(beta, value, desc, diverged)
 
 
-_MOMENT_CACHE: dict = {}
+_MOMENT_CACHE_SIZE = 256
+_MOMENT_CACHE: OrderedDict = OrderedDict()
+_MOMENT_LOCK = threading.Lock()
 
 
 def moment_value(profile: KernelProfile, scheme: SamplingScheme,
                  beta: float) -> float:
-    """Cached moment lookup; inf when the moment diverges."""
-    key = (id(profile), scheme.cache_key, beta)
-    if key not in _MOMENT_CACHE:
-        rep = discrete_moment(profile, scheme, beta)
-        # keep a reference to the profile: id() keys are only unique while
-        # the object is alive
-        _MOMENT_CACHE[key] = (profile,
-                              math.inf if rep.diverged else rep.value)
-    return _MOMENT_CACHE[key][1]
+    """Cached moment lookup; inf when the moment diverges.
+
+    The cache is one LRU of _MOMENT_CACHE_SIZE entries shared by all
+    threads.  Profiles compare by identity, so the key holds the profile
+    itself: an id() could be reused once the profile is gone.  A moment is
+    computed outside the lock; when two threads compute the same one, both
+    get the value stored first."""
+    key = (profile, scheme.cache_key, beta)
+    with _MOMENT_LOCK:
+        if key in _MOMENT_CACHE:
+            _MOMENT_CACHE.move_to_end(key)
+            return _MOMENT_CACHE[key]
+    rep = discrete_moment(profile, scheme, beta)
+    value = math.inf if rep.diverged else rep.value
+    with _MOMENT_LOCK:
+        value = _MOMENT_CACHE.setdefault(key, value)
+        _MOMENT_CACHE.move_to_end(key)
+        while len(_MOMENT_CACHE) > _MOMENT_CACHE_SIZE:
+            _MOMENT_CACHE.popitem(last=False)
+    return value
 
 
 def tail_sum(profile: KernelProfile, scheme: SamplingScheme, gamma: float,
@@ -202,7 +199,7 @@ def tail_sum(profile: KernelProfile, scheme: SamplingScheme, gamma: float,
         t = scheme.nodes(k_lo, k_hi)
         keep = np.abs(t - y) > h
         if keep.any():
-            total += float(_phase_sum(profile, np.array([y]), t[keep], 0.0)[0])
+            total += float(backend.profile_sum(profile, y, t[keep])[0])
     total += _tail_remainder(profile, scheme, outer, 0.0)
     return total
 
@@ -224,7 +221,7 @@ def partition_bounds(profile: KernelProfile, scheme: SamplingScheme,
         half = 2e4
         rem = _tail_remainder(profile, scheme, half - period, 0.0)
     t = _window_nodes(scheme, 0.5 * period, half)
-    m0 = _phase_sum(profile, ys, t, 0.0)
+    m0 = backend.profile_sum(profile, ys, t)
     return float(m0.min()), float(m0.max()) + rem
 
 
@@ -343,8 +340,8 @@ def check_L3(profile: KernelProfile, scheme: SamplingScheme, r: float,
                 t = scheme.nodes(k_lo, k_hi)
                 keep = np.abs(t - y) > h
                 if keep.any():
-                    total += float(_phase_sum(profile, np.array([y]),
-                                              t[keep], r)[0])
+                    total += float(backend.profile_sum(profile, y, t[keep],
+                                                       beta=r)[0])
             per_y.append(total)
         rem = _tail_remainder(profile, scheme, outer, r)
         vals.append(max(per_y) + (rem if math.isfinite(rem) else 0.0))

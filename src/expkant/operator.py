@@ -27,10 +27,9 @@ _log = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Inner-integral rule: Gauss-Legendre nodes (or midpoint panels) per
-    cell, doubled until successive values agree to `tolerance`."""
+    """Inner-integral rule: Gauss-Legendre nodes per cell, doubled until
+    successive values agree to `tolerance`."""
 
-    rule: str = "gauss_legendre"
     nodes: int = 8
     tolerance: float = 1e-10
     max_doublings: int = 8
@@ -38,8 +37,6 @@ class QuadratureSpec:
     def __post_init__(self):
         if self.nodes < 1:
             raise ValidationError("quadrature needs nodes >= 1")
-        if self.rule not in ("gauss_legendre", "midpoint"):
-            raise ValidationError(f"unknown quadrature rule {self.rule!r}")
 
 
 @dataclass(frozen=True)
@@ -94,13 +91,6 @@ def _gauss_cells(a: np.ndarray, b: np.ndarray, m: int):
     return u, wts
 
 
-def _midpoint_cells(a: np.ndarray, b: np.ndarray, m: int):
-    h = (b - a) / m
-    u = a[:, None] + (np.arange(m)[None, :] + 0.5) * h[:, None]
-    wts = np.repeat(h[:, None], m, axis=1)
-    return u, wts
-
-
 def mean_values(f: Signal, k_lo: int, k_hi: int, w: float,
                 scheme: SamplingScheme, quad: QuadratureSpec) -> np.ndarray:
     """Steklov means (w/Delta_k) * int_{t_k/w}^{t_{k+1}/w} f(e^u) du for
@@ -114,13 +104,12 @@ def mean_values(f: Signal, k_lo: int, k_hi: int, w: float,
         return np.empty(0)
     t = scheme.nodes(k_lo, k_hi + 1)
     a, b = t[:-1] / w, t[1:] / w
-    cells = _gauss_cells if quad.rule == "gauss_legendre" else _midpoint_cells
     m = quad.nodes
     vals = None
     active = None  # rows still refined; None means every cell, ungathered
     for _ in range(quad.max_doublings + 1):
         lo, hi = (a, b) if active is None else (a[active], b[active])
-        u, wts = cells(lo, hi, m)
+        u, wts = _gauss_cells(lo, hi, m)
         fv = f.log_evaluate(u)
         finite = np.isfinite(fv).all(axis=1)
         if not finite.all():
@@ -219,20 +208,6 @@ def _tail_bound(f: Signal, kernel: NonlinearKernel, scheme: SamplingScheme,
     return float(kernel.slope(2.0 * f.sup_norm)) * m_beta / (gamma * w) ** beta
 
 
-def _series(profile, y, t, coeffs) -> np.ndarray:
-    """sum_j L(y_i - t_j) coeffs_j for an array of phases y."""
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    if profile.fast_kind is not None:
-        return backend.weighted_series_sum(y, t, coeffs, profile.fast_kind,
-                                           profile.fast_order)
-    out = np.empty(y.size)
-    chunk = max(1, 8_000_000 // max(1, t.size))
-    for lo in range(0, y.size, chunk):
-        block = y[lo:lo + chunk, None] - t[None, :]
-        out[lo:lo + chunk] = profile.log_values(block) @ coeffs
-    return out
-
-
 def _check_evaluable(f: Signal, kernel: NonlinearKernel,
                      trunc: TruncationPolicy) -> None:
     if f.sup_norm is None and f.support is None:
@@ -268,7 +243,7 @@ def eval_kantorovich(f: Signal, w: float, x: float, kernel: NonlinearKernel,
     means = mean_values(f, k_lo, k_hi, w, scheme, quad)
     g = kernel.response(w, means)
     t = scheme.nodes(k_lo, k_hi)
-    value = float(_series(kernel.profile, np.array([y]), t, g)[0])
+    value = float(backend.profile_sum(kernel.profile, y, t, g)[0])
     return value, bound
 
 
@@ -294,7 +269,7 @@ def eval_generalized(f: Signal, w: float, x: float, kernel: NonlinearKernel,
         bad = k_lo + int(np.argmax(~np.isfinite(samples)))
         raise EvaluationError(f"non-finite sample value at k={bad}")
     g = kernel.response(w, samples)
-    return float(_series(kernel.profile, np.array([y]), t, g)[0])
+    return float(backend.profile_sum(kernel.profile, y, t, g)[0])
 
 
 def sup_error(f: Signal, w: float, grid, kernel: NonlinearKernel,
@@ -355,5 +330,5 @@ def eval_on_log_grid(f: Signal, w: float, kernel: NonlinearKernel,
     means = mean_values(f, k_lo, k_hi, w, scheme, quad)
     g = kernel.response(w, means)
     t = scheme.nodes(k_lo, k_hi)
-    values = _series(kernel.profile, w * v, t, g)
+    values = backend.profile_sum(kernel.profile, w * v, t, g)
     return GridFunction(v, values)

@@ -1,13 +1,17 @@
 """Discrete moments and the admissibility-condition audits."""
 
 import math
+import sys
+import weakref
+from collections import OrderedDict
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from expkant import moments
-from expkant.core import (NonlinearKernel, SamplingScheme, ValidationError,
-                          make_builtin_profile, make_response)
+from expkant.core import (KernelProfile, NonlinearKernel, SamplingScheme,
+                          ValidationError, make_builtin_profile, make_response)
 
 UNIT = SamplingScheme.uniform()
 BSPLINE = make_builtin_profile("bspline", 2)
@@ -56,6 +60,65 @@ class TestDiscreteMoment:
     def test_validation(self):
         with pytest.raises(ValidationError):
             moments.discrete_moment(BSPLINE, UNIT, -1.0)
+
+
+class TestMomentCache:
+    @pytest.fixture(autouse=True)
+    def empty_cache(self, monkeypatch):
+        monkeypatch.setattr(moments, "_MOMENT_CACHE", OrderedDict())
+
+    @staticmethod
+    def box(i):
+        return KernelProfile(
+            name=f"box{i}", log_values=lambda v: (np.abs(v) <= 0.5) * 1.0,
+            l1_log_norm=1.0, sup_bound=1.0, support_radius=0.5)
+
+    def test_size_stays_within_bound(self, monkeypatch):
+        monkeypatch.setattr(moments, "_MOMENT_CACHE_SIZE", 4)
+        for i in range(6):
+            box = self.box(i)
+            for beta in (0.0, 1.0):
+                moments.moment_value(box, UNIT, beta)
+                assert len(moments._MOMENT_CACHE) <= 4
+        assert len(moments._MOMENT_CACHE) == 4
+        # the most recent entries are the ones kept
+        assert [k[0].name for k in moments._MOMENT_CACHE] == ["box4"] * 2 + ["box5"] * 2
+
+    def test_hit_computes_once_and_eviction_releases(self, monkeypatch):
+        monkeypatch.setattr(moments, "_MOMENT_CACHE_SIZE", 1)
+        computed = []
+        orig = moments.discrete_moment
+        monkeypatch.setattr(moments, "discrete_moment",
+                            lambda *a: computed.append(a) or orig(*a))
+        box = self.box(0)
+        assert moments.moment_value(box, UNIT, 1.0) == \
+            moments.moment_value(box, UNIT, 1.0)
+        assert len(computed) == 1
+        ref = weakref.ref(box)
+        del box
+        computed.clear()
+        assert ref() is not None  # the cache holds the profile it keys on
+        moments.moment_value(self.box(1), UNIT, 1.0)
+        assert ref() is None
+
+    def test_thread_pool_lookups_agree(self, monkeypatch):
+        # more workers than keys the cache can hold, switching often
+        monkeypatch.setattr(moments, "_MOMENT_CACHE_SIZE", 3)
+        betas = [0.0, 0.5, 1.0, 2.0] * 6
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=6) as pool:
+                futures = [pool.submit(moments.moment_value,
+                                       make_builtin_profile("bspline", 3),
+                                       UNIT, b) for b in betas]
+                vals = [f.result(timeout=120) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for beta, val in zip(betas, vals):
+            assert val == moments.discrete_moment(
+                make_builtin_profile("bspline", 3), UNIT, beta).value
+        assert len(moments._MOMENT_CACHE) == 3
 
 
 class TestTailSum:

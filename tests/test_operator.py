@@ -46,12 +46,6 @@ class TestMeanValue:
         assert operator.mean_value(f, 0, 1.0, UNIT) == pytest.approx(
             math.e - 1.0, abs=1e-10)
 
-    def test_midpoint_rule_converges(self):
-        f = signals.power_clipped(1.0)
-        quad = QuadratureSpec(rule="midpoint", nodes=4, tolerance=1e-10)
-        assert operator.mean_value(f, 0, 1.0, UNIT, quad) == pytest.approx(
-            math.e - 1.0, abs=1e-6)
-
     def test_nonfinite_signal_named(self):
         bad = Signal("bad", lambda x: np.where(np.asarray(x) > 2.0,
                                                np.nan, 1.0), sup_norm=1.0)

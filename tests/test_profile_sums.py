@@ -1,0 +1,148 @@
+"""backend.profile_sum against a direct dense sum over every (phase, node)
+pair, on both sides of the banding size test."""
+
+import numpy as np
+import pytest
+
+from expkant import backend
+from expkant.core import KernelProfile, SamplingScheme, make_builtin_profile
+
+ATOL = 1e-13
+
+
+def dense(profile, y, t, coeffs=None, beta=0.0):
+    """sum_j L(y_i - t_j) c_j with every pair evaluated."""
+    y = np.atleast_1d(np.asarray(y, dtype=float))
+    v = y[:, None] - np.asarray(t, dtype=float)[None, :]
+    vals = profile.log_values(v)
+    if coeffs is not None:
+        vals = vals * np.asarray(coeffs)[None, :]
+    elif beta != 0.0:
+        vals = vals * np.abs(v) ** beta
+    return vals.sum(axis=1)
+
+
+def banded(profile, y, t):
+    return backend._band(profile.support_radius,
+                         np.atleast_1d(np.asarray(y, dtype=float)),
+                         np.asarray(t, dtype=float)) is not None
+
+
+def tau_profile():
+    return KernelProfile(
+        name="tau",
+        log_values=lambda v: ((v >= 0.0) & (v <= 1.0)).astype(float),
+        l1_log_norm=1.0, sup_bound=1.0, support_radius=1.0)
+
+
+UNIT = SamplingScheme.uniform(1.0)
+TAB = SamplingScheme.tabulated((0.0, 0.3, 1.1), 1.7)
+RNG = np.random.default_rng(20)
+
+# (scheme, k_lo, k_hi): a few-node window and a long one for each scheme
+WINDOWS = [(UNIT, -3, 3), (UNIT, -150, 150), (TAB, -3, 2), (TAB, -240, 240)]
+
+
+def phases(t, radius):
+    """Knots of the spline pieces, nodes themselves, random phases and
+    phases beyond either end of the window."""
+    lo, hi = float(t[0]), float(t[-1])
+    knots = np.concatenate([t[:: max(1, t.size // 7)] + d
+                            for d in np.arange(-radius, radius + 0.5, 0.5)])
+    outside = np.array([lo - radius - 0.25, lo - 3 * radius - 7.0,
+                        hi + radius + 0.25, hi + 40.0])
+    return np.concatenate([knots, RNG.uniform(lo - 2, hi + 2, 300), outside])
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("window", WINDOWS, ids=["unit-few", "unit-long",
+                                                  "tab-few", "tab-long"])
+class TestBspline:
+    @pytest.mark.parametrize("beta", [0.0, 0.5, 2.0])
+    def test_moment_sums(self, n, window, beta):
+        profile = make_builtin_profile("bspline", n)
+        t = window[0].nodes(window[1], window[2])
+        y = phases(t, profile.support_radius)
+        got = backend.profile_sum(profile, y, t, beta=beta)
+        np.testing.assert_allclose(got, dense(profile, y, t, beta=beta),
+                                   rtol=0, atol=ATOL)
+        assert np.all(got[-4:] == 0.0)  # phases outside the window
+
+    def test_coefficient_sums(self, n, window):
+        profile = make_builtin_profile("bspline", n)
+        t = window[0].nodes(window[1], window[2])
+        coeffs = RNG.standard_normal(t.size)
+        y = phases(t, profile.support_radius)
+        got = backend.profile_sum(profile, y, t, coeffs)
+        np.testing.assert_allclose(got, dense(profile, y, t, coeffs),
+                                   rtol=0, atol=ATOL)
+        assert np.all(got[-4:] == 0.0)
+
+
+def test_windows_fall_on_both_sides_of_the_size_test():
+    profile = make_builtin_profile("bspline", 2)
+    paths = [banded(profile, [0.0], s.nodes(lo, hi)) for s, lo, hi in WINDOWS]
+    assert paths == [False, True, False, True]
+
+
+@pytest.mark.parametrize("k", [(-2, 3), (-200, 200)])
+def test_tau_band_is_closed(k):
+    # nodes at exactly v = y - t = 0 and v = 1 carry weight 1
+    profile = tau_profile()
+    t = UNIT.nodes(*k)
+    y = np.concatenate([t, t + 1.0, t + 0.5, t - 1e-9, t + 1.0 + 1e-9])
+    assert banded(profile, y, t) == (t.size > 8)  # 2 * (2R / step + 2)
+    got = backend.profile_sum(profile, y, t)
+    np.testing.assert_allclose(got, dense(profile, y, t), rtol=0, atol=ATOL)
+    inner = slice(1, t.size - 1)
+    assert np.all(got[:t.size][inner] == 2.0)              # v = 0 and v = 1
+    assert np.all(got[t.size:2 * t.size][inner] == 2.0)    # v = 1 and v = 0
+    coeffs = RNG.standard_normal(t.size)
+    np.testing.assert_allclose(backend.profile_sum(profile, y, t, coeffs),
+                               dense(profile, y, t, coeffs), rtol=0, atol=ATOL)
+
+
+@pytest.mark.parametrize("window", WINDOWS[:2], ids=["few", "long"])
+def test_fejer(window):
+    profile = make_builtin_profile("mellin_fejer")
+    t = window[0].nodes(window[1], window[2])
+    y = RNG.uniform(-5.0, 5.0, 200)
+    for beta in (0.0, 0.5):
+        np.testing.assert_allclose(backend.profile_sum(profile, y, t, beta=beta),
+                                   dense(profile, y, t, beta=beta),
+                                   rtol=0, atol=ATOL)
+    coeffs = RNG.standard_normal(t.size)
+    np.testing.assert_allclose(backend.profile_sum(profile, y, t, coeffs),
+                               dense(profile, y, t, coeffs), rtol=0, atol=ATOL)
+
+
+@pytest.mark.parametrize("profile", [make_builtin_profile("bspline", 3),
+                                     make_builtin_profile("mellin_fejer"),
+                                     tau_profile()], ids=lambda p: p.name)
+def test_empty_window(profile):
+    y = np.linspace(-2.0, 2.0, 5)
+    assert np.all(backend.profile_sum(profile, y, np.empty(0)) == 0.0)
+    assert np.all(backend.profile_sum(profile, y, np.empty(0),
+                                      np.empty(0)) == 0.0)
+
+
+def test_builtin_sums_go_through_the_kind_functions(monkeypatch):
+    # the benchmark's tracer wraps these two module globals
+    calls = []
+    for name in ("weighted_series_sum", "phase_weighted_sum"):
+        orig = getattr(backend, name)
+        monkeypatch.setattr(backend, name,
+                            lambda *a, _o=orig, _n=name: calls.append(_n) or _o(*a))
+    profile = make_builtin_profile("bspline", 2)
+    t = UNIT.nodes(-20, 20)
+    backend.profile_sum(profile, [0.3], t, np.ones(t.size))
+    backend.profile_sum(profile, [0.3], t, beta=1.0)
+    backend.profile_sum(tau_profile(), [0.3], t)
+    assert calls == ["weighted_series_sum", "phase_weighted_sum"]
+
+
+def test_coeffs_and_beta_are_exclusive():
+    t = UNIT.nodes(-3, 3)
+    with pytest.raises(ValueError):
+        backend.profile_sum(make_builtin_profile("bspline", 2), [0.0], t,
+                            np.ones(t.size), beta=1.0)
