@@ -8,6 +8,16 @@ Built-in profile kinds (KernelProfile.fast_kind):
     0 -- central B-spline of degree n (convolution of n+1 unit indicators,
          support [-(n+1)/2, (n+1)/2] in the log variable)
     1 -- Mellin-Fejer profile (1/(2*pi)) * (sin(v/2)/(v/2))**2
+
+The sum runs over (phase x node) blocks of about _CHUNK pairs, so that each
+temporary of a block stays in cache.  A profile with a compact support sums
+only the band of nodes it can reach from each phase.  The Fejer profile on
+three or more phases takes its sines in separable form,
+    sin((y - t)/2) = sin(y/2) cos(t/2) - cos(y/2) sin(t/2),
+from one sine and one cosine per phase and per node, instead of one sine
+per pair; pairs with |y - t| <= 1, where the difference would cancel, keep
+the direct sine.  With one or two phases (operator point evaluations,
+tail sums) one sine per pair is the cheaper form and is kept throughout.
 """
 
 import math
@@ -19,8 +29,18 @@ BACKEND = "python"
 KIND_BSPLINE = 0
 KIND_FEJER = 1
 
-# Keep broadcasted (phase x node) blocks below ~8M doubles.
-_CHUNK = 8_000_000
+# (phase x node) pairs per block: 64k doubles are 512 KB, so the few
+# temporaries of one block stay in L2 cache.  A window wider than this is
+# summed one phase at a time, over all its nodes at once.
+_CHUNK = 65_536
+
+# Fewest phases for which the separable Fejer sines (two per phase and two
+# per node) are cheaper than one sine per pair.
+_SEPARABLE_MIN_PHASES = 3
+
+# |y - t| up to which a Fejer pair keeps the direct sine: below it the
+# separable difference loses relative accuracy as |y - t| shrinks.
+_DIRECT_REACH = 1.0
 
 
 def bspline_values(v, n):
@@ -66,6 +86,13 @@ def _kind(kind, n):
     raise ValueError(f"unknown profile kind {kind}")
 
 
+def _reach(t, y, reach):
+    """First node index and node count of the closed band
+    [y_i - reach, y_i + reach] per phase, for ascending nodes t."""
+    first = np.searchsorted(t, y - reach, "left")
+    return first, np.searchsorted(t, y + reach, "right") - first
+
+
 def _band(radius, y, t):
     """First node index and node count of the closed band [y_i - R', y_i + R']
     per phase, or None when the whole window should be summed.
@@ -80,9 +107,37 @@ def _band(radius, y, t):
     if not spacing > 0.0 or t.size <= 2.0 * (2.0 * radius / spacing + 2.0):
         return None
     reach = radius + 1e-12 * (radius + max(abs(float(t[0])), abs(float(t[-1]))))
-    first = np.searchsorted(t, y - reach, "left")
-    count = np.searchsorted(t, y + reach, "right") - first
-    return first, count
+    return _reach(t, y, reach)
+
+
+def _fejer_separable(y, t):
+    """Fejer values of (phase x node) blocks from separable sines.
+
+    Returns block(lo, hi, v): the values at v = y[lo:hi, None] - t, taking
+    sin(v/2) = sin(y/2) cos(t/2) - cos(y/2) sin(t/2) from sines and cosines
+    computed once here, except for the pairs with |v| <= _DIRECT_REACH,
+    which keep fejer_values(v) as it is.
+    """
+    sy, cy = np.sin(0.5 * y), np.cos(0.5 * y)
+    st, ct = np.sin(0.5 * t), np.cos(0.5 * t)
+    first, count = _reach(t, y, _DIRECT_REACH)
+
+    def block(lo, hi, v):
+        s = sy[lo:hi, None] * ct
+        tmp = cy[lo:hi, None] * st
+        s -= tmp
+        np.multiply(v, 0.5, out=tmp)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            s /= tmp  # v = 0 lies among the direct pairs below
+        s *= s
+        s /= 2.0 * math.pi
+        c = count[lo:hi]
+        rows = np.repeat(np.arange(hi - lo), c)
+        cols = np.arange(rows.size) - np.repeat(np.cumsum(c) - c - first[lo:hi], c)
+        s[rows, cols] = fejer_values(v[rows, cols])
+        return s
+
+    return block
 
 
 def _sum(values, radius, y, t, coeffs, beta):
@@ -96,8 +151,11 @@ def _sum(values, radius, y, t, coeffs, beta):
     if t.size == 0 or y.size == 0:
         return out
     band = _band(radius, y, t)
+    block = None
     if band is None:
         width = t.size
+        if values is fejer_values and y.size >= _SEPARABLE_MIN_PHASES:
+            block = _fejer_separable(y, t)
     else:
         first, count = band
         width = int(count.max())
@@ -106,25 +164,26 @@ def _sum(values, radius, y, t, coeffs, beta):
         offsets = np.arange(width)
     step = max(1, _CHUNK // width)
     for lo in range(0, y.size, step):
-        yb = y[lo:lo + step, None]
+        hi = min(lo + step, y.size)
+        yb = y[lo:hi, None]
         if band is None:
             v = yb - t[None, :]
         else:
-            idx = first[lo:lo + step, None] + offsets[None, :]
-            outside = offsets[None, :] >= count[lo:lo + step, None]
+            idx = first[lo:hi, None] + offsets[None, :]
+            outside = offsets[None, :] >= count[lo:hi, None]
             np.minimum(idx, t.size - 1, out=idx)
             v = yb - t[idx]
-        vals = values(v)
+        vals = values(v) if block is None else block(lo, hi, v)
         if band is not None:
             vals = np.where(outside, 0.0, vals)
         if coeffs is None:
             if beta != 0.0:
                 vals = vals * np.abs(v) ** beta
-            out[lo:lo + step] = vals.sum(axis=1)
+            out[lo:hi] = vals.sum(axis=1)
         elif band is None:
-            out[lo:lo + step] = vals @ coeffs
+            out[lo:hi] = vals @ coeffs
         else:
-            out[lo:lo + step] = np.einsum("ij,ij->i", vals, coeffs[idx])
+            out[lo:hi] = np.einsum("ij,ij->i", vals, coeffs[idx])
     return out
 
 

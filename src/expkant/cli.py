@@ -35,7 +35,12 @@ def _load_config(path: str) -> dict:
 def _parse_profile(text: str):
     name, _, arg = text.partition(":")
     if name == "bspline":
-        return make_builtin_profile("bspline", int(arg) if arg else 2)
+        try:
+            order = int(arg) if arg else 2
+        except ValueError:
+            raise ValidationError(
+                f"bspline order must be an integer (got {arg!r})") from None
+        return make_builtin_profile("bspline", order)
     if arg:
         raise ValidationError(f"profile {name!r} takes no parameter")
     return make_builtin_profile(name)
@@ -46,8 +51,12 @@ def _parse_scheme(text: str) -> SamplingScheme:
     if parts[0] != "uniform" or len(parts) > 3:
         raise ValidationError(
             "scheme must be uniform:STEP or uniform:STEP:OFFSET")
-    step = float(parts[1]) if len(parts) > 1 and parts[1] else 1.0
-    offset = float(parts[2]) if len(parts) > 2 else 0.0
+    try:
+        step = float(parts[1]) if len(parts) > 1 and parts[1] else 1.0
+        offset = float(parts[2]) if len(parts) > 2 else 0.0
+    except ValueError:
+        raise ValidationError(
+            f"scheme step and offset must be numbers (got {text!r})") from None
     return SamplingScheme.uniform(step, offset)
 
 

@@ -73,13 +73,17 @@ class SamplingScheme:
 
     @staticmethod
     def uniform(step: float = 1.0, offset: float = 0.0) -> "SamplingScheme":
-        if step <= 0:
+        if not step > 0:
             raise ValidationError("uniform scheme needs step > 0")
+        if not (math.isfinite(step) and math.isfinite(offset)):
+            raise ValidationError("uniform scheme needs a finite step and offset")
         return SamplingScheme(kind="uniform", step=float(step), offset=float(offset))
 
     @staticmethod
     def tabulated(base: Sequence[float], period: float) -> "SamplingScheme":
         b = tuple(float(v) for v in base)
+        if not all(math.isfinite(v) for v in (*b, period)):
+            raise ValidationError("tabulated base and period must be finite")
         if len(b) < 1 or any(b[i + 1] <= b[i] for i in range(len(b) - 1)):
             raise ValidationError("tabulated base must be strictly increasing")
         if period <= b[-1] - b[0]:

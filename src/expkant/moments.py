@@ -8,6 +8,7 @@ which is periodic in y with the scheme's phase period and independent of w.
 
 from __future__ import annotations
 
+import logging
 import math
 import threading
 from collections import OrderedDict
@@ -24,17 +25,26 @@ from .ratefit import RateFit, fit_loglog
 EXACT_SUP = 1e-12
 _TAIL_WINDOW = 1e5
 
+_log = logging.getLogger(__name__)
+
 
 @dataclass(frozen=True)
 class MomentReport:
+    """A moment sup; ``half_width`` is the node window's half width around
+    the phases in the last sum and ``remainder`` the tail bound added to
+    ``value`` (both None when the moment is flagged divergent up front)."""
+
     beta: float
     value: float
     probe_grid: str
     diverged: bool
+    half_width: Optional[float] = None
+    remainder: Optional[float] = None
 
     def to_dict(self) -> dict:
         return {"beta": self.beta, "value": self.value,
-                "probe_grid": self.probe_grid, "diverged": self.diverged}
+                "probe_grid": self.probe_grid, "diverged": self.diverged,
+                "half_width": self.half_width, "remainder": self.remainder}
 
 
 @dataclass(frozen=True)
@@ -64,6 +74,16 @@ def _window_nodes(scheme: SamplingScheme, center: float, half: float) -> np.ndar
     if k_hi < k_lo:
         return np.empty(0)
     return scheme.nodes(k_lo, k_hi)
+
+
+def _added_nodes(scheme: SamplingScheme, window: tuple,
+                 grown: tuple) -> np.ndarray:
+    """Ascending nodes of the index window ``grown`` = (k_lo, k_hi) that are
+    not in the nested, possibly empty, window ``window``."""
+    if window[1] < window[0]:
+        return scheme.nodes(*grown)
+    return np.concatenate([scheme.nodes(grown[0], window[0] - 1),
+                           scheme.nodes(window[1] + 1, grown[1])])
 
 
 def _tail_remainder(profile: KernelProfile, scheme: SamplingScheme,
@@ -111,6 +131,9 @@ def discrete_moment(profile: KernelProfile, scheme: SamplingScheme,
     period = scheme.phase_period
     desc = f"{probe_points} phase points on one period [0, {period:g})"
     if not profile.is_compact and profile.decay_power <= beta + 1.0:
+        _log.debug("discrete_moment: %s beta=%g flagged divergent, decay "
+                   "power %g <= beta + 1", profile.name, beta,
+                   profile.decay_power)
         return MomentReport(beta, math.inf, desc, True)
 
     if profile.is_compact:
@@ -131,21 +154,30 @@ def discrete_moment(profile: KernelProfile, scheme: SamplingScheme,
         # one refinement pass: double the probe grid
         ys2 = np.linspace(0.0, period, 2 * probe_points, endpoint=False)
         value = max(value, float(sup_on(ys2).max()))
-        return MomentReport(beta, value, desc, False)
+        return MomentReport(beta, value, desc, False, half, 0.0)
 
-    # decaying profile with finite moment: grow the window geometrically
-    # and add the analytic tail envelope so the value is an upper bound
+    # decaying profile with finite moment: grow the window geometrically,
+    # summing only the nodes each doubling adds, and add the analytic tail
+    # envelope so the value is an upper bound
     ys = np.linspace(0.0, period, probe_points, endpoint=False)
-    half = 64.0
+    vals = np.zeros(probe_points)
+    window = (0, -1)
     history = []
-    for _ in range(7):
-        t = _window_nodes(scheme, 0.5 * period, half)
-        vals = backend.profile_sum(profile, ys, t, beta=beta)
+    for i in range(7):
+        half = 64.0 * 2.0 ** i
+        grown = scheme.index_range(0.5 * period - half, 0.5 * period + half)
+        t = _added_nodes(scheme, window, grown)
+        vals += backend.profile_sum(profile, ys, t, beta=beta)
         history.append(float(vals.max()))
-        half *= 2.0
+        window = grown
     diverged = history[-2] > 0 and history[-1] / history[-2] > 1.1
-    value = history[-1] + _tail_remainder(profile, scheme, half / 2.0, beta)
-    return MomentReport(beta, value, desc, diverged)
+    remainder = _tail_remainder(profile, scheme, half, beta)
+    if diverged:
+        _log.debug("discrete_moment: %s beta=%g flagged divergent, window "
+                   "sups %.6g -> %.6g at half widths %g -> %g", profile.name,
+                   beta, history[-2], history[-1], half / 2.0, half)
+    return MomentReport(beta, history[-1] + remainder, desc, diverged,
+                        half, remainder)
 
 
 _MOMENT_CACHE_SIZE = 256

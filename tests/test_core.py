@@ -57,6 +57,15 @@ class TestSamplingScheme:
             SamplingScheme.tabulated([0.0, 1.0], period=0.5)
         with pytest.raises(ValidationError):
             SamplingScheme.tabulated([1.0, 0.5], period=3.0)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValidationError):
+                SamplingScheme.uniform(bad)
+            with pytest.raises(ValidationError):
+                SamplingScheme.uniform(1.0, offset=bad)
+            with pytest.raises(ValidationError):
+                SamplingScheme.tabulated([0.0, bad], period=3.0)
+            with pytest.raises(ValidationError):
+                SamplingScheme.tabulated([0.0, 1.0], period=bad)
 
 
 class TestProfiles:

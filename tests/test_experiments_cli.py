@@ -249,6 +249,18 @@ class TestCli:
         assert run_cli(["moments", "--profile", "nope", "--beta",
                         "1"]).returncode == cli.EXIT_VALIDATION
 
+    @pytest.mark.parametrize("option", [["--profile", "bspline:x"],
+                                        ["--profile", "bspline:2",
+                                         "--scheme", "uniform:abc"],
+                                        ["--profile", "bspline:2",
+                                         "--scheme", "uniform:nan"]],
+                             ids=["profile-order", "scheme-step",
+                                  "scheme-nan"])
+    def test_moments_bad_number_exit_3(self, option):
+        proc = run_cli(["moments", "--beta", "1", *option])
+        assert proc.returncode == cli.EXIT_VALIDATION, proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_main_in_process(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(base_config()))

@@ -1,5 +1,6 @@
 """Discrete moments and the admissibility-condition audits."""
 
+import logging
 import math
 import sys
 import weakref
@@ -8,8 +9,10 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from expkant import moments
+from expkant import backend, moments
 from expkant.core import (KernelProfile, NonlinearKernel, SamplingScheme,
                           ValidationError, make_builtin_profile, make_response)
 
@@ -60,6 +63,56 @@ class TestDiscreteMoment:
     def test_validation(self):
         with pytest.raises(ValidationError):
             moments.discrete_moment(BSPLINE, UNIT, -1.0)
+
+    def test_report_records_window_and_remainder(self):
+        rep = moments.discrete_moment(FEJER, UNIT, 0.5).to_dict()
+        assert rep["half_width"] == 4096.0
+        assert rep["remainder"] == moments._tail_remainder(FEJER, UNIT,
+                                                           4096.0, 0.5)
+        assert 0.0 < rep["remainder"] < 0.05 * rep["value"]
+        rep = moments.discrete_moment(BSPLINE, UNIT, 1.0).to_dict()
+        assert rep["half_width"] == BSPLINE.support_radius + UNIT.upper_gap
+        assert rep["remainder"] == 0.0
+        rep = moments.discrete_moment(FEJER, UNIT, 1.0).to_dict()
+        assert rep["half_width"] is None and rep["remainder"] is None
+
+    @pytest.mark.parametrize("profile", [
+        FEJER,
+        # declares a summable decay, but its window sums grow like sqrt(half)
+        KernelProfile(name="misdeclared", l1_log_norm=1.0, sup_bound=1.0,
+                      log_values=lambda v: (1.0 + np.abs(v)) ** -0.5,
+                      decay_power=3.0, decay_coeff=1.0)],
+        ids=["decay-power", "window-growth"])
+    def test_divergence_writes_a_debug_line(self, profile, caplog):
+        with caplog.at_level(logging.DEBUG, logger="expkant.moments"):
+            rep = moments.discrete_moment(profile, UNIT, 1.0, probe_points=16)
+        assert rep.diverged
+        lines = [r.getMessage() for r in caplog.records]
+        assert len(lines) == 1 and "flagged divergent" in lines[0]
+        assert profile.name in lines[0]
+
+    @pytest.mark.parametrize("scheme", [
+        UNIT, SamplingScheme.uniform(0.7, 0.3),
+        SamplingScheme.tabulated((0.0, 0.3, 1.1), 1.7)],
+        ids=["unit", "shifted", "tabulated"])
+    @pytest.mark.parametrize("beta", [0.0, 0.5])
+    def test_annulus_growth_matches_whole_windows(self, scheme, beta):
+        # each doubling adds only its two annuli to the running sums; the
+        # sup must equal that of the whole last window summed from scratch
+        probe = 64
+        rep = moments.discrete_moment(FEJER, scheme, beta, probe_points=probe)
+        period = scheme.phase_period
+        ys = np.linspace(0.0, period, probe, endpoint=False)
+        sups = []
+        for half in 64.0 * 2.0 ** np.arange(7):
+            t = moments._window_nodes(scheme, 0.5 * period, half)
+            v = ys[:, None] - t[None, :]
+            sups.append(float(np.max(
+                (FEJER.log_values(v) * np.abs(v) ** beta).sum(axis=1))))
+        remainder = moments._tail_remainder(FEJER, scheme, half, beta)
+        assert rep.value == pytest.approx(sups[-1] + remainder, rel=1e-13)
+        assert rep.remainder == remainder
+        assert rep.diverged == (sups[-1] / sups[-2] > 1.1)
 
 
 class TestMomentCache:
@@ -155,6 +208,27 @@ class TestPartition:
         assert lo == pytest.approx(1.0, abs=1e-3)
         assert hi == pytest.approx(1.0, abs=1e-3)
         assert lo <= hi
+
+    @settings(max_examples=60, deadline=None)
+    @given(step=st.floats(0.25, 2.0 * math.pi),
+           offset=st.floats(-50.0, 50.0),
+           half=st.floats(10.0, 300.0),
+           shift=st.floats(0.0, 1.0))
+    def test_fejer_window_sums_bracket_poisson_value(self, step, offset,
+                                                     half, shift):
+        # Mellin-Poisson summation: the Fejer transform is the triangle on
+        # [-1, 1], so for step <= 2 pi only the zero frequency survives and
+        # m0(y) = 1/step at every phase.  A window sum misses only
+        # positive terms, which the tail remainder bounds.
+        scheme = SamplingScheme.uniform(step, offset)
+        ys = step * (shift + np.arange(5) / 5.0)
+        center = 0.5 * step
+        t = moments._window_nodes(scheme, center, half)
+        sums = backend.profile_sum(FEJER, ys, t)
+        rem = moments._tail_remainder(FEJER, scheme,
+                                      half - np.max(np.abs(ys - center)), 0.0)
+        assert np.all(sums <= (1.0 + 1e-12) / step)
+        assert np.all(1.0 / step <= (sums + rem) * (1.0 + 1e-12))
 
 
 class TestChi4:

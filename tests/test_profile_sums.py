@@ -102,18 +102,53 @@ def test_tau_band_is_closed(k):
                                dense(profile, y, t, coeffs), rtol=0, atol=ATOL)
 
 
-@pytest.mark.parametrize("window", WINDOWS[:2], ids=["few", "long"])
+FEJER = make_builtin_profile("mellin_fejer")
+# Fejer windows: the four above and nodes near |t| = 1e6
+FEJER_WINDOWS = WINDOWS + [(SamplingScheme.uniform(1.0, 1e6), -300, 300)]
+FEJER_IDS = ["few", "long", "tab-few", "tab-long", "far"]
+
+
+def fejer_phases(t):
+    """Phases exactly on nodes, 1e-12 to 1e-3 to either side of nodes, where
+    the separable sine difference cancels, and random phases."""
+    on = t[:: max(1, t.size // 11)]
+    away = [on + side * d for d in (1e-12, 1e-9, 1e-6, 1e-3)
+            for side in (-1.0, 1.0)]
+    return np.concatenate([on, *away, RNG.uniform(t[0] - 2, t[-1] + 2, 40)])
+
+
+@pytest.mark.parametrize("window", FEJER_WINDOWS, ids=FEJER_IDS)
 def test_fejer(window):
-    profile = make_builtin_profile("mellin_fejer")
     t = window[0].nodes(window[1], window[2])
-    y = RNG.uniform(-5.0, 5.0, 200)
-    for beta in (0.0, 0.5):
-        np.testing.assert_allclose(backend.profile_sum(profile, y, t, beta=beta),
-                                   dense(profile, y, t, beta=beta),
+    y = fejer_phases(t)
+    assert y.size >= backend._SEPARABLE_MIN_PHASES
+    for beta in (0.0, 0.37, 0.5):
+        np.testing.assert_allclose(backend.profile_sum(FEJER, y, t, beta=beta),
+                                   dense(FEJER, y, t, beta=beta),
                                    rtol=0, atol=ATOL)
     coeffs = RNG.standard_normal(t.size)
-    np.testing.assert_allclose(backend.profile_sum(profile, y, t, coeffs),
-                               dense(profile, y, t, coeffs), rtol=0, atol=ATOL)
+    np.testing.assert_allclose(backend.profile_sum(FEJER, y, t, coeffs),
+                               dense(FEJER, y, t, coeffs), rtol=0, atol=ATOL)
+
+
+def test_fejer_blocks_and_single_phases():
+    t = UNIT.nodes(-1000, 1000)
+    y = fejer_phases(t)
+    assert y.size * t.size > 4 * backend._CHUNK  # several blocks per call
+    coeffs = RNG.standard_normal(t.size)
+    for beta in (0.0, 0.5):
+        np.testing.assert_allclose(backend.profile_sum(FEJER, y, t, beta=beta),
+                                   dense(FEJER, y, t, beta=beta),
+                                   rtol=0, atol=ATOL)
+    # one and two phases per call take the direct sine
+    for yi in (y[::23], y[1::23]):
+        for part in (yi[:1], yi[:2]):
+            np.testing.assert_allclose(
+                backend.profile_sum(FEJER, part, t, beta=0.5),
+                dense(FEJER, part, t, beta=0.5), rtol=0, atol=ATOL)
+            np.testing.assert_allclose(
+                backend.profile_sum(FEJER, part, t, coeffs),
+                dense(FEJER, part, t, coeffs), rtol=0, atol=ATOL)
 
 
 @pytest.mark.parametrize("profile", [make_builtin_profile("bspline", 3),
