@@ -182,6 +182,9 @@ class KernelProfile:
     decay_power: Optional[float] = None          # L(e^v) <= coeff * |v|**-p
     decay_coeff: Optional[float] = None
     decay_v0: float = 0.0
+    band_limit: Optional[float] = None           # Fourier transform of L(e^v)
+                                                 # is 0 for |xi| >= band_limit
+    fejer_tails: bool = False                    # L(e^v) = (1 - cos v)/(pi v^2)
     fast_kind: Optional[int] = None              # backend dispatch for builtins
     fast_order: int = 0
 
@@ -212,8 +215,12 @@ def make_builtin_profile(name: str, n: int = 2) -> KernelProfile:
 
     bspline(n) is the central B-spline of degree n (n >= 2), support radius
     (n+1)/2 in the log variable, partition of unity over integer shifts.
-    mellin_fejer is (1/(2*pi)) (sin(v/2)/(v/2))^2, already of unit L1 norm
-    along the log axis; its log-moments of order >= 1 diverge.
+    mellin_fejer is (1/(2*pi)) (sin(v/2)/(v/2))^2 = (1 - cos v)/(pi v^2),
+    already of unit L1 norm along the log axis; its log-moments of order
+    >= 1 diverge.  Its Fourier transform is the triangle (1 - |xi|)_+, so
+    its partition sums are known exactly on steps up to 2 pi, and the
+    (1 - cos v)/(pi v^2) form gives its lattice and integral tails in
+    closed form (moments.py).
     """
     if name == "bspline":
         if n < 2:
@@ -237,6 +244,8 @@ def make_builtin_profile(name: str, n: int = 2) -> KernelProfile:
             decay_power=2.0,
             decay_coeff=2.0 / math.pi,
             decay_v0=0.0,
+            band_limit=1.0,
+            fejer_tails=True,
             fast_kind=backend.KIND_FEJER,
         )
     raise ValidationError(f"unknown profile name {name!r}")

@@ -560,16 +560,17 @@ def _run_quantitative_5_1(cfg: dict) -> dict:
     }
 
 
+_L1_REACH = 400.0
+
+
 def _l1_quadrature(profile: KernelProfile) -> float:
     if profile.is_compact:
         lo, hi = -profile.support_radius, profile.support_radius
         val, _ = modular._adaptive_integral(profile.log_values, lo, hi)
         return val
-    hi = 400.0
-    val, _ = modular._adaptive_integral(profile.log_values, -hi, hi,
-                                        start_panels=1024)
-    p, c = profile.decay_power, profile.decay_coeff
-    return val + 2.0 * c * hi ** (1.0 - p) / (p - 1.0)
+    val, _ = modular._adaptive_integral(profile.log_values, -_L1_REACH,
+                                        _L1_REACH, start_panels=1024)
+    return val + moments.integral_tail(profile, _L1_REACH)
 
 
 def _run_audit_kernel(cfg: dict) -> dict:
@@ -607,6 +608,8 @@ def _run_audit_kernel(cfg: dict) -> dict:
     checks["chi4_star"] = moments.check_chi4_star(kernel, scheme, w_arr).to_dict()
     l1 = _l1_quadrature(profile)
     checks["L1"] = {"quadrature": l1, "declared": profile.l1_log_norm,
+                    "tail_bound": (0.0 if profile.is_compact else
+                                   moments.integral_tail(profile, _L1_REACH)),
                     "passed": abs(l1 - profile.l1_log_norm) < 1e-6}
     mrep = moments.discrete_moment(profile, scheme, beta)
     checks["L2"] = {**mrep.to_dict(), "passed": not mrep.diverged}

@@ -4,6 +4,12 @@ admissibility condition the convergence theorems assume.
 The moment sup is taken over the phase variable y = w ln x,
     M_beta(L) = sup_y sum_k L(e^{y - t_k}) |y - t_k|^beta,
 which is periodic in y with the scheme's phase period and independent of w.
+
+Profiles that declare their Fourier band limit get the partition sum m0 in
+closed form (Poisson summation); the Mellin-Fejer profile, which declares
+the form (1 - cos v)/(pi v^2), gets its lattice tails as Hurwitz zeta
+values plus a summation-by-parts bound on the cosine part.  Other decaying
+profiles sum growing node windows and add their decay envelope.
 """
 
 from __future__ import annotations
@@ -25,14 +31,29 @@ from .ratefit import RateFit, fit_loglog
 EXACT_SUP = 1e-12
 _TAIL_WINDOW = 1e5
 
+# Distance from the cut over which a lattice tail is summed node by node
+# before the closed-form bound takes over.  At 512 the bound's slack on
+# the Fejer tails is about u^(beta - 2) / (pi |sin(P/2)|) at u = 512.
+_LATTICE_REACH = 512.0
+
+# Bernoulli numbers B_2, B_4, ..., B_16 over (2j)!, for Euler-Maclaurin.
+_BERNOULLI_OVER_FACTORIAL = tuple(
+    b / math.factorial(2 * j) for j, b in enumerate(
+        (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6,
+         -3617 / 510), start=1))
+# zeta(s, q) sums its first terms directly until q + n >= _ZETA_SHIFT.
+_ZETA_SHIFT = 16.0
+
 _log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
 class MomentReport:
-    """A moment sup; ``half_width`` is the node window's half width around
-    the phases in the last sum and ``remainder`` the tail bound added to
-    ``value`` (both None when the moment is flagged divergent up front)."""
+    """A moment sup; ``half_width`` is the half width around each phase
+    inside which every node is summed directly and ``remainder`` the tail
+    bound added to ``value`` at the phase that attains the sup (both None
+    when the moment is flagged divergent up front).  ``exact`` marks a
+    value known in closed form at every phase (no window, remainder 0)."""
 
     beta: float
     value: float
@@ -40,11 +61,13 @@ class MomentReport:
     diverged: bool
     half_width: Optional[float] = None
     remainder: Optional[float] = None
+    exact: bool = False
 
     def to_dict(self) -> dict:
         return {"beta": self.beta, "value": self.value,
                 "probe_grid": self.probe_grid, "diverged": self.diverged,
-                "half_width": self.half_width, "remainder": self.remainder}
+                "half_width": self.half_width, "remainder": self.remainder,
+                "exact": self.exact}
 
 
 @dataclass(frozen=True)
@@ -99,6 +122,139 @@ def _tail_remainder(profile: KernelProfile, scheme: SamplingScheme,
     return 2.0 * c / scheme.lower_gap * r0 ** (beta + 1.0 - p) / (p - 1.0 - beta)
 
 
+def hurwitz_zeta(s: float, q) -> tuple:
+    """(value, bound) with |zeta(s, q) - value| <= bound, where
+    zeta(s, q) = sum_{k >= 0} (q + k)^-s, for real s > 1 and q > 0.
+
+    Euler-Maclaurin at a = q + n, after n direct terms that raise a to at
+    least _ZETA_SHIFT:
+        zeta(s, q) = sum_{k < n} (q + k)^-s + a^(1-s)/(s-1) + a^-s/2
+                     + sum_{j=1}^{M} B_2j/(2j)! (s)_{2j-1} a^(-s-2j+1) + R,
+    |R| <= |B_2M|/(2M)! (s)_2M a^(1-s-2M)/(s+2M-1), with (s)_k the rising
+    factorial (Johansson, Numer. Algorithms 2015, arXiv:1309.2877).  The
+    bound adds 64 ulp of the value for round-off."""
+    q = np.asarray(q, dtype=float)
+    n = np.maximum(0.0, np.ceil(_ZETA_SHIFT - q))
+    value = np.zeros(q.shape)
+    for k in range(int(n.max(initial=0.0))):
+        value += np.where(k < n, (q + k) ** -s, 0.0)
+    a = q + n
+    value += a ** (1.0 - s) / (s - 1.0) + 0.5 * a ** -s
+    rising, power = s, a ** (-s - 1.0)    # (s)_{2j-1} and a^(-s-2j+1)
+    for j, coeff in enumerate(_BERNOULLI_OVER_FACTORIAL, start=1):
+        value += coeff * rising * power
+        last = rising * (s + 2 * j - 1)   # (s)_2j
+        rising = last * (s + 2 * j)
+        power = power / (a * a)
+    m = len(_BERNOULLI_OVER_FACTORIAL)
+    remainder = (abs(_BERNOULLI_OVER_FACTORIAL[-1]) * last
+                 * a ** (1.0 - s - 2 * m) / (s + 2 * m - 1.0))
+    return value, remainder + 64.0 * np.finfo(float).eps * value
+
+
+def _residue_classes(scheme: SamplingScheme) -> tuple:
+    """(offsets, P): the nodes as lattices b + qP, one per offset b."""
+    if scheme.kind == "uniform":
+        return (scheme.offset,), scheme.step
+    return scheme.base, scheme.period
+
+
+def _exact_partition(profile: KernelProfile,
+                    scheme: SamplingScheme) -> Optional[float]:
+    """m0(y) = sum_k L(e^{y - t_k}) in closed form, or None.
+
+    By Poisson summation each residue class b + qP contributes
+    (1/P) sum_n Lhat(2 pi n/P) e^{2 pi i n (y - b)/P}.  When Lhat vanishes
+    for |xi| >= band_limit and 2 pi/P >= band_limit, only n = 0 is left,
+    so m0 == (number of classes) * l1_log_norm / P at every phase
+    (Butzer & Jansche, JFAA 1997)."""
+    if profile.band_limit is None:
+        return None
+    offsets, period = _residue_classes(scheme)
+    if period * profile.band_limit > 2.0 * math.pi:
+        return None
+    return len(offsets) * profile.l1_log_norm / period
+
+
+def _lattice_terms(period: float) -> int:
+    """Nodes per class and side that a lattice tail sums directly."""
+    return max(1, math.ceil(_LATTICE_REACH / period))
+
+
+def _first_beyond(b: float, period: float, ys: np.ndarray,
+                  cut: float) -> np.ndarray:
+    """Per phase y, the first q with (b + q P) - y > cut, decided on the
+    node positions as SamplingScheme.nodes computes them."""
+    q = np.floor((ys + cut - b) / period)
+    q -= b + (q - 1.0) * period - ys > cut
+    q += b + q * period - ys <= cut
+    return q
+
+
+def _lattice_tails(profile: KernelProfile, scheme: SamplingScheme,
+                   ys: np.ndarray, cut: Optional[float],
+                   beta: float) -> tuple:
+    """(direct, bound) per phase y_i, whose sum bounds from above
+        sum over |t_k - y_i| > cut of L(e^{y_i - t_k}) |y_i - t_k|^beta
+    (over every node when cut is None) for a profile with fejer_tails
+    and 0 <= beta < 1.
+
+    On each side of y_i, the nodes of a residue class b + qP lie at
+    distances u_j = u_0 + jP.  The first D = _lattice_terms(P) are summed
+    directly, in one profile_sum over all phases.  Beyond them the terms
+    are (1 - cos u_j) u_j^(beta-2)/pi, at most (1/pi) min(2Z, Z + B) with
+        Z = sum_j u_j^(beta-2) = P^(beta-2) zeta(2 - beta, u_D/P),
+        B = u_D^(beta-2)/|sin(P/2)|,
+    where B bounds the cosine part by summation by parts: its partial
+    sums of cos(u_D + jP) stay within 1/|sin(P/2)| (Dirichlet test)."""
+    offsets, period = _residue_classes(scheme)
+    ys = np.asarray(ys, dtype=float)
+    depth = _lattice_terms(period)
+    lattice = -period * np.arange(depth)[::-1]
+    sine = abs(math.sin(0.5 * period))
+    direct, bound = np.zeros(ys.size), np.zeros(ys.size)
+    forced = False
+    for b in offsets:
+        q = _first_beyond(b, period, ys, 0.0 if cut is None else cut)
+        right = b + q * period - ys
+        if cut is None:
+            left = ys - (b + (q - 1.0) * period)
+        else:
+            left = -b + _first_beyond(-b, period, -ys, cut) * period + ys
+        u = np.concatenate([right, left])
+        near = backend.profile_sum(profile, u, lattice, beta=beta)
+        far = u + depth * period
+        zeta, zeta_err = hurwitz_zeta(2.0 - beta, far / period)
+        z = period ** (beta - 2.0) * (zeta + zeta_err)
+        with np.errstate(divide="ignore"):
+            osc = far ** (beta - 2.0) / sine
+        forced = forced or bool(np.any(z < osc))
+        tail = np.minimum(2.0 * z, z + osc) / math.pi
+        direct += near[:ys.size] + near[ys.size:]
+        bound += tail[:ys.size] + tail[ys.size:]
+    if forced:
+        _log.debug("lattice tails: |sin(P/2)| = %.3g at P = %g forces the 2Z "
+                   "bound", sine, period)
+    return direct, bound
+
+
+def integral_tail(profile: KernelProfile, v0: float) -> float:
+    """Upper bound on the integral over |v| > v0 > 0 of L(e^v) dv.
+
+    For the Fejer form it is (2/pi)(1/v0 - int_v0^inf cos v/v^2 dv), and
+    integrating by parts twice gives int_v0^inf cos v/v^2 = -sin v0/v0^2
+    + 2 cos v0/v0^3 - 6 int_v0^inf cos v/v^4, the last integral at most
+    1/(3 v0^3).  Other decaying profiles integrate their envelope."""
+    if profile.is_compact:
+        return 0.0 if v0 >= profile.support_radius else math.inf
+    if profile.fejer_tails:
+        return (2.0 / math.pi * (1.0 / v0 + math.sin(v0) / v0 ** 2
+                                 - 2.0 * math.cos(v0) / v0 ** 3)
+                + 4.0 / math.pi / v0 ** 3)
+    p, c = profile.decay_power, profile.decay_coeff
+    return 2.0 * c * v0 ** (1.0 - p) / (p - 1.0)
+
+
 def _golden_refine(fun, a: float, b: float, iters: int = 40) -> float:
     """Golden-section search for the max of a scalar function on [a, b]."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
@@ -124,11 +280,18 @@ def discrete_moment(profile: KernelProfile, scheme: SamplingScheme,
     phase variable; the w argument is accepted for interface symmetry).
 
     Decaying profiles with decay power p <= beta + 1 are flagged divergent
-    immediately: their weighted terms are not summable.
+    immediately: their weighted terms are not summable.  The partition sum
+    (beta = 0) of a band-limited profile is exact on phase periods up to
+    2 pi / band_limit.
     """
     if beta < 0:
         raise ValidationError("discrete_moment needs beta >= 0")
     period = scheme.phase_period
+    if beta == 0.0:
+        m0 = _exact_partition(profile, scheme)
+        if m0 is not None:
+            return MomentReport(beta, m0, "exact at every phase (Poisson "
+                                "summation)", False, None, 0.0, True)
     desc = f"{probe_points} phase points on one period [0, {period:g})"
     if not profile.is_compact and profile.decay_power <= beta + 1.0:
         _log.debug("discrete_moment: %s beta=%g flagged divergent, decay "
@@ -155,6 +318,14 @@ def discrete_moment(profile: KernelProfile, scheme: SamplingScheme,
         ys2 = np.linspace(0.0, period, 2 * probe_points, endpoint=False)
         value = max(value, float(sup_on(ys2).max()))
         return MomentReport(beta, value, desc, False, half, 0.0)
+
+    if profile.fejer_tails:
+        ys = np.linspace(0.0, period, probe_points, endpoint=False)
+        direct, bound = _lattice_tails(profile, scheme, ys, None, beta)
+        total = direct + bound
+        i = int(np.argmax(total))
+        return MomentReport(beta, float(total[i]), desc, False,
+                            _lattice_terms(period) * period, float(bound[i]))
 
     # decaying profile with finite moment: grow the window geometrically,
     # summing only the nodes each doubling adds, and add the analytic tail
@@ -212,11 +383,14 @@ def moment_value(profile: KernelProfile, scheme: SamplingScheme,
 def tail_sum(profile: KernelProfile, scheme: SamplingScheme, gamma: float,
              w: float, x: float) -> float:
     """sum over |t_k - w ln x| > gamma w of L(e^{-t_k} x^w), as an upper
-    bound (partial sum plus decay-envelope remainder)."""
+    bound (partial sum plus a closed-form or decay-envelope remainder)."""
     if gamma <= 0 or w <= 0 or x <= 0:
         raise ValidationError("tail_sum needs gamma, w, x > 0")
     y = w * math.log(x)
     h = gamma * w
+    if profile.fejer_tails:
+        direct, bound = _lattice_tails(profile, scheme, np.array([y]), h, 0.0)
+        return float(direct[0] + bound[0])
     if profile.is_compact:
         if h >= profile.support_radius:
             return 0.0
@@ -243,7 +417,12 @@ def tail_sum(profile: KernelProfile, scheme: SamplingScheme, gamma: float,
 def partition_bounds(profile: KernelProfile, scheme: SamplingScheme,
                      phase_points: int = 512) -> tuple:
     """(min, max) over the phase of m0(y) = sum_k L(e^{y - t_k}), the max
-    including the truncation remainder so it is a true upper bound."""
+    including the truncation remainder so it is a true upper bound; both
+    are the exact value for a band-limited profile on phase periods up to
+    2 pi / band_limit."""
+    m0 = _exact_partition(profile, scheme)
+    if m0 is not None:
+        return m0, m0
     period = scheme.phase_period
     ys = np.linspace(0.0, period, phase_points, endpoint=False)
     if profile.is_compact:
@@ -345,19 +524,32 @@ def check_L3(profile: KernelProfile, scheme: SamplingScheme, r: float,
              gamma: float, w_list: Sequence[float],
              phase_points: int = 128) -> ConditionReport:
     """Condition (L3): weighted tails beyond |t_k - w ln x| > gamma w must
-    vanish as w grows."""
+    vanish as w grows.  ``extra`` gives per w the half width around each
+    phase inside which nodes are summed directly (None when no node can
+    count) and the tail bound added at the phase of the sup (None when
+    the tails diverge and no bound exists)."""
     if not (0.0 < r <= 1.0) or gamma <= 0:
         raise ValidationError("check_L3 needs r in (0,1] and gamma > 0")
     w_arr = np.asarray(sorted(w_list), dtype=float)
     period = scheme.phase_period
     ys = np.linspace(0.0, period, phase_points, endpoint=False)
     diverged = (not profile.is_compact) and profile.decay_power <= r + 1.0
-    vals = []
+    vals, half_widths, remainders = [], [], []
     for w in w_arr:
         h = gamma * w
+        if profile.fejer_tails and not diverged:
+            direct, bound = _lattice_tails(profile, scheme, ys, h, r)
+            total = direct + bound
+            i = int(np.argmax(total))
+            vals.append(float(total[i]))
+            half_widths.append(h + _lattice_terms(period) * period)
+            remainders.append(float(bound[i]))
+            continue
         if profile.is_compact:
             if h >= profile.support_radius:
                 vals.append(0.0)
+                half_widths.append(None)
+                remainders.append(0.0)
                 continue
             outer = profile.support_radius + scheme.upper_gap
         else:
@@ -377,6 +569,8 @@ def check_L3(profile: KernelProfile, scheme: SamplingScheme, r: float,
             per_y.append(total)
         rem = _tail_remainder(profile, scheme, outer, r)
         vals.append(max(per_y) + (rem if math.isfinite(rem) else 0.0))
+        half_widths.append(outer)
+        remainders.append(rem if math.isfinite(rem) else None)
     vals = np.array(vals)
     if diverged:
         passed = False
@@ -391,7 +585,9 @@ def check_L3(profile: KernelProfile, scheme: SamplingScheme, r: float,
         condition="L3", params={"r": r, "gamma": gamma},
         w_values=tuple(w_arr), sup_values=tuple(vals),
         fitted_rate=None if fit is None else fit.slope,
-        passed=bool(passed), extra={"diverged": diverged})
+        passed=bool(passed),
+        extra={"diverged": diverged, "half_width": half_widths,
+               "remainder": remainders})
 
 
 # ---------------------------------------------------------------------------
@@ -399,11 +595,14 @@ def check_L3(profile: KernelProfile, scheme: SamplingScheme, r: float,
 
 
 def _log_tail_integral(profile: KernelProfile, threshold: float) -> float:
-    """integral over |v| > threshold of L(e^v) dv (two-sided)."""
+    """integral over |v| > threshold of L(e^v) dv (two-sided), as an upper
+    bound beyond the integrated panels."""
     if profile.is_compact:
         hi = profile.support_radius
         if threshold >= hi:
             return 0.0
+    elif profile.fejer_tails:
+        hi = max(400.0, 2.0 * threshold)
     else:
         hi = max(1e4, 100.0 * threshold)
     nodes, weights = gauss_legendre(8)
@@ -415,10 +614,7 @@ def _log_tail_integral(profile: KernelProfile, threshold: float) -> float:
     v = mid[:, None] + half[:, None] * nodes[None, :]
     total = float(np.sum((profile.log_values(v) + profile.log_values(-v))
                          * (half[:, None] * weights[None, :])))
-    if not profile.is_compact:
-        p, c = profile.decay_power, profile.decay_coeff
-        total += 2.0 * c * hi ** (1.0 - p) / (p - 1.0)
-    return total
+    return total + integral_tail(profile, hi)
 
 
 def check_e3_1(profile: KernelProfile, gamma: float,

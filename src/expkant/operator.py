@@ -82,6 +82,13 @@ def default_truncation(f: Signal, kernel: NonlinearKernel,
 # Steklov means
 
 
+# (cell x node) values per block of mean_values: 8 MB per temporary.  The
+# 2M-cell windows of heavy-tailed profiles span 16M values at 8 nodes;
+# smaller windows fit one block, so their allocations, and with them
+# glibc's dynamic mmap threshold, stay as they are.
+_CELL_BLOCK = 1 << 20
+
+
 def _gauss_cells(a: np.ndarray, b: np.ndarray, m: int):
     nodes, weights = gauss_legendre(m)
     half = 0.5 * (b - a)
@@ -99,7 +106,11 @@ def mean_values(f: Signal, k_lo: int, k_hi: int, w: float,
     Each cell's node count doubles until its own mean changes by at most
     quad.tolerance * max(1, max_k |mean_k|); cells that met it are not
     evaluated again.  When max_doublings runs out, the last values are
-    returned."""
+    returned.
+
+    Cells are evaluated in order, in blocks of at most _CELL_BLOCK
+    (cell x node) values, so a non-finite value raises at the first block
+    that holds one."""
     if k_hi < k_lo:
         return np.empty(0)
     t = scheme.nodes(k_lo, k_hi + 1)
@@ -109,15 +120,20 @@ def mean_values(f: Signal, k_lo: int, k_hi: int, w: float,
     active = None  # rows still refined; None means every cell, ungathered
     for _ in range(quad.max_doublings + 1):
         lo, hi = (a, b) if active is None else (a[active], b[active])
-        u, wts = _gauss_cells(lo, hi, m)
-        fv = f.log_evaluate(u)
-        finite = np.isfinite(fv).all(axis=1)
-        if not finite.all():
-            row = int(np.argmin(finite))
-            bad = k_lo + (row if active is None else int(active[row]))
-            raise EvaluationError(
-                f"non-finite signal value inside the mean cell of k={bad}")
-        new = (fv * wts).sum(axis=1) / (hi - lo)
+        parts = []
+        rows = max(1, _CELL_BLOCK // m)
+        for start in range(0, lo.size, rows):
+            cells = slice(start, start + rows)
+            u, wts = _gauss_cells(lo[cells], hi[cells], m)
+            fv = f.log_evaluate(u)
+            finite = np.isfinite(fv).all(axis=1)
+            if not finite.all():
+                row = start + int(np.argmin(finite))
+                bad = k_lo + (row if active is None else int(active[row]))
+                raise EvaluationError(
+                    f"non-finite signal value inside the mean cell of k={bad}")
+            parts.append((fv * wts).sum(axis=1) / (hi[cells] - lo[cells]))
+        new = parts[0] if len(parts) == 1 else np.concatenate(parts)
         if vals is None:
             vals = new
         else:

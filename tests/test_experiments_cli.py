@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 import expkant
-from expkant import cli, experiments
-from expkant.core import ValidationError
+from expkant import cli, experiments, moments
+from expkant.core import ValidationError, make_builtin_profile
 
 
 def base_config(**overrides):
@@ -109,6 +109,48 @@ class TestReports:
         assert report["x"] == 2.0
         for row in report["rows"]:
             assert row["error"] == pytest.approx(0.5 / row["w"], rel=1e-9)
+
+    def test_fejer_unit_audit_partition_and_l1(self):
+        # m0 == 1 exactly at unit step, so the chi4 functionals of the
+        # identity response vanish, and the L1 quadrature closes its tail
+        # beyond |v| = 400 in closed form
+        report = experiments.run({
+            "experiment": "audit_kernel",
+            "kernel": {"profile": {"name": "mellin_fejer"}},
+            "w_list": [4, 8, 16, 32]})
+        checks = report["checks"]
+        assert checks["chi1"]["m0"] == 1.0
+        for name in ("chi1", "chi4_S", "chi4_T", "chi4_star", "L1", "L2",
+                     "e3_1"):
+            assert checks[name]["passed"], name
+        assert checks["chi4_S"]["extra"]["m0_range"] == [1.0, 1.0]
+        assert 0.0 <= checks["L1"]["quadrature"] - 1.0 < 1e-7
+        assert checks["L1"]["tail_bound"] == moments.integral_tail(
+            make_builtin_profile("mellin_fejer"), 400.0)
+
+    def test_fejer_runs_import_no_scipy(self):
+        # scipy is a test extra only; importing scipy.special costs tens
+        # of MB of resident memory
+        code = """if True:
+            import sys
+            from expkant import experiments
+            fejer = {"profile": {"name": "mellin_fejer"}}
+            experiments.run({"experiment": "audit_kernel", "kernel": fejer,
+                             "w_list": [4, 8, 16, 32]})
+            experiments.run({"experiment": "moments", "profile": fejer["profile"],
+                             "scheme": {"step": 4.3}, "betas": [0.0, 0.5]})
+            experiments.run({"experiment": "quantitative_3_2", "kernel": fejer,
+                             "signal": {"name": "holder_bump", "nu": 0.5},
+                             "w_list": [4, 8, 16, 32], "beta": 0.5,
+                             "grid": {"lo": 0.5, "hi": 2.0, "points": 3}})
+            print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+        """
+        src = str(Path(expkant.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, timeout=300,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
     def test_report_echoes_config_without_output(self):
         cfg = base_config()

@@ -19,6 +19,11 @@ from expkant.core import (KernelProfile, NonlinearKernel, SamplingScheme,
 UNIT = SamplingScheme.uniform()
 BSPLINE = make_builtin_profile("bspline", 2)
 FEJER = make_builtin_profile("mellin_fejer")
+# the Fejer values with only their decay envelope declared: moments take
+# the generic path of growing windows plus the envelope remainder
+ENVELOPE = KernelProfile(name="fejer_envelope", log_values=backend.fejer_values,
+                         l1_log_norm=1.0, sup_bound=1.0 / (2.0 * math.pi),
+                         decay_power=2.0, decay_coeff=2.0 / math.pi)
 
 
 class TestDiscreteMoment:
@@ -65,16 +70,34 @@ class TestDiscreteMoment:
             moments.discrete_moment(BSPLINE, UNIT, -1.0)
 
     def test_report_records_window_and_remainder(self):
-        rep = moments.discrete_moment(FEJER, UNIT, 0.5).to_dict()
+        rep = moments.discrete_moment(ENVELOPE, UNIT, 0.5).to_dict()
         assert rep["half_width"] == 4096.0
-        assert rep["remainder"] == moments._tail_remainder(FEJER, UNIT,
+        assert rep["remainder"] == moments._tail_remainder(ENVELOPE, UNIT,
                                                            4096.0, 0.5)
         assert 0.0 < rep["remainder"] < 0.05 * rep["value"]
+        assert not rep["exact"]
         rep = moments.discrete_moment(BSPLINE, UNIT, 1.0).to_dict()
         assert rep["half_width"] == BSPLINE.support_radius + UNIT.upper_gap
         assert rep["remainder"] == 0.0
         rep = moments.discrete_moment(FEJER, UNIT, 1.0).to_dict()
         assert rep["half_width"] is None and rep["remainder"] is None
+        # Fejer: lattice tails beyond 512 log units per side; the remainder
+        # is the tail bound at the phase that attains the sup
+        rep = moments.discrete_moment(FEJER, UNIT, 0.5, probe_points=64)
+        ys = np.linspace(0.0, 1.0, 64, endpoint=False)
+        direct, bound = moments._lattice_tails(FEJER, UNIT, ys, None, 0.5)
+        i = int(np.argmax(direct + bound))
+        assert rep.half_width == 512.0 and not rep.exact
+        assert rep.value == direct[i] + bound[i]
+        assert rep.remainder == bound[i] > 0.0
+        # the partition sum is exact up to steps of 2 pi, a sum beyond
+        rep = moments.discrete_moment(FEJER, SamplingScheme.uniform(2.0),
+                                      0.0).to_dict()
+        assert rep["exact"] and rep["value"] == 0.5
+        assert rep["remainder"] == 0.0 and rep["half_width"] is None
+        rep = moments.discrete_moment(FEJER, SamplingScheme.uniform(7.0),
+                                      0.0, probe_points=64)
+        assert not rep.exact and rep.remainder > 0.0
 
     @pytest.mark.parametrize("profile", [
         FEJER,
@@ -100,7 +123,8 @@ class TestDiscreteMoment:
         # each doubling adds only its two annuli to the running sums; the
         # sup must equal that of the whole last window summed from scratch
         probe = 64
-        rep = moments.discrete_moment(FEJER, scheme, beta, probe_points=probe)
+        rep = moments.discrete_moment(ENVELOPE, scheme, beta,
+                                      probe_points=probe)
         period = scheme.phase_period
         ys = np.linspace(0.0, period, probe, endpoint=False)
         sups = []
@@ -108,11 +132,94 @@ class TestDiscreteMoment:
             t = moments._window_nodes(scheme, 0.5 * period, half)
             v = ys[:, None] - t[None, :]
             sups.append(float(np.max(
-                (FEJER.log_values(v) * np.abs(v) ** beta).sum(axis=1))))
-        remainder = moments._tail_remainder(FEJER, scheme, half, beta)
+                (ENVELOPE.log_values(v) * np.abs(v) ** beta).sum(axis=1))))
+        remainder = moments._tail_remainder(ENVELOPE, scheme, half, beta)
         assert rep.value == pytest.approx(sups[-1] + remainder, rel=1e-13)
         assert rep.remainder == remainder
         assert rep.diverged == (sups[-1] / sups[-2] > 1.1)
+        # the Fejer closed-form tails: an upper bound no looser than the
+        # envelope, above the whole window's sum (exact m0 for beta = 0)
+        fejer = moments.discrete_moment(FEJER, scheme, beta,
+                                        probe_points=probe)
+        assert sups[-1] <= fejer.value * (1.0 + 1e-12)
+        assert fejer.value < rep.value
+        assert fejer.exact == (beta == 0.0)
+
+
+class TestHurwitzZeta:
+    @pytest.mark.parametrize("s", [1.02, 1.25, 1.5, 1.75, 2.0, 12.0, 30.0])
+    def test_matches_scipy_within_bound(self, s):
+        # s in (1, 2] is what the lattice tails use; at s = 12 and 30 the
+        # Euler-Maclaurin remainder dominates the round-off allowance
+        from scipy.special import zeta
+        q = np.array([1e-3, 0.3, 1.0, 7.5, 15.99, 16.0, 100.0, 512.3, 1e5])
+        value, bound = moments.hurwitz_zeta(s, q)
+        ref = zeta(s, q)
+        assert np.all(value + bound >= ref)
+        assert np.all(value - bound <= ref)
+        assert np.all(bound <= 1e-6 * ref)
+
+
+def direct_tail(scheme, y, cut, betas, per_side=200_000):
+    """sum over |t_k - y| > cut (every node when cut is None) of
+    L |y - t_k|^beta for each beta, over at least per_side nodes on each
+    side: a lower bound of the whole tail."""
+    reach = (cut or 0.0) + per_side * scheme.upper_gap
+    k_lo, k_hi = scheme.index_range(y - reach, y + reach)
+    v = y - scheme.nodes(k_lo, k_hi)
+    if cut is not None:
+        v = v[np.abs(v) > cut]
+    vals = backend.fejer_values(v)
+    return [float(np.sum(vals * np.abs(v) ** beta)) for beta in betas]
+
+
+class TestLatticeTails:
+    @pytest.mark.parametrize("scheme", [
+        UNIT, SamplingScheme.uniform(0.7, 0.3),
+        SamplingScheme.tabulated((0.0, 0.3, 1.1), 1.7),
+        SamplingScheme.uniform(4.0 * math.pi, 0.2),
+        SamplingScheme.uniform(2.0 * math.pi - 1e-3, 0.1)],
+        ids=["unit", "shifted", "tabulated", "4pi", "near-2pi"])
+    def test_bound_covers_direct_tail(self, scheme):
+        # phases on a node (a node exactly at the cut must stay out) and
+        # between nodes
+        period = scheme.phase_period
+        ys = period * np.array([0.0, 0.25, 0.5, 0.8])
+        betas = (0.0, 0.5)
+        for cut in (None, 4.0, 32.0):
+            got = [moments._lattice_tails(FEJER, scheme, ys, cut, beta)
+                   for beta in betas]
+            for i, y in enumerate(ys):
+                sums = direct_tail(scheme, float(y), cut, betas)
+                for (direct, bound), ref in zip(got, sums):
+                    assert direct[i] <= ref * (1.0 + 1e-12)
+                    assert direct[i] + bound[i] >= ref
+
+    def test_sine_forces_the_2z_bound(self, caplog):
+        ys = np.linspace(0.0, 1.0, 4, endpoint=False)
+        with caplog.at_level(logging.DEBUG, logger="expkant.moments"):
+            moments._lattice_tails(FEJER, UNIT, ys, 4.0, 0.5)
+            assert caplog.records == []
+            moments._lattice_tails(FEJER, SamplingScheme.uniform(
+                2.0 * math.pi - 1e-3), ys, 4.0, 0.5)
+        lines = [r.getMessage() for r in caplog.records]
+        assert len(lines) == 1 and "forces the 2Z" in lines[0]
+
+    def test_moment_tighter_than_parent_envelope(self):
+        # M_1/2 at unit step: the 7-window sum plus the envelope read
+        # 1.63524; the closed-form tails read 1.61545, above the 2e5-node
+        # direct sum 1.61249
+        fejer = moments.discrete_moment(FEJER, UNIT, 0.5).value
+        assert fejer < moments.discrete_moment(ENVELOPE, UNIT, 0.5).value
+        assert fejer == pytest.approx(1.61545, abs=1e-5)
+
+    def test_tail_sum_tighter_than_envelope(self):
+        for gamma, w, x in ((1.0, 4.0, 2.0), (0.5, 64.0, 0.3),
+                            (2.0, 16.0, 1.0)):
+            fejer = moments.tail_sum(FEJER, UNIT, gamma, w, x)
+            envelope = moments.tail_sum(ENVELOPE, UNIT, gamma, w, x)
+            y, cut = w * math.log(x), gamma * w
+            assert direct_tail(UNIT, y, cut, (0.0,))[0] <= fejer < envelope
 
 
 class TestMomentCache:
@@ -229,6 +336,11 @@ class TestPartition:
                                       half - np.max(np.abs(ys - center)), 0.0)
         assert np.all(sums <= (1.0 + 1e-12) / step)
         assert np.all(1.0 / step <= (sums + rem) * (1.0 + 1e-12))
+        # the closed form the package returns lies in the same bracket
+        m0 = moments.discrete_moment(FEJER, scheme, 0.0).value
+        assert moments.partition_bounds(FEJER, scheme) == (m0, m0)
+        assert np.all(sums <= m0 * (1.0 + 1e-12))
+        assert np.all(m0 <= (sums + rem) * (1.0 + 1e-12))
 
 
 class TestChi4:
@@ -277,6 +389,20 @@ class TestL3:
         vals = np.asarray(rep.sup_values)
         assert np.all(np.diff(vals) < 0)
 
+    def test_report_records_half_width_and_remainder(self):
+        rep = moments.check_L3(FEJER, UNIT, 0.5, 1.0, [4, 8, 16, 32],
+                               phase_points=16)
+        assert rep.extra["half_width"] == [516.0, 520.0, 528.0, 544.0]
+        ys = np.linspace(0.0, 1.0, 16, endpoint=False)
+        for w, sup, rem in zip(rep.w_values, rep.sup_values,
+                               rep.extra["remainder"]):
+            direct, bound = moments._lattice_tails(FEJER, UNIT, ys, w, 0.5)
+            i = int(np.argmax(direct + bound))
+            assert sup == direct[i] + bound[i] and rem == bound[i]
+        rep = moments.check_L3(BSPLINE, UNIT, 0.5, 1.0, [1, 2, 4, 8])
+        assert rep.extra["half_width"] == [2.5, None, None, None]
+        assert rep.extra["remainder"] == [0.0] * 4
+
     def test_fejer_order_one_diverges(self):
         rep = moments.check_L3(FEJER, UNIT, 1.0, 1.0, [4, 8, 16, 32],
                                phase_points=8)
@@ -300,6 +426,27 @@ class TestE31:
     def test_gamma_validation(self):
         with pytest.raises(ValidationError):
             moments.check_e3_1(BSPLINE, 1.5, [4, 8, 16, 32])
+
+    @staticmethod
+    def fejer_tail_mass(v0):
+        """The integral over |v| > v0 of (1 - cos v)/(pi v^2), from
+        int (1 - cos v)/v^2 = (1 - cos v0)/v0 + pi/2 - Si(v0)."""
+        from scipy.special import sici
+        return 2.0 / math.pi * ((1.0 - math.cos(v0)) / v0 + 0.5 * math.pi
+                                - float(sici(v0)[0]))
+
+    @pytest.mark.parametrize("v0", [0.5, 3.0, 11.3, 400.0, 1e4])
+    def test_fejer_integral_tail_bound(self, v0):
+        exact = self.fejer_tail_mass(v0)
+        bound = moments.integral_tail(FEJER, v0)
+        assert exact <= bound <= exact + 8.0 / math.pi / v0 ** 3
+
+    @pytest.mark.parametrize("threshold", [2.0, 2.83, 5.66, 11.3, 300.0])
+    def test_fejer_tail_mass_between_exact_and_envelope(self, threshold):
+        got = moments._log_tail_integral(FEJER, threshold)
+        exact = self.fejer_tail_mass(threshold)
+        assert exact <= got <= exact + 1e-7
+        assert got < moments._log_tail_integral(ENVELOPE, threshold)
 
 
 class TestCompactOuterWindow:

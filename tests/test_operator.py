@@ -129,6 +129,32 @@ class TestCellRefinement:
         with pytest.raises(EvaluationError, match=r"k=5$"):
             operator.mean_values(f, 0, 9, 1.0, UNIT, self.QUAD)
 
+    def test_blocks_match_one_block(self, monkeypatch):
+        # 3001 cells of 8 to 2048 nodes in blocks of 1024 values, against
+        # one block holding every cell of a level
+        f = signals.holder_bump(0.5, 2.0)
+        monkeypatch.setattr(operator, "_CELL_BLOCK", 1024)
+        blocked = operator.mean_values(f, -1500, 1500, 512.0, UNIT, self.QUAD)
+        monkeypatch.setattr(operator, "_CELL_BLOCK", 1 << 40)
+        whole = operator.mean_values(f, -1500, 1500, 512.0, UNIT, self.QUAD)
+        assert np.array_equal(blocked, whole)
+
+    def test_nonfinite_raises_at_its_block(self, monkeypatch):
+        # blocks of 8 cells: cell k = 80 is the first NaN one, and no cell
+        # after its block is evaluated
+        seen = []
+
+        def late_nan(x):
+            v = np.log(x)
+            seen.append(float(v.max()))
+            return np.where(v > 80.0, np.nan, 1.0)
+
+        monkeypatch.setattr(operator, "_CELL_BLOCK", 64)
+        f = Signal("late_nan", late_nan, sup_norm=1.0)
+        with pytest.raises(EvaluationError, match=r"k=80$"):
+            operator.mean_values(f, 0, 99, 1.0, UNIT, self.QUAD)
+        assert len(seen) == 11 and max(seen) < 88.0
+
     def test_cached_rule_read_only(self):
         nodes, weights = gauss_legendre(8)
         assert gauss_legendre(8)[0] is nodes
