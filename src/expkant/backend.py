@@ -12,14 +12,24 @@ Built-in profile kinds (KernelProfile.fast_kind):
 The sum runs over (phase x node) blocks of about _CHUNK pairs, so that each
 temporary of a block stays in cache.  A profile with a compact support sums
 only the band of nodes it can reach from each phase.  The Fejer profile on
-three or more phases takes its sines in separable form,
-    sin((y - t)/2) = sin(y/2) cos(t/2) - cos(y/2) sin(t/2),
-from one sine and one cosine per phase and per node, instead of one sine
-per pair; pairs with |y - t| <= 1, where the difference would cancel, keep
-the direct sine.  With one or two phases (operator point evaluations,
-tail sums) one sine per pair is the cheaper form and is kept throughout.
+three or more phases is summed as one matrix product per block, from
+    L(v) |v|^beta = (1 - cos y cos t - sin y sin t) |v|^(beta-2) / pi,
+v = y - t: the block holds W = |v|^(beta-2) (1/v^2 at beta = 0, no power)
+and BLAS multiplies it by the (node x 3) matrix [c, c cos t, c sin t],
+with c the coeffs or 1; the three columns are combined with cos y and
+sin y once per phase.  So no pair takes a sine, and windows wider than
+_CHUNK are split over nodes in the same form.  Pairs with |y - t| <= 1,
+where 1 - cos(y - t) would cancel, keep fejer_values.  With one or two
+phases (operator point evaluations, tail sums) the profile values are
+taken pair by pair.
+
+A moment sum can take a keyword-only cut (inner, outer): only the pairs
+with inner < |y - t| <= outer count.  The cut is applied inside each
+block, so that the tails beyond a w-dependent half width take one call
+over all phases.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -30,16 +40,17 @@ KIND_BSPLINE = 0
 KIND_FEJER = 1
 
 # (phase x node) pairs per block: 64k doubles are 512 KB, so the few
-# temporaries of one block stay in L2 cache.  A window wider than this is
-# summed one phase at a time, over all its nodes at once.
+# temporaries of one block stay in L2 cache.  Outside the Fejer matrix
+# form, a window wider than this is summed one phase at a time, over all
+# its nodes at once.
 _CHUNK = 65_536
 
-# Fewest phases for which the separable Fejer sines (two per phase and two
-# per node) are cheaper than one sine per pair.
+# Fewest phases for which the Fejer matrix form (a sine and a cosine per
+# phase and per node) is cheaper than one sine per pair.
 _SEPARABLE_MIN_PHASES = 3
 
-# |y - t| up to which a Fejer pair keeps the direct sine: below it the
-# separable difference loses relative accuracy as |y - t| shrinks.
+# |y - t| up to which a Fejer pair keeps fejer_values: below it
+# 1 - cos y cos t - sin y sin t loses relative accuracy as |y - t| shrinks.
 _DIRECT_REACH = 1.0
 
 
@@ -110,39 +121,64 @@ def _band(radius, y, t):
     return _reach(t, y, reach)
 
 
-def _fejer_separable(y, t):
-    """Fejer values of (phase x node) blocks from separable sines.
+def _keep(v, cut):
+    """Mask of the pairs with cut[0] < |v| <= cut[1]."""
+    a = np.abs(v)
+    return (a > cut[0]) & (a <= cut[1])
 
-    Returns block(lo, hi, v): the values at v = y[lo:hi, None] - t, taking
-    sin(v/2) = sin(y/2) cos(t/2) - cos(y/2) sin(t/2) from sines and cosines
-    computed once here, except for the pairs with |v| <= _DIRECT_REACH,
-    which keep fejer_values(v) as it is.
-    """
-    sy, cy = np.sin(0.5 * y), np.cos(0.5 * y)
-    st, ct = np.sin(0.5 * t), np.cos(0.5 * t)
+
+def _fejer_sum(y, t, coeffs, beta, cut):
+    """Fejer sums on three or more phases, from
+        L(v) |v|^beta = (1 - cos y cos t - sin y sin t) |v|^(beta-2) / pi:
+    per block W = |v|^(beta-2) times the (node x 3) matrix
+    [c, c cos t, c sin t], with c the coeffs or 1, combined with cos y and
+    sin y at the end.  The pairs with |v| <= _DIRECT_REACH, where
+    1 - cos v would cancel, are zero in W and summed from fejer_values."""
+    c = np.ones(t.size) if coeffs is None else coeffs
+    basis = np.stack([c, c * np.cos(t), c * np.sin(t)], axis=1)
     first, count = _reach(t, y, _DIRECT_REACH)
+    starts = np.concatenate([[0], np.cumsum(count)])
+    rows = np.repeat(np.arange(y.size), count)
+    cols = np.arange(rows.size) - np.repeat(starts[:-1] - first, count)
+    acc = np.zeros((y.size, 3))
+    width = min(t.size, _CHUNK)
+    step = _CHUNK // width
+    for a, lo in itertools.product(range(0, t.size, width),
+                                   range(0, y.size, step)):
+        b, hi = min(a + width, t.size), min(lo + step, y.size)
+        w = y[lo:hi, None] - t[a:b]  # v, turned into W in place
+        keep = None if cut is None else _keep(w, cut)
+        if beta == 0.0:
+            np.multiply(w, w, out=w)
+            with np.errstate(divide="ignore"):
+                np.divide(1.0, w, out=w)
+        else:
+            np.abs(w, out=w)
+            with np.errstate(divide="ignore"):
+                np.power(w, beta - 2.0, out=w)
+        near = slice(starts[lo], starts[hi])
+        r, k = rows[near] - lo, cols[near] - a
+        inside = (k >= 0) & (k < b - a)
+        w[r[inside], k[inside]] = 0.0  # v = 0 is among them
+        if keep is not None:
+            w *= keep
+        acc[lo:hi] += w @ basis[a:b]
+    out = (acc[:, 0] - np.cos(y) * acc[:, 1] - np.sin(y) * acc[:, 2]) / math.pi
+    v = y[rows] - t[cols]
+    vals = fejer_values(v)
+    if coeffs is not None:
+        vals *= coeffs[cols]
+    elif beta != 0.0:
+        vals *= np.abs(v) ** beta
+    if cut is not None:
+        vals *= _keep(v, cut)
+    return out + np.bincount(rows, vals, minlength=y.size)
 
-    def block(lo, hi, v):
-        s = sy[lo:hi, None] * ct
-        tmp = cy[lo:hi, None] * st
-        s -= tmp
-        np.multiply(v, 0.5, out=tmp)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            s /= tmp  # v = 0 lies among the direct pairs below
-        s *= s
-        s /= 2.0 * math.pi
-        c = count[lo:hi]
-        rows = np.repeat(np.arange(hi - lo), c)
-        cols = np.arange(rows.size) - np.repeat(np.cumsum(c) - c - first[lo:hi], c)
-        s[rows, cols] = fejer_values(v[rows, cols])
-        return s
 
-    return block
-
-
-def _sum(values, radius, y, t, coeffs, beta):
+def _sum(values, radius, y, t, coeffs, beta, cut=None):
     """sum_j values(y_i - t_j) * (coeffs_j or |y_i - t_j|**beta) for
-    ascending nodes t, one (phase x node) block at a time."""
+    ascending nodes t, one (phase x node) block at a time, over the pairs
+    with cut[0] < |y_i - t_j| <= cut[1] when a cut is given."""
     y = np.atleast_1d(np.asarray(y, dtype=float))
     t = np.asarray(t, dtype=float)
     if coeffs is not None:
@@ -151,11 +187,10 @@ def _sum(values, radius, y, t, coeffs, beta):
     if t.size == 0 or y.size == 0:
         return out
     band = _band(radius, y, t)
-    block = None
     if band is None:
-        width = t.size
         if values is fejer_values and y.size >= _SEPARABLE_MIN_PHASES:
-            block = _fejer_separable(y, t)
+            return _fejer_sum(y, t, coeffs, beta, cut)
+        width = t.size
     else:
         first, count = band
         width = int(count.max())
@@ -173,8 +208,11 @@ def _sum(values, radius, y, t, coeffs, beta):
             outside = offsets[None, :] >= count[lo:hi, None]
             np.minimum(idx, t.size - 1, out=idx)
             v = yb - t[idx]
-        vals = values(v) if block is None else block(lo, hi, v)
-        if band is not None:
+        vals = values(v)
+        if cut is not None:
+            kept = _keep(v, cut)
+            outside = ~kept if band is None else outside | ~kept
+        if band is not None or cut is not None:
             vals = np.where(outside, 0.0, vals)
         if coeffs is None:
             if beta != 0.0:
@@ -187,14 +225,15 @@ def _sum(values, radius, y, t, coeffs, beta):
     return out
 
 
-def phase_weighted_sum(y, t, beta, kind, n):
+def phase_weighted_sum(y, t, beta, kind, n, *, cut=None):
     """For each phase ``y_i`` return ``sum_j L(y_i - t_j) |y_i - t_j|**beta``.
 
     ``t`` is the ascending window of node positions retained for the sum;
-    ``beta = 0`` reduces to the plain partition sum.
+    ``beta = 0`` reduces to the plain partition sum.  With ``cut`` =
+    (inner, outer) only nodes with inner < |y_i - t_j| <= outer count.
     """
     values, radius = _kind(kind, n)
-    return _sum(values, radius, y, t, None, beta)
+    return _sum(values, radius, y, t, None, beta, cut)
 
 
 def weighted_series_sum(y, t, coeffs, kind, n):
@@ -204,20 +243,26 @@ def weighted_series_sum(y, t, coeffs, kind, n):
     return _sum(values, radius, y, t, coeffs, 0.0)
 
 
-def profile_sum(profile, y, t, coeffs=None, beta=0.0):
+def profile_sum(profile, y, t, coeffs=None, beta=0.0, *, cut=None):
     """sum_j L(y_i - t_j) * c_j for each phase y_i over the ascending node
     window t, with c_j = coeffs_j when coeffs is given and
-    |y_i - t_j|**beta otherwise.
+    |y_i - t_j|**beta otherwise; a moment sum (no coeffs) with
+    cut = (inner, outer) counts only the nodes with
+    inner < |y_i - t_j| <= outer.
 
     Built-in profiles go through weighted_series_sum / phase_weighted_sum;
     any other profile is evaluated through its log_values and banded by
     its support_radius when it has one."""
-    if coeffs is not None and beta != 0.0:
-        raise ValueError("profile_sum takes coeffs or beta, not both")
+    if coeffs is not None and (beta != 0.0 or cut is not None):
+        raise ValueError("profile_sum takes coeffs or beta and cut, not both")
     if profile.fast_kind is not None:
-        if coeffs is None:
-            return phase_weighted_sum(y, t, beta, profile.fast_kind,
-                                      profile.fast_order)
-        return weighted_series_sum(y, t, coeffs, profile.fast_kind,
-                                   profile.fast_order)
-    return _sum(profile.log_values, profile.support_radius, y, t, coeffs, beta)
+        if coeffs is not None:
+            return weighted_series_sum(y, t, coeffs, profile.fast_kind,
+                                       profile.fast_order)
+        # wrappers of the kind functions may take positional arguments
+        # only, so the cut is passed on only when there is one
+        kw = {} if cut is None else {"cut": cut}
+        return phase_weighted_sum(y, t, beta, profile.fast_kind,
+                                  profile.fast_order, **kw)
+    return _sum(profile.log_values, profile.support_radius, y, t, coeffs,
+                beta, cut)

@@ -517,7 +517,7 @@ def _run_quantitative_5_1(cfg: dict) -> dict:
         raise ValidationError("modulars of the signal diverge at lambda0")
 
     rows = []
-    for w in w_arr:
+    for w, mass in zip(w_arr, e31.sup_values):
         w = float(w)
         kf = operator.eval_on_log_grid(f, w, kernel, scheme)
         lhs = modular.modular_error(pair.phi, f, kf, nu,
@@ -525,7 +525,9 @@ def _run_quantitative_5_1(cfg: dict) -> dict:
         om_gamma = modular.log_smoothness(pair.eta, f, lam, w ** (-gamma))
         om_w = modular.log_smoothness(pair.eta, f, lam, 1.0 / w)
         term1 = profile.l1_log_norm * m0_tau / (3.0 * m0) * om_gamma
-        term2 = (0.0 if math.isinf(gamma0)
+        # gamma0 = inf: the tail mass is 0 at every w or from zero_from_w
+        # on, and term 2 takes each w's measured mass instead
+        term2 = (mass * m0_tau * i_eta_lam0 / (3.0 * m0) if math.isinf(gamma0)
                  else m3 * m0_tau * i_eta_lam0 / (3.0 * m0) * w ** (-gamma0))
         term3 = om_w / 3.0
         term4 = 0.0 if star_exact else i_phi_lam0 / 3.0 * w ** (-alpha)

@@ -4,6 +4,10 @@ admissibility condition the convergence theorems assume.
 The moment sup is taken over the phase variable y = w ln x,
     M_beta(L) = sup_y sum_k L(e^{y - t_k}) |y - t_k|^beta,
 which is periodic in y with the scheme's phase period and independent of w.
+It is taken on a grid of phases and refined around the best one by
+brackets of a few dozen phases per profile sum; tail audits over many
+phases take one profile sum per w, cut to the nodes beyond the tail's
+half width.
 
 Profiles that declare their Fourier band limit get the partition sum m0 in
 closed form (Poisson summation); the Mellin-Fejer profile, which declares
@@ -35,6 +39,11 @@ _TAIL_WINDOW = 1e5
 # before the closed-form bound takes over.  At 512 the bound's slack on
 # the Fejer tails is about u^(beta - 2) / (pi |sin(P/2)|) at u = 512.
 _LATTICE_REACH = 512.0
+
+# Bracket refinement of a phase sup: calls after the probe grid, and
+# phases per call (spacing 1/16 of the bracket's half width).
+_REFINE_CALLS = 8
+_REFINE_POINTS = 33
 
 # Bernoulli numbers B_2, B_4, ..., B_16 over (2j)!, for Euler-Maclaurin.
 _BERNOULLI_OVER_FACTORIAL = tuple(
@@ -255,22 +264,25 @@ def integral_tail(profile: KernelProfile, v0: float) -> float:
     return 2.0 * c * v0 ** (1.0 - p) / (p - 1.0)
 
 
-def _golden_refine(fun, a: float, b: float, iters: int = 40) -> float:
-    """Golden-section search for the max of a scalar function on [a, b]."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = fun(c), fun(d)
-    for _ in range(iters):
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = fun(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = fun(d)
-    return max(fc, fd)
+def _refined_sup(fun, ys: np.ndarray, h: float) -> tuple:
+    """The sup over the phase of fun on the grid ys of spacing h, refined
+    around the best phase.
+
+    fun(ys) returns a tuple of arrays over ys, the first the values to
+    maximise; the result is that tuple's entries at the best phase found.
+    Each of _REFINE_CALLS calls evaluates _REFINE_POINTS phases over +-1
+    spacing of the best phase so far, so the spacing shrinks 16-fold per
+    call and ends at h 16^-8 for grid spacing h, narrower than the bracket
+    2 h 0.618^40 that 40 golden-section steps leave."""
+    best = None
+    for _ in range(_REFINE_CALLS + 1):
+        out = fun(ys)
+        i = int(np.argmax(out[0]))
+        if best is None or out[0][i] > best[0]:
+            best, center = tuple(float(a[i]) for a in out), float(ys[i])
+        ys = np.linspace(center - h, center + h, _REFINE_POINTS)
+        h = float(ys[1] - ys[0])
+    return best
 
 
 def discrete_moment(profile: KernelProfile, scheme: SamplingScheme,
@@ -298,6 +310,9 @@ def discrete_moment(profile: KernelProfile, scheme: SamplingScheme,
                    "power %g <= beta + 1", profile.name, beta,
                    profile.decay_power)
         return MomentReport(beta, math.inf, desc, True)
+    refined = (f"{desc}, the best refined by {_REFINE_CALLS} brackets of "
+               f"{_REFINE_POINTS} phases")
+    ys = np.linspace(0.0, period, probe_points, endpoint=False)
 
     if profile.is_compact:
         half = profile.support_radius + scheme.upper_gap
@@ -305,32 +320,28 @@ def discrete_moment(profile: KernelProfile, scheme: SamplingScheme,
         def sup_on(ys):
             t = _window_nodes(scheme, 0.5 * (ys[0] + ys[-1]),
                               half + 0.5 * (ys[-1] - ys[0]) + scheme.upper_gap)
-            return backend.profile_sum(profile, ys, t, beta=beta)
+            return (backend.profile_sum(profile, ys, t, beta=beta),)
 
-        ys = np.linspace(0.0, period, probe_points, endpoint=False)
-        vals = sup_on(ys)
-        i = int(np.argmax(vals))
-        h = period / probe_points
-        refined = _golden_refine(
-            lambda y: float(sup_on(np.array([y]))[0]), ys[i] - h, ys[i] + h)
-        value = max(float(vals.max()), refined)
-        # one refinement pass: double the probe grid
+        value, = _refined_sup(sup_on, ys, period / probe_points)
+        # and a grid of twice the density, for a peak the first one missed
         ys2 = np.linspace(0.0, period, 2 * probe_points, endpoint=False)
-        value = max(value, float(sup_on(ys2).max()))
-        return MomentReport(beta, value, desc, False, half, 0.0)
+        value = max(value, float(sup_on(ys2)[0].max()))
+        return MomentReport(beta, value, f"{refined}, and {2 * probe_points} "
+                            "phase points", False, half, 0.0)
 
     if profile.fejer_tails:
-        ys = np.linspace(0.0, period, probe_points, endpoint=False)
-        direct, bound = _lattice_tails(profile, scheme, ys, None, beta)
-        total = direct + bound
-        i = int(np.argmax(total))
-        return MomentReport(beta, float(total[i]), desc, False,
-                            _lattice_terms(period) * period, float(bound[i]))
+        def lattice_sup(ys):
+            direct, bound = _lattice_tails(profile, scheme, ys, None, beta)
+            return direct + bound, bound
+
+        value, remainder = _refined_sup(lattice_sup, ys,
+                                          period / probe_points)
+        return MomentReport(beta, value, refined, False,
+                            _lattice_terms(period) * period, remainder)
 
     # decaying profile with finite moment: grow the window geometrically,
     # summing only the nodes each doubling adds, and add the analytic tail
     # envelope so the value is an upper bound
-    ys = np.linspace(0.0, period, probe_points, endpoint=False)
     vals = np.zeros(probe_points)
     window = (0, -1)
     history = []
@@ -397,17 +408,9 @@ def tail_sum(profile: KernelProfile, scheme: SamplingScheme, gamma: float,
         outer = profile.support_radius + scheme.upper_gap
     else:
         outer = h + _TAIL_WINDOW
-    total = 0.0
-    for lo, hi in ((y - outer, y - h), (y + h, y + outer)):
-        k_lo, k_hi = scheme.index_range(lo, hi)
-        if k_hi < k_lo:
-            continue
-        t = scheme.nodes(k_lo, k_hi)
-        keep = np.abs(t - y) > h
-        if keep.any():
-            total += float(backend.profile_sum(profile, y, t[keep])[0])
-    total += _tail_remainder(profile, scheme, outer, 0.0)
-    return total
+    t = _window_nodes(scheme, y, outer)
+    total = float(backend.profile_sum(profile, y, t, cut=(h, outer))[0])
+    return total + _tail_remainder(profile, scheme, outer, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -526,18 +529,26 @@ def check_L3(profile: KernelProfile, scheme: SamplingScheme, r: float,
     """Condition (L3): weighted tails beyond |t_k - w ln x| > gamma w must
     vanish as w grows.  ``extra`` gives per w the half width around each
     phase inside which nodes are summed directly (None when no node can
-    count) and the tail bound added at the phase of the sup (None when
-    the tails diverge and no bound exists)."""
+    count) and the tail bound added at the phase of the sup.  Tails that
+    diverge (decay power <= r + 1) are flagged before any sum: every sup
+    reads inf, with no half width or bound."""
     if not (0.0 < r <= 1.0) or gamma <= 0:
         raise ValidationError("check_L3 needs r in (0,1] and gamma > 0")
     w_arr = np.asarray(sorted(w_list), dtype=float)
+    params = {"r": r, "gamma": gamma}
+    if not profile.is_compact and profile.decay_power <= r + 1.0:
+        none = [None] * w_arr.size
+        return ConditionReport(
+            condition="L3", params=params, w_values=tuple(w_arr),
+            sup_values=(math.inf,) * w_arr.size, fitted_rate=None,
+            passed=False,
+            extra={"diverged": True, "half_width": none, "remainder": none})
     period = scheme.phase_period
     ys = np.linspace(0.0, period, phase_points, endpoint=False)
-    diverged = (not profile.is_compact) and profile.decay_power <= r + 1.0
     vals, half_widths, remainders = [], [], []
     for w in w_arr:
         h = gamma * w
-        if profile.fejer_tails and not diverged:
+        if profile.fejer_tails:
             direct, bound = _lattice_tails(profile, scheme, ys, h, r)
             total = direct + bound
             i = int(np.argmax(total))
@@ -554,39 +565,26 @@ def check_L3(profile: KernelProfile, scheme: SamplingScheme, r: float,
             outer = profile.support_radius + scheme.upper_gap
         else:
             outer = h + _TAIL_WINDOW
-        per_y = []
-        for y in ys:
-            total = 0.0
-            for lo, hi in ((y - outer, y - h), (y + h, y + outer)):
-                k_lo, k_hi = scheme.index_range(lo, hi)
-                if k_hi < k_lo:
-                    continue
-                t = scheme.nodes(k_lo, k_hi)
-                keep = np.abs(t - y) > h
-                if keep.any():
-                    total += float(backend.profile_sum(profile, y, t[keep],
-                                                       beta=r)[0])
-            per_y.append(total)
+        # one sum over every phase: the nodes with h < |y - t_k| <= outer
+        t = _window_nodes(scheme, 0.5 * period, 0.5 * period + outer)
+        per_y = backend.profile_sum(profile, ys, t, beta=r, cut=(h, outer))
         rem = _tail_remainder(profile, scheme, outer, r)
-        vals.append(max(per_y) + (rem if math.isfinite(rem) else 0.0))
+        vals.append(float(per_y.max()) + rem)
         half_widths.append(outer)
-        remainders.append(rem if math.isfinite(rem) else None)
+        remainders.append(rem)
     vals = np.array(vals)
-    if diverged:
-        passed = False
-    else:
-        exact = np.all(vals[w_arr * gamma >= (profile.support_radius or math.inf)]
-                       == 0.0) and profile.is_compact
-        nonincreasing = np.all(np.diff(vals) <= 1e-15)
-        passed = (profile.is_compact and np.any(vals == 0.0) and exact) or (
-            nonincreasing and vals[-1] < 1e-8)
+    exact = np.all(vals[w_arr * gamma >= (profile.support_radius or math.inf)]
+                   == 0.0) and profile.is_compact
+    nonincreasing = np.all(np.diff(vals) <= 1e-15)
+    passed = (profile.is_compact and np.any(vals == 0.0) and exact) or (
+        nonincreasing and vals[-1] < 1e-8)
     fit = fit_loglog(w_arr, vals)
     return ConditionReport(
-        condition="L3", params={"r": r, "gamma": gamma},
+        condition="L3", params=params,
         w_values=tuple(w_arr), sup_values=tuple(vals),
         fitted_rate=None if fit is None else fit.slope,
         passed=bool(passed),
-        extra={"diverged": diverged, "half_width": half_widths,
+        extra={"diverged": False, "half_width": half_widths,
                "remainder": remainders})
 
 
@@ -629,12 +627,22 @@ def check_e3_1(profile: KernelProfile, gamma: float,
     exact_zero = bool(np.all(vals < 1e-15))
     fit = fit_loglog(w_arr, vals)
     extra = {"exact_zero": exact_zero}
+    # the threshold w^(1-gamma) grows with w, so a compact profile's tail
+    # mass is exactly 0 on a suffix of the w's, where (e3_1) holds with
+    # any gamma0; runners take the measured masses before it
+    zeros = np.flatnonzero(vals == 0.0)
+    zero_suffix = bool(0 < zeros.size < vals.size
+                       and zeros.size == vals.size - zeros[0])
     if fit is not None:
         extra["M3"] = math.exp(fit.intercept)
         extra["gamma0"] = -fit.slope
     elif exact_zero:
         extra["gamma0"] = math.inf
-    passed = exact_zero or (fit is not None and fit.slope < 0)
+    elif zero_suffix:
+        extra["gamma0"] = math.inf
+        extra["zero_from_w"] = float(w_arr[zeros[0]])
+    passed = (exact_zero or (fit is not None and fit.slope < 0)
+              or (fit is None and zero_suffix))
     return ConditionReport(
         condition="e3_1", params={"gamma": gamma},
         w_values=tuple(w_arr), sup_values=tuple(vals),

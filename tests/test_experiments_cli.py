@@ -152,6 +152,31 @@ class TestReports:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
+    def test_quantitative_5_1_on_a_zero_tail_suffix(self, monkeypatch):
+        # the e3_1 tail mass is positive at w = 8 and exactly 0 from w = 16
+        # on: no rate fit, yet (e3_1) holds, and term 2 of the bound takes
+        # each w's measured mass
+        cfg = {"experiment": "quantitative_5_1",
+               "kernel": {"profile": {"name": "bspline", "n": 4},
+                          "response": {"name": "soft", "alpha": 1.1752}},
+               "signal": {"name": "holder_bump", "nu": 1.0, "radius": 1.5},
+               "w_list": [8.0, 16.0, 32.0, 64.0], "gamma": 0.6013}
+        report = experiments.run(cfg)
+        tail = report["tail_condition"]
+        assert tail["passed"] and tail["extra"]["zero_from_w"] == 16.0
+        assert tail["sup_values"][0] > 0.0
+        assert tail["sup_values"][1:] == [0.0] * 3
+        assert math.isinf(report["constants"]["gamma0"])
+        assert report["passed"]
+        # doubling the masses adds term 2 once more at w = 8 only
+        single = moments._log_tail_integral
+        monkeypatch.setattr(moments, "_log_tail_integral",
+                            lambda *a: 2.0 * single(*a))
+        doubled = experiments.run(cfg)
+        rhs = [r["rhs"] for r in report["rows"]]
+        rhs2 = [r["rhs"] for r in doubled["rows"]]
+        assert rhs2[0] > rhs[0] and rhs2[1:] == rhs[1:]
+
     def test_report_echoes_config_without_output(self):
         cfg = base_config()
         report = experiments.run(cfg)

@@ -26,6 +26,48 @@ ENVELOPE = KernelProfile(name="fejer_envelope", log_values=backend.fejer_values,
                          decay_power=2.0, decay_coeff=2.0 / math.pi)
 
 
+CUT_SCHEMES = [UNIT, SamplingScheme.uniform(0.8, 0.3),
+               SamplingScheme.tabulated((0.0, 0.6, 1.4), 2.1)]
+CUT_IDS = ["unit", "step-0.8", "tabulated"]
+
+
+def per_phase_tails(profile, scheme, y, h, beta):
+    """(sum over h < |t_k - y| <= outer, outer): the per-phase, per-side
+    loop check_L3 and tail_sum ran before their cut sums."""
+    if profile.is_compact:
+        outer = profile.support_radius + scheme.upper_gap
+    else:
+        outer = h + moments._TAIL_WINDOW
+    total = 0.0
+    for lo, hi in ((y - outer, y - h), (y + h, y + outer)):
+        k_lo, k_hi = scheme.index_range(lo, hi)
+        if k_hi < k_lo:
+            continue
+        t = scheme.nodes(k_lo, k_hi)
+        keep = np.abs(t - y) > h
+        if keep.any():
+            total += float(backend.profile_sum(profile, y, t[keep],
+                                               beta=beta)[0])
+    return total, outer
+
+
+def per_phase_L3(profile, scheme, r, gamma, w_list, phase_points=128):
+    """The L3 sups and remainders of the per-phase loop."""
+    ys = np.linspace(0.0, scheme.phase_period, phase_points, endpoint=False)
+    sups, rems = [], []
+    for w in sorted(w_list):
+        h = gamma * w
+        if profile.is_compact and h >= profile.support_radius:
+            sups.append(0.0)
+            rems.append(0.0)
+            continue
+        per_y = [per_phase_tails(profile, scheme, y, h, r) for y in ys]
+        rem = moments._tail_remainder(profile, scheme, per_y[0][1], r)
+        sups.append(max(v for v, _ in per_y) + rem)
+        rems.append(rem)
+    return sups, rems
+
+
 class TestDiscreteMoment:
     def test_bspline_zero_moment_is_one(self):
         rep = moments.discrete_moment(BSPLINE, UNIT, 0.0)
@@ -144,6 +186,41 @@ class TestDiscreteMoment:
         assert sups[-1] <= fejer.value * (1.0 + 1e-12)
         assert fejer.value < rep.value
         assert fejer.exact == (beta == 0.0)
+
+
+class TestRefinedSup:
+    @pytest.mark.parametrize("peak", ["smooth", "kink"])
+    def test_finds_an_off_grid_maximum(self, peak):
+        ys = np.linspace(0.0, 1.0, 64, endpoint=False)
+        h = ys[1] - ys[0]
+        top = 0.40123456789 + 0.3 * h / 7.0  # between two grid phases
+        calls = []
+
+        def fun(y):
+            calls.append(y.size)
+            d = np.abs(y - top)
+            return -(d * d if peak == "smooth" else d), y
+
+        value, phase = moments._refined_sup(fun, ys, h)
+        assert abs(phase - top) <= 1e-9 * h
+        assert calls == [64] + [moments._REFINE_POINTS] * moments._REFINE_CALLS
+        assert moments._REFINE_CALLS <= 8
+        # the bracket ends no wider than 40 golden-section steps leave
+        golden = 2.0 * h * ((math.sqrt(5.0) - 1.0) / 2.0) ** 40
+        assert 2.0 * h / 16.0 ** moments._REFINE_CALLS <= golden
+
+    def test_fejer_moment_sup_is_refined(self):
+        # 2048 phases read 0.4009385470; phases around the argmax reach
+        # 0.4009385577
+        scheme = SamplingScheme.uniform(4.6, 0.37)
+        rep = moments.discrete_moment(FEJER, scheme, 0.5)
+        assert rep.value >= 0.4009385577
+        assert rep.value <= 0.4009385470 * (1.0 + 1e-7)
+        assert "refined" in rep.probe_grid
+        ys = np.linspace(0.0, 4.6, 2048, endpoint=False)
+        direct, bound = moments._lattice_tails(FEJER, scheme, ys, None, 0.5)
+        assert rep.value >= float(np.max(direct + bound))
+        assert 0.0 < rep.remainder <= float(np.max(bound)) * (1.0 + 1e-6)
 
 
 class TestHurwitzZeta:
@@ -303,6 +380,36 @@ class TestTailSum:
                 for w in (4.0, 8.0, 16.0)]
         assert vals[0] > vals[1] > vals[2]
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("scheme", CUT_SCHEMES, ids=CUT_IDS)
+    def test_cut_sum_matches_the_per_phase_loop(self, n, scheme):
+        profile = make_builtin_profile("bspline", n)
+        rng = np.random.default_rng(n)
+        for _ in range(20):
+            gamma, w = rng.uniform(0.1, 1.0), rng.uniform(0.5, 2.0)
+            x = math.exp(rng.uniform(-3.0, 3.0))
+            h = gamma * w
+            ref = per_phase_tails(profile, scheme, w * math.log(x), h, 0.0)[0]
+            got = moments.tail_sum(profile, scheme, gamma, w, x)
+            assert h < profile.support_radius
+            assert got == pytest.approx(ref, rel=1e-14, abs=0.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(2, 4), offset=st.floats(-3.0, 3.0),
+           y=st.floats(-20.0, 20.0), h=st.floats(0.0, 4.0))
+    def test_bspline_partition_of_unity(self, n, offset, y, h):
+        # at unit step sum_k B(y - t_k) = 1: the cut sum over h < |v| and
+        # the sum over |v| <= h split it (to the round-off of the
+        # truncated-power B-spline values)
+        profile = make_builtin_profile("bspline", n)
+        scheme = SamplingScheme.uniform(1.0, offset)
+        outer = profile.support_radius + 1.0
+        t = moments._window_nodes(scheme, y, outer)
+        tails = backend.profile_sum(profile, y, t, cut=(h, outer))[0]
+        near = t[np.abs(y - t) <= h]
+        inner = float(np.sum(backend.bspline_values(y - near, n)))
+        assert tails + inner == pytest.approx(1.0, abs=1e-13)
+
 
 class TestPartition:
     def test_bspline_partition_is_flat(self):
@@ -409,6 +516,40 @@ class TestL3:
         assert rep.extra["diverged"]
         assert not rep.passed
 
+    def test_divergent_tails_take_no_sum(self, monkeypatch):
+        def no_sum(*args, **kwargs):
+            raise AssertionError("profile_sum called for divergent tails")
+
+        monkeypatch.setattr(backend, "profile_sum", no_sum)
+        for profile in (FEJER, ENVELOPE):
+            rep = moments.check_L3(profile, UNIT, 1.0, 1.0, [4, 8, 16, 32])
+            assert rep.sup_values == (math.inf,) * 4
+            assert rep.extra == {"diverged": True, "half_width": [None] * 4,
+                                 "remainder": [None] * 4}
+            assert not rep.passed and rep.fitted_rate is None
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("scheme", CUT_SCHEMES, ids=CUT_IDS)
+    def test_cut_sums_match_the_per_phase_loop(self, n, scheme):
+        profile = make_builtin_profile("bspline", n)
+        for r, gamma, w_list in ((0.5, 0.5, [0.5, 1.0, 2.0, 4.0]),
+                                 (1.0, 0.3, [0.7, 1.9, 3.1, 6.0])):
+            rep = moments.check_L3(profile, scheme, r, gamma, w_list)
+            sups, rems = per_phase_L3(profile, scheme, r, gamma, w_list)
+            assert any(v > 0.0 for v in sups)  # some gamma w < R
+            np.testing.assert_allclose(rep.sup_values, sups, rtol=1e-14,
+                                       atol=0.0)
+            assert rep.extra["remainder"] == rems
+
+    def test_decaying_profile_matches_the_per_phase_loop(self):
+        scheme = SamplingScheme.uniform(0.7, 0.3)
+        rep = moments.check_L3(ENVELOPE, scheme, 0.5, 1.0, [1.0, 2.0],
+                               phase_points=4)
+        sups, rems = per_phase_L3(ENVELOPE, scheme, 0.5, 1.0, [1.0, 2.0],
+                                  phase_points=4)
+        np.testing.assert_allclose(rep.sup_values, sups, rtol=1e-13, atol=0.0)
+        assert rep.extra["remainder"] == rems
+
 
 class TestE31:
     def test_bspline_exact_zero(self):
@@ -417,6 +558,23 @@ class TestE31:
         assert rep.extra["exact_zero"]
         assert math.isinf(rep.extra["gamma0"])
         assert rep.passed
+
+    def test_zero_suffix_passes(self):
+        # thresholds w^0.5 = 1, 1.41, 2, 2.83 against the support radius
+        # 3/2: the tail mass is positive at w = 1, 2 and exactly 0 beyond
+        rep = moments.check_e3_1(BSPLINE, 0.5, [1, 2, 4, 8])
+        assert [v > 0.0 for v in rep.sup_values] == [True, True, False, False]
+        assert rep.sup_values[2:] == (0.0, 0.0)
+        assert rep.fitted_rate is None and rep.passed is True
+        assert math.isinf(rep.extra["gamma0"])
+        assert rep.extra["zero_from_w"] == 4.0
+        assert not rep.extra["exact_zero"] and "M3" not in rep.extra
+
+    def test_zero_suffix_after_a_fitted_prefix_keeps_the_fit(self):
+        rep = moments.check_e3_1(BSPLINE, 0.5, [0.5, 1, 2, 4])
+        assert rep.sup_values[-1] == 0.0 and rep.fitted_rate is not None
+        assert rep.extra["gamma0"] == -rep.fitted_rate
+        assert "zero_from_w" not in rep.extra
 
     def test_fejer_rate(self):
         rep = moments.check_e3_1(FEJER, 0.5, [4, 8, 16, 32, 64, 128])

@@ -178,6 +178,81 @@ def test_builtin_sums_go_through_the_kind_functions(monkeypatch):
 
 def test_coeffs_and_beta_are_exclusive():
     t = UNIT.nodes(-3, 3)
-    with pytest.raises(ValueError):
-        backend.profile_sum(make_builtin_profile("bspline", 2), [0.0], t,
-                            np.ones(t.size), beta=1.0)
+    for moment in ({"beta": 1.0}, {"cut": (0.5, 2.0)}):
+        with pytest.raises(ValueError):
+            backend.profile_sum(make_builtin_profile("bspline", 2), [0.0], t,
+                                np.ones(t.size), **moment)
+
+
+def fejer_terms(y, t, coeffs=None, beta=0.0):
+    """Every (phase, node) term of a Fejer sum from fejer_values."""
+    v = np.asarray(y, dtype=float)[:, None] - np.asarray(t, dtype=float)
+    terms = backend.fejer_values(v)
+    if coeffs is not None:
+        return terms * np.asarray(coeffs)[None, :]
+    return terms * np.abs(v) ** beta
+
+
+def assert_within_terms(got, terms, rel=1e-14):
+    """got matches the row sums of terms to rel of the sum of |terms|."""
+    err = np.abs(got - terms.sum(axis=1))
+    assert np.all(err <= rel * np.abs(terms).sum(axis=1))
+
+
+class TestFejerMatrixForm:
+    """The Fejer sum on three or more phases, one matrix product per block,
+    against fejer_values on every pair."""
+
+    @pytest.mark.parametrize("window", FEJER_WINDOWS, ids=FEJER_IDS)
+    def test_against_dense_terms(self, window):
+        t = window[0].nodes(window[1], window[2])
+        y = fejer_phases(t)  # v = 0 and pairs with |v| <= 1
+        assert np.any(y[:, None] == t[None, :])
+        for beta in (0.0, 0.43, 0.5):
+            assert_within_terms(backend.profile_sum(FEJER, y, t, beta=beta),
+                                fejer_terms(y, t, beta=beta))
+        coeffs = RNG.standard_normal(t.size)
+        assert_within_terms(backend.profile_sum(FEJER, y, t, coeffs),
+                            fejer_terms(y, t, coeffs))
+
+    def test_window_wider_than_a_block(self):
+        t = UNIT.nodes(-36_000, 36_000)
+        assert t.size > backend._CHUNK
+        y = np.array([0.0, 17.0, 17.0 + 1e-9, -35_999.5, 0.3, 36_000.0])
+        coeffs = RNG.standard_normal(t.size)
+        for beta in (0.0, 0.43, 0.5):
+            assert_within_terms(backend.profile_sum(FEJER, y, t, beta=beta),
+                                fejer_terms(y, t, beta=beta))
+        assert_within_terms(backend.profile_sum(FEJER, y, t, coeffs),
+                            fejer_terms(y, t, coeffs))
+
+
+def cut_reference(profile, y, t, cut, beta=0.0):
+    """dense() over the pairs with cut[0] < |y - t| <= cut[1] only."""
+    v = np.atleast_1d(np.asarray(y, dtype=float))[:, None] - t[None, :]
+    keep = (np.abs(v) > cut[0]) & (np.abs(v) <= cut[1])
+    return (np.where(keep, profile.log_values(v), 0.0)
+            * np.abs(v) ** beta).sum(axis=1)
+
+
+@pytest.mark.parametrize("profile", [make_builtin_profile("bspline", 3),
+                                     make_builtin_profile("mellin_fejer"),
+                                     tau_profile()], ids=lambda p: p.name)
+@pytest.mark.parametrize("window", WINDOWS, ids=["unit-few", "unit-long",
+                                                  "tab-few", "tab-long"])
+def test_cut_keeps_the_annulus(profile, window):
+    # the cut edges fall on nodes: |v| = 1 is out of (1, 2] and |v| = 2 in
+    t = window[0].nodes(window[1], window[2])
+    y = np.concatenate([t[:: max(1, t.size // 9)],
+                        RNG.uniform(t[0], t[-1], 30)])
+    for cut in ((1.0, 2.0), (0.25, 40.0)):
+        for beta in (0.0, 0.5):
+            ref = cut_reference(profile, y, t, cut, beta)
+            np.testing.assert_allclose(
+                backend.profile_sum(profile, y, t, beta=beta, cut=cut),
+                ref, rtol=0, atol=ATOL)
+            # one phase at a time takes the pair by pair form
+            got = [backend.profile_sum(profile, y[i:i + 1], t, beta=beta,
+                                       cut=cut)[0]
+                   for i in range(0, y.size, 7)]
+            np.testing.assert_allclose(got, ref[::7], rtol=0, atol=ATOL)
