@@ -6,7 +6,9 @@ with c_j = coeffs_j (operator series) or |y_i - t_j|**beta (moments).
 
 Built-in profile kinds (KernelProfile.fast_kind):
     0 -- central B-spline of degree n (convolution of n+1 unit indicators,
-         support [-(n+1)/2, (n+1)/2] in the log variable)
+         support [-(n+1)/2, (n+1)/2] in the log variable), evaluated piece
+         by piece: n Horner steps from a cached table of its polynomial
+         coefficients on each unit piece, exactly 0 outside the support
     1 -- Mellin-Fejer profile (1/(2*pi)) * (sin(v/2)/(v/2))**2
 
 The sum runs over (phase x node) blocks of about _CHUNK pairs, so that each
@@ -29,8 +31,10 @@ block, so that the tails beyond a w-dependent half width take one call
 over all phases.
 """
 
+import functools
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -45,6 +49,10 @@ KIND_FEJER = 1
 # its nodes at once.
 _CHUNK = 65_536
 
+# Values per block of bspline_values: its three temporaries (192 KB) stay
+# in L2 cache and are reused block after block.
+_BSPLINE_BLOCK = 8192
+
 # Fewest phases for which the Fejer matrix form (a sine and a cosine per
 # phase and per node) is cheaper than one sine per pair.
 _SEPARABLE_MIN_PHASES = 3
@@ -54,28 +62,56 @@ _SEPARABLE_MIN_PHASES = 3
 _DIRECT_REACH = 1.0
 
 
+@functools.lru_cache(maxsize=32)
+def _bspline_pieces(n):
+    """Coefficients of the central B-spline of degree ``n`` piece by piece:
+    entry [d, m + 1] is the coefficient of u^d on [m, m + 1) in
+    s = v + (n+1)/2, u = s - m, for m = 0..n, each the float nearest the
+    exact rational
+
+        C(n, d)/n! * sum_{i <= m} (-1)^i C(n+1, i) (m - i)^(n-d).
+
+    Columns 0 and n + 2 are zero, for the nodes outside the support."""
+    table = np.zeros((n + 1, n + 3))
+    for m, d in itertools.product(range(n + 1), range(n + 1)):
+        exact = sum(Fraction((-1) ** i * math.comb(n + 1, i)
+                             * (m - i) ** (n - d)) for i in range(m + 1))
+        table[d, m + 1] = float(exact * math.comb(n, d) / math.factorial(n))
+    table.setflags(write=False)
+    return table
+
+
 def bspline_values(v, n):
     """Central B-spline of degree ``n`` evaluated at log-variable ``v``.
 
-    Truncated-power representation
-        B(v) = (1/n!) * sum_i (-1)^i C(n+1, i) ((n+1)/2 + v - i)_+^n.
-    """
+    Piece by piece: with s = v + (n+1)/2 the value on [m, m + 1) is a
+    polynomial in u = s - m, taken by n Horner steps from the coefficients
+    of _bspline_pieces; outside the support every coefficient is 0, so the
+    value is exactly 0 there.  The values are formed _BSPLINE_BLOCK at a
+    time in three reused temporaries."""
+    table = _bspline_pieces(n)
     v = np.asarray(v, dtype=float)
-    half = 0.5 * (n + 1)
-    # evaluate only inside the support: outside it the alternating sum
-    # cancels exactly in theory but leaves round-off residue in floats
-    inside = np.abs(v) < half
-    vi = v[inside]
-    acc = np.zeros_like(vi)
-    for i in range(n + 2):
-        t = half + vi - i
-        np.maximum(t, 0.0, out=t)
-        acc += ((-1) ** i) * math.comb(n + 1, i) * t**n
-    acc /= math.factorial(n)
-    # clip tiny negative round-off near the support boundary
-    np.maximum(acc, 0.0, out=acc)
-    out = np.zeros_like(v)
-    out[inside] = acc
+    out = np.empty(v.shape)
+    v, flat = v.reshape(-1), out.reshape(-1)
+    step = max(1, min(v.size, _BSPLINE_BLOCK))
+    shifted, terms = np.empty(step), np.empty(step)
+    columns = np.empty(step, dtype=np.intp)
+    for lo in range(0, v.size, step):
+        hi = min(lo + step, v.size)
+        u, column, term = shifted[:hi - lo], columns[:hi - lo], terms[:hi - lo]
+        acc = flat[lo:hi]
+        # s + 1, so that piece m sits at [m + 1, m + 2) and truncation
+        # toward 0 gives its column
+        np.add(v[lo:hi], 0.5 * (n + 3), out=u)
+        np.clip(u, 0.0, n + 2.0, out=u)
+        column[...] = u
+        u -= column
+        table[n].take(column, out=acc)
+        for d in range(n - 1, -1, -1):
+            acc *= u
+            acc += table[d].take(column, out=term)
+    # the last piece's alternating coefficients may round below 0 near its end
+    np.maximum(out, 0.0, out=out)
     return out
 
 
@@ -154,7 +190,8 @@ def _fejer_sum(y, t, coeffs, beta, cut):
                 np.divide(1.0, w, out=w)
         else:
             np.abs(w, out=w)
-            with np.errstate(divide="ignore"):
+            # a |v| near 0 may overflow: those pairs are zeroed just below
+            with np.errstate(divide="ignore", over="ignore"):
                 np.power(w, beta - 2.0, out=w)
         near = slice(starts[lo], starts[hi])
         r, k = rows[near] - lo, cols[near] - a

@@ -11,9 +11,10 @@ half width.
 
 Profiles that declare their Fourier band limit get the partition sum m0 in
 closed form (Poisson summation); the Mellin-Fejer profile, which declares
-the form (1 - cos v)/(pi v^2), gets its lattice tails as Hurwitz zeta
-values plus a summation-by-parts bound on the cosine part.  Other decaying
-profiles sum growing node windows and add their decay envelope.
+the form (1 - cos v)/(pi v^2), gets its lattice tails from a few dozen
+direct nodes per side, Hurwitz zeta values and repeated summation by parts
+on the cosine part.  Other decaying profiles sum growing node windows and
+add their decay envelope.
 """
 
 from __future__ import annotations
@@ -35,10 +36,15 @@ from .ratefit import RateFit, fit_loglog
 EXACT_SUP = 1e-12
 _TAIL_WINDOW = 1e5
 
-# Distance from the cut over which a lattice tail is summed node by node
-# before the closed-form bound takes over.  At 512 the bound's slack on
-# the Fejer tails is about u^(beta - 2) / (pi |sin(P/2)|) at u = 512.
+# Direct nodes of a lattice tail, per residue class and side: up to
+# _LATTICE_REACH log units past the cut, and no more than
+# _PARTS_SPAN / |1 - e^{iP}| nodes, beyond which _PARTS_ORDER summations by
+# parts bound the cosine part.  Each of them shrinks the bound by about
+# (k + 2 - beta) P / (u |1 - e^{iP}|) <= (k + 2)/_PARTS_SPAN at distance u;
+# near P = 2 pi m, where |1 - e^{iP}| vanishes, the reach caps the nodes.
 _LATTICE_REACH = 512.0
+_PARTS_SPAN = 24.0
+_PARTS_ORDER = 6
 
 # Bracket refinement of a phase sup: calls after the probe grid, and
 # phases per call (spacing 1/16 of the bracket's half width).
@@ -186,8 +192,33 @@ def _exact_partition(profile: KernelProfile,
 
 
 def _lattice_terms(period: float) -> int:
-    """Nodes per class and side that a lattice tail sums directly."""
-    return max(1, math.ceil(_LATTICE_REACH / period))
+    """Nodes per class and side that a lattice tail sums directly:
+    min(ceil(_LATTICE_REACH / P), ceil(_PARTS_SPAN / |1 - e^{iP}|))."""
+    depth = max(1, math.ceil(_LATTICE_REACH / period))
+    chord = 2.0 * abs(math.sin(0.5 * period))
+    if chord * depth > _PARTS_SPAN:
+        depth = max(1, math.ceil(_PARTS_SPAN / chord))
+    return depth
+
+
+def _parts_matrix(period: float) -> tuple:
+    """(matrix, scale) for summation by parts on a lattice of step P.
+
+    With g_j = g(u + jP), j = 0..K (K = _PARTS_ORDER), z = e^{iP} and
+    forward differences Delta, the (K+1) x 3 matrix takes the row of g_j to
+    the real and imaginary parts of sum_{k<K} z^k Delta^k g_0 / (1-z)^(k+1)
+    and to Delta^K g_0.  scale = sum_{k<=K} 2^k / |1 - z|^(k+1) bounds the
+    sum of the absolute coefficients of each column, for round-off."""
+    k = np.arange(_PARTS_ORDER + 1)
+    sine = math.sin(0.5 * period)
+    # z^k / (1 - z)^(k+1), from 1 - z = -2i sin(P/2) e^{iP/2}
+    ratio = (0.5j / sine) ** (k + 1) * np.exp(0.5j * (k - 1) * period)
+    # Delta^k g_0 = sum_j diff[j, k] g_j
+    diff = np.array([[math.comb(kk, j) * (-1) ** ((kk - j) % 2) for kk in k]
+                     for j in k], dtype=float)
+    coeffs = diff[:, :-1] @ ratio[:-1]
+    matrix = np.stack([coeffs.real, coeffs.imag, diff[:, -1]], axis=1)
+    return matrix, float(np.sum(2.0 ** k * np.abs(ratio)))
 
 
 def _first_beyond(b: float, period: float, ys: np.ndarray,
@@ -211,18 +242,34 @@ def _lattice_tails(profile: KernelProfile, scheme: SamplingScheme,
     On each side of y_i, the nodes of a residue class b + qP lie at
     distances u_j = u_0 + jP.  The first D = _lattice_terms(P) are summed
     directly, in one profile_sum over all phases.  Beyond them the terms
-    are (1 - cos u_j) u_j^(beta-2)/pi, at most (1/pi) min(2Z, Z + B) with
-        Z = sum_j u_j^(beta-2) = P^(beta-2) zeta(2 - beta, u_D/P),
-        B = u_D^(beta-2)/|sin(P/2)|,
-    where B bounds the cosine part by summation by parts: its partial
-    sums of cos(u_D + jP) stay within 1/|sin(P/2)| (Dirichlet test)."""
+    are (1 - cos u_j) g_j / pi with g_j = (u_D + jP)^(beta-2), whose sum
+    is (Z - Re e^{i u_D} S)/pi with
+        Z = sum_j g_j = P^(beta-2) zeta(2 - beta, u_D/P),
+        S = sum_j z^j g_j,  z = e^{iP}.
+    K = _PARTS_ORDER summations by parts (Abel; Knopp, Theory and
+    Application of Infinite Series) give
+        S = sum_{k<K} z^k Delta^k g_0/(1-z)^(k+1)
+            + (z/(1-z))^K sum_j z^j Delta^K g_j,
+    and since u^(beta-2) is completely monotone, (-1)^K Delta^K g_j >= 0
+    falls with j, so by Abel's inequality the last sum is at most
+    |Delta^K g_0| / |sin(P/2)| in modulus.  The bound is (1/pi) times the
+    least of
+        Z - C_K + E_K + round-off,   2Z,   Z + g_0/|sin(P/2)|,
+    with C_K = Re(e^{i u_D} sum_{k<K} ...), E_K = |Delta^K g_0| /
+    (|1 - z|^K |sin(P/2)|) and the round-off allowance 64 + 4 (u_D + |y|
+    + |b|) ulp of g_0 times the scale of _parts_matrix.  One debug line per
+    call records the tails on which summation by parts loses."""
     offsets, period = _residue_classes(scheme)
     ys = np.asarray(ys, dtype=float)
     depth = _lattice_terms(period)
     lattice = -period * np.arange(depth)[::-1]
+    steps = period * np.arange(_PARTS_ORDER + 1)
+    parts, scale = _parts_matrix(period)
     sine = abs(math.sin(0.5 * period))
+    rest = 1.0 / ((2.0 * sine) ** _PARTS_ORDER * sine)  # E_K / |Delta^K g_0|
+    ulps = 64.0 + 4.0 * np.abs(np.concatenate([ys, ys]))
     direct, bound = np.zeros(ys.size), np.zeros(ys.size)
-    forced = False
+    lost = forced = 0
     for b in offsets:
         q = _first_beyond(b, period, ys, 0.0 if cut is None else cut)
         right = b + q * period - ys
@@ -233,17 +280,26 @@ def _lattice_tails(profile: KernelProfile, scheme: SamplingScheme,
         u = np.concatenate([right, left])
         near = backend.profile_sum(profile, u, lattice, beta=beta)
         far = u + depth * period
+        g = (far[:, None] + steps) ** (beta - 2.0)
+        re, im, last = (g @ parts).T
         zeta, zeta_err = hurwitz_zeta(2.0 - beta, far / period)
         z = period ** (beta - 2.0) * (zeta + zeta_err)
-        with np.errstate(divide="ignore"):
-            osc = far ** (beta - 2.0) / sine
-        forced = forced or bool(np.any(z < osc))
-        tail = np.minimum(2.0 * z, z + osc) / math.pi
+        roundoff = (np.finfo(float).eps * scale * g[:, 0]
+                    * (ulps + 4.0 * (far + abs(b))))
+        summed = (z - np.cos(far) * re + np.sin(far) * im
+                  + np.abs(last) * rest + roundoff)
+        dirichlet = z + g[:, 0] / sine
+        plain = np.minimum(2.0 * z, dirichlet)
+        losing = summed > plain
+        lost += int(np.count_nonzero(losing))
+        forced += int(np.count_nonzero(losing & (2.0 * z < dirichlet)))
+        tail = np.minimum(summed, plain) / math.pi
         direct += near[:ys.size] + near[ys.size:]
         bound += tail[:ys.size] + tail[ys.size:]
-    if forced:
-        _log.debug("lattice tails: |sin(P/2)| = %.3g at P = %g forces the 2Z "
-                   "bound", sine, period)
+    if lost:
+        _log.debug("lattice tails: summation by parts loses on %d of %d tails "
+                   "at P = %g; |sin(P/2)| = %.3g forces the 2Z bound on %d",
+                   lost, 2 * ys.size * len(offsets), period, sine, forced)
     return direct, bound
 
 
@@ -618,7 +674,9 @@ def _log_tail_integral(profile: KernelProfile, threshold: float) -> float:
 def check_e3_1(profile: KernelProfile, gamma: float,
                w_list: Sequence[float]) -> ConditionReport:
     """Tail-mass condition: w * integral over |ln y| > w^-gamma of L(y^w)
-    equals the log-tail integral beyond w^{1-gamma}; fits (M_3, gamma_0)."""
+    equals the log-tail integral beyond w^{1-gamma}.  gamma_0 is the
+    log-log rate fit and M_3 the least constant with M_3 w^-gamma_0 at or
+    above every measured mass, so that the bound covers each one."""
     if not (0.0 < gamma < 1.0):
         raise ValidationError("check_e3_1 needs gamma in (0, 1)")
     w_arr = np.asarray(sorted(w_list), dtype=float)
@@ -634,7 +692,10 @@ def check_e3_1(profile: KernelProfile, gamma: float,
     zero_suffix = bool(0 < zeros.size < vals.size
                        and zeros.size == vals.size - zeros[0])
     if fit is not None:
-        extra["M3"] = math.exp(fit.intercept)
+        # the least-squares line may pass below a measured mass
+        positive = vals > 0.0
+        extra["M3"] = float(np.max(vals[positive]
+                                   * w_arr[positive] ** -fit.slope))
         extra["gamma0"] = -fit.slope
     elif exact_zero:
         extra["gamma0"] = math.inf

@@ -123,15 +123,25 @@ class TestDiscreteMoment:
         assert rep["remainder"] == 0.0
         rep = moments.discrete_moment(FEJER, UNIT, 1.0).to_dict()
         assert rep["half_width"] is None and rep["remainder"] is None
-        # Fejer: lattice tails beyond 512 log units per side; the remainder
-        # is the tail bound at the phase that attains the sup
+        # Fejer: lattice tails beyond _lattice_terms nodes per side, no more
+        # than the 512 log units summed before summation by parts; the
+        # remainder is the tail bound at the phase that attains the sup
         rep = moments.discrete_moment(FEJER, UNIT, 0.5, probe_points=64)
         ys = np.linspace(0.0, 1.0, 64, endpoint=False)
         direct, bound = moments._lattice_tails(FEJER, UNIT, ys, None, 0.5)
-        i = int(np.argmax(direct + bound))
-        assert rep.half_width == 512.0 and not rep.exact
-        assert rep.value == direct[i] + bound[i]
-        assert rep.remainder == bound[i] > 0.0
+        assert rep.half_width == moments._lattice_terms(1.0) <= 512.0
+        assert not rep.exact
+
+        def tails(ys):
+            direct, bound = moments._lattice_tails(FEJER, UNIT, ys, None, 0.5)
+            return direct + bound, direct, bound
+
+        # the sup is symmetric about y = 1/2, where the grid attains it;
+        # the refinement may find a phase beside it that rounds one ulp up
+        value, direct_at, bound_at = moments._refined_sup(tails, ys, 1 / 64)
+        assert rep.value == value == direct_at + bound_at
+        assert rep.value >= float(np.max(direct + bound))
+        assert rep.remainder == bound_at > 0.0
         # the partition sum is exact up to steps of 2 pi, a sum beyond
         rep = moments.discrete_moment(FEJER, SamplingScheme.uniform(2.0),
                                       0.0).to_dict()
@@ -210,12 +220,14 @@ class TestRefinedSup:
         assert 2.0 * h / 16.0 ** moments._REFINE_CALLS <= golden
 
     def test_fejer_moment_sup_is_refined(self):
-        # 2048 phases read 0.4009385470; phases around the argmax reach
-        # 0.4009385577
+        # 2048 phases read 0.4008654747; a scan of 20001 phases around the
+        # argmax reaches 0.4008654854.  The tails summed directly for 512
+        # log units read 0.4009385577 refined.
         scheme = SamplingScheme.uniform(4.6, 0.37)
         rep = moments.discrete_moment(FEJER, scheme, 0.5)
-        assert rep.value >= 0.4009385577
-        assert rep.value <= 0.4009385470 * (1.0 + 1e-7)
+        assert rep.value >= 0.4008654854
+        assert rep.value <= 0.4008654747 * (1.0 + 1e-7)
+        assert rep.value <= 0.4009385577
         assert "refined" in rep.probe_grid
         ys = np.linspace(0.0, 4.6, 2048, endpoint=False)
         direct, bound = moments._lattice_tails(FEJER, scheme, ys, None, 0.5)
@@ -250,6 +262,25 @@ def direct_tail(scheme, y, cut, betas, per_side=200_000):
     return [float(np.sum(vals * np.abs(v) ** beta)) for beta in betas]
 
 
+def beyond_window(scheme, y, cut, beta, per_side=200_000):
+    """A lower bound of what direct_tail leaves out on a uniform scheme of
+    step P: on each side the nodes past its window lie at u + jP, and their
+    terms (1 - cos) (u + jP)^(beta-2)/pi sum to at least
+    (1/pi) (Z - u^(beta-2)/|sin(P/2)|), with Z the Hurwitz zeta sum less
+    its error bound (Dirichlet's test on the cosines)."""
+    reach = (cut or 0.0) + per_side * scheme.upper_gap
+    k_lo, k_hi = scheme.index_range(y - reach, y + reach)
+    step = scheme.step
+    total = 0.0
+    for u in (float(scheme.nodes(k_hi + 1, k_hi + 1)[0]) - y,
+              y - float(scheme.nodes(k_lo - 1, k_lo - 1)[0])):
+        zeta, err = moments.hurwitz_zeta(2.0 - beta, np.array([u / step]))
+        z = step ** (beta - 2.0) * float(zeta[0] - err[0])
+        cosines = u ** (beta - 2.0) / abs(math.sin(0.5 * step))
+        total += max(0.0, z - cosines) / math.pi
+    return total
+
+
 class TestLatticeTails:
     @pytest.mark.parametrize("scheme", [
         UNIT, SamplingScheme.uniform(0.7, 0.3),
@@ -272,6 +303,57 @@ class TestLatticeTails:
                     assert direct[i] <= ref * (1.0 + 1e-12)
                     assert direct[i] + bound[i] >= ref
 
+    @staticmethod
+    def reach_512(scheme, ys, cut, beta):
+        """direct + bound of the lattice tails summed directly for 512 log
+        units past the cut, then bounded by (1/pi) min(2Z, Z + B)."""
+        offsets, period = moments._residue_classes(scheme)
+        depth = max(1, math.ceil(512.0 / period))
+        lattice = -period * np.arange(depth)[::-1]
+        sine = abs(math.sin(0.5 * period))
+        total = np.zeros(ys.size)
+        for b in offsets:
+            q = moments._first_beyond(b, period, ys, cut or 0.0)
+            right = b + q * period - ys
+            if cut is None:
+                left = ys - (b + (q - 1.0) * period)
+            else:
+                q = moments._first_beyond(-b, period, -ys, cut)
+                left = -b + q * period + ys
+            u = np.concatenate([right, left])
+            near = backend.profile_sum(FEJER, u, lattice, beta=beta)
+            far = u + depth * period
+            zeta, zeta_err = moments.hurwitz_zeta(2.0 - beta, far / period)
+            z = period ** (beta - 2.0) * (zeta + zeta_err)
+            dirichlet = z + far ** (beta - 2.0) / sine
+            tail = np.minimum(2.0 * z, dirichlet) / math.pi
+            total += (near + tail)[:ys.size] + (near + tail)[ys.size:]
+        return total
+
+    @settings(max_examples=40, deadline=None)
+    @given(period=st.one_of(
+               st.floats(0.5, 13.0),
+               st.sampled_from([2.0 * math.pi * m + d for m in (1, 2)
+                                for d in (-1e-3, 1e-3)])),
+           beta=st.floats(0.0, 0.95), offset=st.floats(-3.0, 3.0),
+           shifts=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3),
+           cut=st.sampled_from([None, 4.0, 32.0]))
+    def test_summation_by_parts_bound(self, period, beta, offset, shifts, cut):
+        # phases on a node and between nodes: the bound lies above the
+        # 2e5-node direct tail plus a lower bound of the rest, and at or
+        # below the tails summed directly for 512 log units
+        scheme = SamplingScheme.uniform(period, offset)
+        ys = offset + period * np.array([0.0, *shifts])
+        direct, bound = moments._lattice_tails(FEJER, scheme, ys, cut, beta)
+        reach = self.reach_512(scheme, ys, cut, beta)
+        for i, y in enumerate(ys):
+            ref, = direct_tail(scheme, float(y), cut, (beta,))
+            assert direct[i] <= ref * (1.0 + 1e-12)
+            rest = beyond_window(scheme, float(y), cut, beta)
+            assert direct[i] + bound[i] >= ref
+            assert direct[i] + bound[i] >= (ref + rest) * (1.0 - 1e-13)
+            assert direct[i] + bound[i] <= reach[i] * (1.0 + 1e-12)
+
     def test_sine_forces_the_2z_bound(self, caplog):
         ys = np.linspace(0.0, 1.0, 4, endpoint=False)
         with caplog.at_level(logging.DEBUG, logger="expkant.moments"):
@@ -284,11 +366,13 @@ class TestLatticeTails:
 
     def test_moment_tighter_than_parent_envelope(self):
         # M_1/2 at unit step: the 7-window sum plus the envelope read
-        # 1.63524; the closed-form tails read 1.61545, above the 2e5-node
-        # direct sum 1.61249
+        # 1.63524; the closed-form tails read 1.61545 past 512 log units of
+        # direct sums and 1.61534 by summation by parts, above the
+        # 2e5-node direct sum 1.61249
         fejer = moments.discrete_moment(FEJER, UNIT, 0.5).value
         assert fejer < moments.discrete_moment(ENVELOPE, UNIT, 0.5).value
-        assert fejer == pytest.approx(1.61545, abs=1e-5)
+        assert fejer == pytest.approx(1.61534, abs=1e-5)
+        assert 1.61249 < fejer < 1.61545
 
     def test_tail_sum_tighter_than_envelope(self):
         for gamma, w, x in ((1.0, 4.0, 2.0), (0.5, 64.0, 0.3),
@@ -499,7 +583,10 @@ class TestL3:
     def test_report_records_half_width_and_remainder(self):
         rep = moments.check_L3(FEJER, UNIT, 0.5, 1.0, [4, 8, 16, 32],
                                phase_points=16)
-        assert rep.extra["half_width"] == [516.0, 520.0, 528.0, 544.0]
+        # h + D, with D no more than the 512 nodes summed before
+        depth = moments._lattice_terms(1.0)
+        assert depth <= 512
+        assert rep.extra["half_width"] == [h + depth for h in (4, 8, 16, 32)]
         ys = np.linspace(0.0, 1.0, 16, endpoint=False)
         for w, sup, rem in zip(rep.w_values, rep.sup_values,
                                rep.extra["remainder"]):
@@ -575,6 +662,19 @@ class TestE31:
         assert rep.sup_values[-1] == 0.0 and rep.fitted_rate is not None
         assert rep.extra["gamma0"] == -rep.fitted_rate
         assert "zero_from_w" not in rep.extra
+
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_m3_bound_covers_every_mass(self, n):
+        # least squares read mass / (M3 w^-gamma0) = 0.52, 3.68, 0.52 at
+        # n = 2 and 0.10, 0.68, 2.14, 0.68 at n = 4 on w = 0.5, 1, 2, 4
+        w = np.array([0.5, 1.0, 2.0, 4.0])
+        rep = moments.check_e3_1(make_builtin_profile("bspline", n), 0.5, w)
+        mass = np.array(rep.sup_values)
+        m3, gamma0 = rep.extra["M3"], rep.extra["gamma0"]
+        assert gamma0 == -rep.fitted_rate
+        ratio = mass / (m3 * w ** -gamma0)
+        assert np.all(ratio <= 1.0 + 1e-15)
+        assert np.max(ratio) == pytest.approx(1.0, rel=1e-15)
 
     def test_fejer_rate(self):
         rep = moments.check_e3_1(FEJER, 0.5, [4, 8, 16, 32, 64, 128])

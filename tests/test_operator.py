@@ -7,6 +7,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from expkant import moments, operator, signals
 from expkant.core import (EvaluationError, NonlinearKernel, SamplingScheme,
@@ -278,6 +280,19 @@ class TestGeneralized:
         f = signals.clipped_log()
         val = operator.eval_generalized(f, 10.0, 2.0, bspline_kernel(), UNIT)
         assert val == pytest.approx(math.log(2.0), abs=1e-12)
+
+    @settings(max_examples=80, deadline=None)
+    @given(n=st.integers(2, 5), w=st.floats(0.5, 256.0),
+           log_x=st.floats(-40.0, 40.0))
+    def test_log_law_at_unit_step(self, n, w, log_x):
+        # S_w ln = ln at unit step: sum_k B(y - k) k = y for the centred
+        # B-spline, with every retained sample inside the clip
+        kernel = NonlinearKernel(make_builtin_profile("bspline", n),
+                                 make_response("identity"))
+        x = math.exp(log_x)
+        val = operator.eval_generalized(signals.clipped_log(50.0), w, x,
+                                        kernel, UNIT)
+        assert abs(val - math.log(x)) <= 1e-13 * max(1.0, abs(math.log(x)))
 
     def test_zero(self):
         f = signals.constant(0.0)

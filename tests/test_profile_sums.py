@@ -1,8 +1,13 @@
 """backend.profile_sum against a direct dense sum over every (phase, node)
 pair, on both sides of the banding size test."""
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from expkant import backend
 from expkant.core import KernelProfile, SamplingScheme, make_builtin_profile
@@ -77,6 +82,36 @@ class TestBspline:
         np.testing.assert_allclose(got, dense(profile, y, t, coeffs),
                                    rtol=0, atol=ATOL)
         assert np.all(got[-4:] == 0.0)
+
+
+def truncated_powers(v, n):
+    """B(v) = (1/n!) sum_i (-1)^i C(n+1, i) ((n+1)/2 + v - i)_+^n for
+    |v| < (n+1)/2 and 0 beyond, summed exactly in rationals from the float
+    v and rounded once."""
+    half = Fraction(n + 1, 2)
+    x = Fraction(float(v))
+    if abs(x) >= half:
+        return 0.0
+    total = sum((-1) ** i * math.comb(n + 1, i) * (half + x - i) ** n
+                for i in range(n + 2) if half + x - i > 0)
+    return float(total / math.factorial(n))
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(2, 6),
+       v=st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=40))
+def test_bspline_values_match_truncated_powers(n, v):
+    # random v, every knot, and the support's ends and 1e-12 either side
+    half = 0.5 * (n + 1)
+    knots = -half + np.arange(n + 2)
+    ends = [e + d for e in (-half, half) for d in (-1e-12, 0.0, 1e-12)]
+    v = np.concatenate([v, knots, ends])
+    got = backend.bspline_values(v, n)
+    ref = np.array([truncated_powers(x, n) for x in v])
+    np.testing.assert_allclose(got, ref, rtol=0, atol=1e-14)
+    assert np.all(got[np.abs(v) >= half] == 0.0)
+    assert np.all(got >= 0.0)
+    assert backend.bspline_values(v.reshape(-1, 1), n).shape == (v.size, 1)
 
 
 def test_windows_fall_on_both_sides_of_the_size_test():
