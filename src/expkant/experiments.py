@@ -12,9 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -200,22 +198,6 @@ def validate_config(cfg: dict) -> str:
 # shared helpers
 
 
-def thread_count() -> int:
-    try:
-        n = int(os.environ.get("EXPKANT_THREADS", "1"))
-    except ValueError:
-        raise ValidationError("EXPKANT_THREADS must be an integer") from None
-    return max(1, n)
-
-
-def _thread_map(fn: Callable, items: Sequence) -> list:
-    n = min(thread_count(), len(items))
-    if n <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
-
-
 def fit_rate(pairs: Sequence) -> Optional[RateFit]:
     """Rate fit for (w, err) pairs; None marks the exact (all-zero) case."""
     pairs = list(pairs)
@@ -248,9 +230,8 @@ def _run_converge_uniform(cfg: dict) -> dict:
     f = build_signal(cfg["signal"])
     w_arr = _w_list(cfg)
     grid = build_grid(cfg.get("grid"), f)
-    errors = np.array(_thread_map(
-        lambda w: operator.sup_error(f, float(w), grid, kernel, scheme),
-        list(w_arr)))
+    errors = np.array([operator.sup_error(f, float(w), grid, kernel, scheme)
+                       for w in w_arr])
     fit = fit_loglog(w_arr, errors)
     exact = bool(np.all(errors < EXACT_ERROR))
     return {
@@ -271,12 +252,9 @@ def _run_converge_pointwise(cfg: dict) -> dict:
     if x <= 0:
         raise ValidationError("converge_pointwise needs x > 0")
     fx = float(f(np.array([x]))[0])
-
-    def err(w):
-        val, _ = operator.eval_kantorovich(f, float(w), x, kernel, scheme)
-        return abs(val - fx)
-
-    errors = np.array(_thread_map(err, list(w_arr)))
+    errors = np.array([
+        abs(operator.eval_kantorovich(f, float(w), x, kernel, scheme)[0] - fx)
+        for w in w_arr])
     fit = fit_loglog(w_arr, errors)
     exact = bool(np.all(errors < EXACT_ERROR))
     return {
@@ -326,10 +304,8 @@ def _run_quantitative_3_2(cfg: dict) -> dict:
 
     _, s_vals, t_vals, _ = moments.chi4_functionals(kernel, scheme, j, w_arr)
 
-    def lhs_at(w):
-        return operator.sup_error(f, float(w), grid, kernel, scheme)
-
-    lhs = np.array(_thread_map(lhs_at, list(w_arr)))
+    lhs = np.array([operator.sup_error(f, float(w), grid, kernel, scheme)
+                    for w in w_arr])
     rows = []
     for i, w in enumerate(w_arr):
         d = 1.0 / w if case == 1 else w ** (-beta)
@@ -397,12 +373,11 @@ def _run_modular_convergence(cfg: dict) -> dict:
     threshold = float(cfg.get("threshold", 1e-5))
     n_points = int(cfg.get("n_points", 8192))
 
-    def err(w):
-        kf = operator.eval_on_log_grid(f, float(w), kernel, scheme)
-        return modular.modular_error(phi, f, kf, lam,
-                                     n_points=n_points).value
-
-    errors = np.array(_thread_map(err, list(w_arr)))
+    errors = np.array([
+        modular.modular_error(
+            phi, f, operator.eval_on_log_grid(f, float(w), kernel, scheme),
+            lam, n_points=n_points).value
+        for w in w_arr])
     decreasing = bool(np.all(np.diff(errors) <= 1e-12))
     passed = decreasing and errors[-1] < threshold
     fit = fit_loglog(w_arr, errors)

@@ -46,6 +46,9 @@ _LATTICE_REACH = 512.0
 _PARTS_SPAN = 24.0
 _PARTS_ORDER = 6
 
+# Phases on one period of the partition sums m0 behind the (chi4) audits.
+_PARTITION_PHASES = 512
+
 # Bracket refinement of a phase sup: calls after the probe grid, and
 # phases per call (spacing 1/16 of the bracket's half width).
 _REFINE_CALLS = 8
@@ -342,10 +345,9 @@ def _refined_sup(fun, ys: np.ndarray, h: float) -> tuple:
 
 
 def discrete_moment(profile: KernelProfile, scheme: SamplingScheme,
-                    beta: float, w: float = 1.0,
-                    probe_points: int = 2048) -> MomentReport:
+                    beta: float, probe_points: int = 2048) -> MomentReport:
     """Log-discrete absolute moment of order beta (w-independent in the
-    phase variable; the w argument is accepted for interface symmetry).
+    phase variable).
 
     Decaying profiles with decay power p <= beta + 1 are flagged divergent
     immediately: their weighted terms are not summable.  The partition sum
@@ -447,34 +449,47 @@ def moment_value(profile: KernelProfile, scheme: SamplingScheme,
     return value
 
 
+def _cut_tails(profile: KernelProfile, scheme: SamplingScheme,
+               ys: np.ndarray, h: float, beta: float) -> tuple:
+    """(totals, remainder, half_width) for the cut tails
+        sum over |t_k - y| > h of L(e^{y - t_k}) |y - t_k|^beta
+    at every phase y of ys: per-phase upper bounds, the part of each that
+    bounds the nodes not summed, and the half width around each phase
+    inside which nodes are summed directly (None when no node counts)."""
+    if profile.fejer_tails:
+        direct, bound = _lattice_tails(profile, scheme, ys, h, beta)
+        return (direct + bound, bound,
+                h + _lattice_terms(scheme.phase_period) * scheme.phase_period)
+    if profile.is_compact:
+        if h >= profile.support_radius:
+            return np.zeros(ys.size), np.zeros(ys.size), None
+        outer = profile.support_radius + scheme.upper_gap
+    else:
+        outer = h + _TAIL_WINDOW
+    # one sum over every phase: the nodes with h < |y - t_k| <= outer
+    span = float(ys.max() - ys.min())
+    t = _window_nodes(scheme, float(ys.min()) + 0.5 * span, outer + 0.5 * span)
+    rem = np.full(ys.size, _tail_remainder(profile, scheme, outer, beta))
+    return (backend.profile_sum(profile, ys, t, beta=beta, cut=(h, outer))
+            + rem, rem, outer)
+
+
 def tail_sum(profile: KernelProfile, scheme: SamplingScheme, gamma: float,
              w: float, x: float) -> float:
     """sum over |t_k - w ln x| > gamma w of L(e^{-t_k} x^w), as an upper
     bound (partial sum plus a closed-form or decay-envelope remainder)."""
     if gamma <= 0 or w <= 0 or x <= 0:
         raise ValidationError("tail_sum needs gamma, w, x > 0")
-    y = w * math.log(x)
-    h = gamma * w
-    if profile.fejer_tails:
-        direct, bound = _lattice_tails(profile, scheme, np.array([y]), h, 0.0)
-        return float(direct[0] + bound[0])
-    if profile.is_compact:
-        if h >= profile.support_radius:
-            return 0.0
-        outer = profile.support_radius + scheme.upper_gap
-    else:
-        outer = h + _TAIL_WINDOW
-    t = _window_nodes(scheme, y, outer)
-    total = float(backend.profile_sum(profile, y, t, cut=(h, outer))[0])
-    return total + _tail_remainder(profile, scheme, outer, 0.0)
+    totals, _, _ = _cut_tails(profile, scheme, np.array([w * math.log(x)]),
+                              gamma * w, 0.0)
+    return float(totals[0])
 
 
 # ---------------------------------------------------------------------------
 # partition sums m0 and the (chi4) functionals
 
 
-def partition_bounds(profile: KernelProfile, scheme: SamplingScheme,
-                     phase_points: int = 512) -> tuple:
+def partition_bounds(profile: KernelProfile, scheme: SamplingScheme) -> tuple:
     """(min, max) over the phase of m0(y) = sum_k L(e^{y - t_k}), the max
     including the truncation remainder so it is a true upper bound; both
     are the exact value for a band-limited profile on phase periods up to
@@ -483,7 +498,7 @@ def partition_bounds(profile: KernelProfile, scheme: SamplingScheme,
     if m0 is not None:
         return m0, m0
     period = scheme.phase_period
-    ys = np.linspace(0.0, period, phase_points, endpoint=False)
+    ys = np.linspace(0.0, period, _PARTITION_PHASES, endpoint=False)
     if profile.is_compact:
         half = profile.support_radius + period + scheme.upper_gap
         rem = 0.0
@@ -524,13 +539,13 @@ def _sup_functional(kernel: NonlinearKernel, m0_lo: float, m0_hi: float,
 
 
 def chi4_functionals(kernel: NonlinearKernel, scheme: SamplingScheme, j: int,
-                     w_list: Sequence[float], phase_points: int = 512):
+                     w_list: Sequence[float]):
     """Raw values of the two (chi4) functionals per w: the small-u sup S
     and the large-u relative sup T, both over the phase and u grids."""
     if j < 1:
         raise ValidationError("chi4 functionals need j >= 1")
     w_arr = np.asarray(sorted(w_list), dtype=float)
-    m0_lo, m0_hi = partition_bounds(kernel.profile, scheme, phase_points)
+    m0_lo, m0_hi = partition_bounds(kernel.profile, scheme)
     u_small = np.concatenate([[0.0], _signed_logspace(1e-8, (1.0 / j) * (1 - 1e-12), 41)])
     u_large = _signed_logspace(1.0 / j, 1e3, 61)
     s_vals = np.array([_sup_functional(kernel, m0_lo, m0_hi, w, u_small, False)
@@ -541,11 +556,11 @@ def chi4_functionals(kernel: NonlinearKernel, scheme: SamplingScheme, j: int,
 
 
 def check_chi4(kernel: NonlinearKernel, scheme: SamplingScheme, j: int,
-               w_list: Sequence[float], phase_points: int = 512):
+               w_list: Sequence[float]):
     """The small-u and large-u functionals of condition (chi4); returns a
     pair of ConditionReports (S first, T second)."""
     w_arr, s_vals, t_vals, (m0_lo, m0_hi) = chi4_functionals(
-        kernel, scheme, j, w_list, phase_points)
+        kernel, scheme, j, w_list)
     alpha = kernel.response.deviation_rate
     reports = []
     for name, vals in (("chi4_S", s_vals), ("chi4_T", t_vals)):
@@ -560,11 +575,11 @@ def check_chi4(kernel: NonlinearKernel, scheme: SamplingScheme, j: int,
 
 
 def check_chi4_star(kernel: NonlinearKernel, scheme: SamplingScheme,
-                    w_list: Sequence[float], phase_points: int = 512,
+                    w_list: Sequence[float],
                     u_grid: Optional[np.ndarray] = None) -> ConditionReport:
     """Condition (chi4*): sup over u != 0 of |(1/u) sum_k chi(., u) - 1|."""
     w_arr = np.asarray(sorted(w_list), dtype=float)
-    m0_lo, m0_hi = partition_bounds(kernel.profile, scheme, phase_points)
+    m0_lo, m0_hi = partition_bounds(kernel.profile, scheme)
     if u_grid is None:
         u_grid = _signed_logspace(1e-8, 1e3, 101)
     alpha = kernel.response.deviation_rate
@@ -603,31 +618,11 @@ def check_L3(profile: KernelProfile, scheme: SamplingScheme, r: float,
     ys = np.linspace(0.0, period, phase_points, endpoint=False)
     vals, half_widths, remainders = [], [], []
     for w in w_arr:
-        h = gamma * w
-        if profile.fejer_tails:
-            direct, bound = _lattice_tails(profile, scheme, ys, h, r)
-            total = direct + bound
-            i = int(np.argmax(total))
-            vals.append(float(total[i]))
-            half_widths.append(h + _lattice_terms(period) * period)
-            remainders.append(float(bound[i]))
-            continue
-        if profile.is_compact:
-            if h >= profile.support_radius:
-                vals.append(0.0)
-                half_widths.append(None)
-                remainders.append(0.0)
-                continue
-            outer = profile.support_radius + scheme.upper_gap
-        else:
-            outer = h + _TAIL_WINDOW
-        # one sum over every phase: the nodes with h < |y - t_k| <= outer
-        t = _window_nodes(scheme, 0.5 * period, 0.5 * period + outer)
-        per_y = backend.profile_sum(profile, ys, t, beta=r, cut=(h, outer))
-        rem = _tail_remainder(profile, scheme, outer, r)
-        vals.append(float(per_y.max()) + rem)
-        half_widths.append(outer)
-        remainders.append(rem)
+        totals, rem, half = _cut_tails(profile, scheme, ys, gamma * w, r)
+        i = int(np.argmax(totals))
+        vals.append(float(totals[i]))
+        half_widths.append(half)
+        remainders.append(float(rem[i]))
     vals = np.array(vals)
     exact = np.all(vals[w_arr * gamma >= (profile.support_radius or math.inf)]
                    == 0.0) and profile.is_compact
@@ -650,19 +645,24 @@ def check_L3(profile: KernelProfile, scheme: SamplingScheme, r: float,
 
 def _log_tail_integral(profile: KernelProfile, threshold: float) -> float:
     """integral over |v| > threshold of L(e^v) dv (two-sided), as an upper
-    bound beyond the integrated panels."""
+    bound beyond the integrated panels.
+
+    Panels are at most 0.5 wide, narrow enough to resolve oscillatory
+    profiles.  A compact profile's panels end on the points -R + j/2,
+    which hold every knot of the B-splines and of the tau indicator, so
+    that each panel integrates one polynomial piece."""
     if profile.is_compact:
         hi = profile.support_radius
         if threshold >= hi:
             return 0.0
-    elif profile.fejer_tails:
-        hi = max(400.0, 2.0 * threshold)
+        knots = np.arange(-hi, hi, 0.5)
+        edges = np.concatenate(([threshold], knots[knots > threshold], [hi]))
     else:
-        hi = max(1e4, 100.0 * threshold)
+        hi = (max(400.0, 2.0 * threshold) if profile.fejer_tails
+              else max(1e4, 100.0 * threshold))
+        n_panels = max(8, int(math.ceil((hi - threshold) / 0.5)))
+        edges = np.linspace(threshold, hi, n_panels + 1)
     nodes, weights = gauss_legendre(8)
-    # panels narrow enough to resolve oscillatory profiles
-    n_panels = max(8, int(math.ceil((hi - threshold) / 0.5)))
-    edges = np.linspace(threshold, hi, n_panels + 1)
     a, b = edges[:-1], edges[1:]
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     v = mid[:, None] + half[:, None] * nodes[None, :]

@@ -22,6 +22,9 @@ from .core import (EvaluationError, NonlinearKernel, SamplingScheme, Signal,
 
 MAX_RETAINED_TERMS = 2_000_000
 
+# points of the log-uniform grid of eval_on_log_grid
+_GRID_POINTS = 4096
+
 _log = logging.getLogger(__name__)
 
 
@@ -167,22 +170,33 @@ def mean_value(f: Signal, k: int, w: float, scheme: SamplingScheme,
 
 
 # ---------------------------------------------------------------------------
-# retained index window
+# the evaluation plan
 
 
-def _retained_interval(f: Signal, w: float, y: float, kernel: NonlinearKernel,
-                       scheme: SamplingScheme, trunc: TruncationPolicy):
-    """Interval [lo, hi] of node positions to retain, plus the certified
-    truncation bound and the half-width actually used."""
+def _retained_half_width(f: Signal, w: float, kernel: NonlinearKernel,
+                         scheme: SamplingScheme, trunc: TruncationPolicy):
+    """(half, support, bound): the half-width of node positions retained
+    around every phase, the node-position interval outside which every
+    Steklov mean vanishes (None for an unbounded support) and the certified
+    truncation bound.  None of them depends on the phase."""
+    if f.sup_norm is None and f.support is None:
+        if f.log_growth is None:
+            raise EvaluationError(
+                "unbounded signal without log-growth metadata")
+        if trunc.mode != "window":
+            raise EvaluationError(
+                "log-growth signals need window-mode truncation")
     profile = kernel.profile
-    rho = f.log_support_radius
-
     if profile.is_compact:
         half = profile.support_radius + 1e-12
         bound = 0.0
     elif trunc.mode == "window":
         half = trunc.gamma * w
-        bound = _tail_bound(f, kernel, scheme, w, half / w, trunc.beta)
+        bound = math.nan
+        if f.sup_norm is not None and trunc.beta is not None:
+            m_beta = moments.moment_value(profile, scheme, trunc.beta)
+            bound = (float(kernel.slope(2.0 * f.sup_norm)) * m_beta
+                     / half ** trunc.beta if math.isfinite(m_beta) else math.inf)
     else:
         if f.sup_norm is None or trunc.beta is None:
             raise EvaluationError(
@@ -198,41 +212,84 @@ def _retained_interval(f: Signal, w: float, y: float, kernel: NonlinearKernel,
         half = gamma * w
         bound = psi_val * m_beta / (gamma * w) ** trunc.beta
 
-    lo, hi = y - half, y + half
-    if rho is not None:
-        # outside the signal support every Steklov mean vanishes (chi2),
-        # so the remaining sum is exact
-        lo2 = -w * rho - scheme.upper_gap
-        hi2 = w * rho
-        if profile.is_compact:
-            lo, hi = max(lo, lo2), min(hi, hi2)
+    rho = f.log_support_radius
+    if rho is None:
+        return half, None, bound
+    if not profile.is_compact:
+        # outside the signal support every Steklov mean vanishes (chi2), so
+        # summing the whole support is exact
+        half, bound = math.inf, 0.0
+    return half, (-w * rho - scheme.upper_gap, w * rho), bound
+
+
+def _runs(ys: np.ndarray, half: float, support, scheme: SamplingScheme):
+    """(runs, empty): ascending disjoint index runs (k_lo, k_hi) whose union
+    holds every node t_k with |t_k - y| <= half for some phase y, within
+    the support interval when there is one, and whether some merged window
+    held no node."""
+    ys = np.sort(ys)
+    lo, hi = ys - half, ys + half
+    if support is not None:
+        inside = (hi >= support[0]) & (lo <= support[1])
+        lo = np.maximum(lo[inside], support[0])
+        hi = np.minimum(hi[inside], support[1])
+    # the sorted windows share one half-width, so lo and hi both ascend and
+    # a window that starts past its predecessor's end starts a new run
+    edge = np.ones(lo.size + 1, dtype=bool)
+    np.greater(lo[1:], hi[:-1], out=edge[1:-1])
+    runs, empty = [], False
+    for a, b in zip(lo[edge[:-1]].tolist(), hi[edge[1:]].tolist()):
+        k_lo, k_hi = scheme.index_range(a, b)
+        if k_hi < k_lo:
+            empty = True
+        elif runs and k_lo <= runs[-1][1] + 1:
+            runs[-1] = (runs[-1][0], max(runs[-1][1], k_hi))
         else:
-            lo, hi, bound = lo2, hi2, 0.0
-    return lo, hi, bound, half / w
+            runs.append((k_lo, k_hi))
+    return runs, empty
 
 
-def _tail_bound(f: Signal, kernel: NonlinearKernel, scheme: SamplingScheme,
-                w: float, gamma: float, beta: Optional[float]) -> float:
-    profile = kernel.profile
-    if profile.is_compact and gamma * w >= profile.support_radius:
-        return 0.0
-    if f.sup_norm is None or beta is None:
-        return math.nan
-    m_beta = moments.moment_value(profile, scheme, beta)
-    if not math.isfinite(m_beta):
-        return math.inf
-    return float(kernel.slope(2.0 * f.sup_norm)) * m_beta / (gamma * w) ** beta
+def _coefficients(f: Signal, k_lo: int, k_hi: int, w: float,
+                  scheme: SamplingScheme, quad: Optional[QuadratureSpec]):
+    """Steklov means, or with quad None the sample values f(e^{t_k/w})."""
+    if quad is not None:
+        return mean_values(f, k_lo, k_hi, w, scheme, quad)
+    samples = f.log_evaluate(scheme.nodes(k_lo, k_hi) / w)
+    if not np.all(np.isfinite(samples)):
+        bad = k_lo + int(np.argmax(~np.isfinite(samples)))
+        raise EvaluationError(f"non-finite sample value at k={bad}")
+    return samples
 
 
-def _check_evaluable(f: Signal, kernel: NonlinearKernel,
-                     trunc: TruncationPolicy) -> None:
-    if f.sup_norm is None and f.support is None:
-        if f.log_growth is None:
-            raise EvaluationError(
-                "unbounded signal without log-growth metadata")
-        if trunc.mode != "window":
-            raise EvaluationError(
-                "log-growth signals need window-mode truncation")
+def _series(f: Signal, w: float, ys: np.ndarray, kernel: NonlinearKernel,
+            scheme: SamplingScheme, trunc: Optional[TruncationPolicy],
+            quad: Optional[QuadratureSpec]):
+    """(values, bound): sum_k L(y - t_k) g_w(c_k) at every phase y of ys
+    over the nodes retained for any of them, with c_k the Steklov means
+    (quad given) or the sample values (quad None), and the certified
+    truncation bound of each value.
+
+    The retained half-width is fixed once per call; the windows around the
+    phases merge into runs of indices, the coefficients are computed once
+    per run, the response applied once and the profile summed once over
+    every phase.  A node inside another phase's window only adds a term
+    the truncation bound already covers (exactly 0 for a compact
+    profile)."""
+    if trunc is None:
+        trunc = default_truncation(f, kernel, scheme)
+    half, support, bound = _retained_half_width(f, w, kernel, scheme, trunc)
+    runs, empty = _runs(ys, half, support, scheme)
+    if empty and support is None:
+        raise EvaluationError("empty retained index set; widen gamma")
+    if not runs:
+        return np.zeros(ys.shape), bound  # every term vanishes
+    # the nodes only after the coefficients, and no copy of a lone run: a
+    # capped run holds 2M values per array
+    c = [_coefficients(f, k_lo, k_hi, w, scheme, quad) for k_lo, k_hi in runs]
+    g = kernel.response(w, c[0] if len(c) == 1 else np.concatenate(c))
+    t = [scheme.nodes(k_lo, k_hi) for k_lo, k_hi in runs]
+    t = t[0] if len(t) == 1 else np.concatenate(t)
+    return backend.profile_sum(kernel.profile, ys, t, g), bound
 
 
 # ---------------------------------------------------------------------------
@@ -246,21 +303,9 @@ def eval_kantorovich(f: Signal, w: float, x: float, kernel: NonlinearKernel,
     """(K_w f)(x) by truncated summation; returns (value, truncation_bound)."""
     if w <= 0 or x <= 0:
         raise ValidationError("eval_kantorovich needs w > 0 and x > 0")
-    if trunc is None:
-        trunc = default_truncation(f, kernel, scheme)
-    _check_evaluable(f, kernel, trunc)
-    y = w * math.log(x)
-    lo, hi, bound, _ = _retained_interval(f, w, y, kernel, scheme, trunc)
-    k_lo, k_hi = scheme.index_range(lo, hi)
-    if k_hi < k_lo:
-        if f.log_support_radius is not None:
-            return 0.0, bound  # the whole series vanishes term by term
-        raise EvaluationError("empty retained index set; widen gamma")
-    means = mean_values(f, k_lo, k_hi, w, scheme, quad)
-    g = kernel.response(w, means)
-    t = scheme.nodes(k_lo, k_hi)
-    value = float(backend.profile_sum(kernel.profile, y, t, g)[0])
-    return value, bound
+    values, bound = _series(f, w, np.array([w * math.log(x)]), kernel, scheme,
+                            trunc, quad)
+    return float(values[0]), bound
 
 
 def eval_generalized(f: Signal, w: float, x: float, kernel: NonlinearKernel,
@@ -269,40 +314,22 @@ def eval_generalized(f: Signal, w: float, x: float, kernel: NonlinearKernel,
     """(S_w f)(x): sample values f(e^{t_k/w}) instead of Steklov means."""
     if w <= 0 or x <= 0:
         raise ValidationError("eval_generalized needs w > 0 and x > 0")
-    if trunc is None:
-        trunc = default_truncation(f, kernel, scheme)
-    _check_evaluable(f, kernel, trunc)
-    y = w * math.log(x)
-    lo, hi, _, _ = _retained_interval(f, w, y, kernel, scheme, trunc)
-    k_lo, k_hi = scheme.index_range(lo, hi)
-    if k_hi < k_lo:
-        if f.log_support_radius is not None:
-            return 0.0
-        raise EvaluationError("empty retained index set; widen gamma")
-    t = scheme.nodes(k_lo, k_hi)
-    samples = f.log_evaluate(t / w)
-    if not np.all(np.isfinite(samples)):
-        bad = k_lo + int(np.argmax(~np.isfinite(samples)))
-        raise EvaluationError(f"non-finite sample value at k={bad}")
-    g = kernel.response(w, samples)
-    return float(backend.profile_sum(kernel.profile, y, t, g)[0])
+    values, _ = _series(f, w, np.array([w * math.log(x)]), kernel, scheme,
+                        trunc, None)
+    return float(values[0])
 
 
 def sup_error(f: Signal, w: float, grid, kernel: NonlinearKernel,
               scheme: SamplingScheme, trunc: Optional[TruncationPolicy] = None,
               quad: QuadratureSpec = QuadratureSpec()) -> float:
     """max over the grid of |(K_w f)(x) - f(x)| (discretized sup norm)."""
-    grid = np.asarray(grid, dtype=float)
+    grid = np.asarray(grid, dtype=float).ravel()
     if grid.size == 0:
         raise ValidationError("sup_error needs a non-empty grid")
     if np.any(grid <= 0):
         raise ValidationError("sup_error grid must be positive")
-    fx = f(grid)
-    err = 0.0
-    for x, fv in zip(grid, fx):
-        val, _ = eval_kantorovich(f, w, float(x), kernel, scheme, trunc, quad)
-        err = max(err, abs(val - float(fv)))
-    return err
+    values, _ = _series(f, w, w * np.log(grid), kernel, scheme, trunc, quad)
+    return float(np.max(np.abs(values - f(grid))))
 
 
 @dataclass(frozen=True)
@@ -323,28 +350,16 @@ class GridFunction:
 
 def eval_on_log_grid(f: Signal, w: float, kernel: NonlinearKernel,
                      scheme: SamplingScheme,
-                     quad: QuadratureSpec = QuadratureSpec(),
-                     n_points: int = 4096,
-                     window: Optional[tuple] = None) -> GridFunction:
-    """K_w f on a log-uniform grid spanning the signal support inflated by
-    the kernel's effective radius.  Exact (no truncation) for compactly
-    supported signals: the Steklov coefficients are computed once and the
-    profile sums vectorize over the grid."""
+                     quad: QuadratureSpec = QuadratureSpec()) -> GridFunction:
+    """K_w f on _GRID_POINTS log-uniform points spanning the signal support
+    inflated by the kernel's effective radius.  Exact (no truncation) for
+    compactly supported signals."""
     if f.log_support_radius is None:
         raise ValidationError("grid evaluation needs a compactly supported signal")
-    rho = f.log_support_radius
     radius = (kernel.profile.support_radius
               if kernel.profile.is_compact
               else kernel.profile.effective_radius(1e-10))
-    if window is None:
-        half = rho + (radius + scheme.upper_gap) / w + 0.25
-        window = (-half, half)
-    v = np.linspace(window[0], window[1], n_points)
-    k_lo, k_hi = scheme.index_range(-w * rho - scheme.upper_gap, w * rho)
-    if k_hi < k_lo:
-        return GridFunction(v, np.zeros_like(v))
-    means = mean_values(f, k_lo, k_hi, w, scheme, quad)
-    g = kernel.response(w, means)
-    t = scheme.nodes(k_lo, k_hi)
-    values = backend.profile_sum(kernel.profile, w * v, t, g)
+    half = f.log_support_radius + (radius + scheme.upper_gap) / w + 0.25
+    v = np.linspace(-half, half, _GRID_POINTS)
+    values, _ = _series(f, w, w * v, kernel, scheme, None, quad)
     return GridFunction(v, values)

@@ -214,29 +214,6 @@ class TestReportFiles:
         assert len(doc["rows"]) == 4
 
 
-class TestThreads:
-    def test_thread_count_default(self, monkeypatch):
-        monkeypatch.delenv("EXPKANT_THREADS", raising=False)
-        assert experiments.thread_count() == 1
-
-    def test_thread_count_env(self, monkeypatch):
-        monkeypatch.setenv("EXPKANT_THREADS", "4")
-        assert experiments.thread_count() == 4
-
-    def test_thread_count_invalid(self, monkeypatch):
-        monkeypatch.setenv("EXPKANT_THREADS", "many")
-        with pytest.raises(ValidationError):
-            experiments.thread_count()
-
-    def test_results_independent_of_threads(self, monkeypatch):
-        cfg = base_config()
-        monkeypatch.setenv("EXPKANT_THREADS", "1")
-        seq = experiments.run(cfg)["rows"]
-        monkeypatch.setenv("EXPKANT_THREADS", "4")
-        par = experiments.run(cfg)["rows"]
-        assert seq == par
-
-
 def run_cli(args, **kw):
     # the child imports the same expkant as this process, installed or not
     src = str(Path(expkant.__file__).resolve().parents[1])

@@ -6,6 +6,7 @@ import sys
 import weakref
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -89,9 +90,10 @@ class TestDiscreteMoment:
         assert math.isfinite(rep.value)
 
     def test_w_invariance(self):
-        vals = [moments.discrete_moment(BSPLINE, UNIT, 1.0, w=w).value
-                for w in (1.0, 7.0, 19.0)]
-        assert max(vals) - min(vals) < 1e-10
+        # the phase sup takes no w, so every w shares the one value
+        rep = moments.discrete_moment(BSPLINE, UNIT, 1.0)
+        assert not rep.diverged
+        assert rep.value == moments.moment_value(BSPLINE, UNIT, 1.0)
 
     def test_refinement_stability(self):
         coarse = moments.discrete_moment(BSPLINE, UNIT, 0.5,
@@ -675,6 +677,31 @@ class TestE31:
         ratio = mass / (m3 * w ** -gamma0)
         assert np.all(ratio <= 1.0 + 1e-15)
         assert np.max(ratio) == pytest.approx(1.0, rel=1e-15)
+
+    @staticmethod
+    def bspline_tail_mass(n, threshold):
+        """The exact integral over |v| > threshold of the degree-n central
+        B-spline, from its truncated powers: with s = v + (n+1)/2 and
+        a = threshold + (n+1)/2, int_a^(n+1) B ds is
+        sum_i (-1)^i C(n+1, i) ((n+1-i)^(n+1) - (a-i)_+^(n+1)) / (n+1)!."""
+        a = Fraction(threshold) + Fraction(n + 1, 2)
+        if a >= n + 1:
+            return Fraction(0)
+        one_side = sum((-1) ** i * math.comb(n + 1, i)
+                       * ((n + 1 - i) ** (n + 1) - max(a - i, 0) ** (n + 1))
+                       for i in range(n + 2)) / math.factorial(n + 1)
+        return 2 * one_side
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_compact_tail_mass_is_exact(self, n):
+        # thresholds on the knots -R + j/2 and between them
+        rng = np.random.default_rng(n)
+        thresholds = [j / 8 for j in range(1, 33)] + list(rng.uniform(0, 4, 25))
+        profile = make_builtin_profile("bspline", n)
+        for threshold in thresholds:
+            got = moments._log_tail_integral(profile, threshold)
+            exact = self.bspline_tail_mass(n, threshold)
+            assert abs(got - float(exact)) <= 1e-15, threshold
 
     def test_fejer_rate(self):
         rep = moments.check_e3_1(FEJER, 0.5, [4, 8, 16, 32, 64, 128])

@@ -241,6 +241,26 @@ class TestKantorovich:
             rhs, _ = operator.eval_kantorovich(f.dilate(c), w, x, k, UNIT)
             assert lhs == pytest.approx(rhs, abs=1e-10)
 
+    @settings(max_examples=40, deadline=None)
+    @given(profile=st.sampled_from([make_builtin_profile("bspline", 2),
+                                    make_builtin_profile("bspline", 3),
+                                    make_builtin_profile("mellin_fejer")]),
+           step=st.floats(0.25, 2.0), offset=st.floats(-1.0, 1.0),
+           m=st.integers(-5, 5), w=st.floats(2.0, 40.0),
+           log_x=st.floats(-2.0, 2.0), radius=st.floats(1.0, 2.5))
+    def test_dilation_covariance_on_any_lattice(self, profile, step, offset,
+                                                m, w, log_x, radius):
+        # c = e^{m step / w} shifts the phase by m steps, onto the lattice:
+        # K_w(f(c .))(x) = K_w f(c x)
+        kernel = NonlinearKernel(profile, make_response("soft", alpha=1.0))
+        scheme = SamplingScheme.uniform(step, offset)
+        f = signals.cc_bump(radius)
+        c = math.exp(m * step / w)
+        x = math.exp(log_x)
+        lhs, _ = operator.eval_kantorovich(f.dilate(c), w, x, kernel, scheme)
+        rhs, _ = operator.eval_kantorovich(f, w, c * x, kernel, scheme)
+        assert abs(lhs - rhs) <= 1e-13
+
     def test_truncation_soundness(self):
         # widening gamma moves the value by at most the reported bound
         f = signals.clipped_log()
@@ -313,6 +333,28 @@ class TestGrids:
         e1 = operator.sup_error(f, 8.0, grid, bspline_kernel(), UNIT)
         e2 = operator.sup_error(f, 16.0, grid, bspline_kernel(), UNIT)
         assert e2 == pytest.approx(e1 / 2.0, rel=1e-9)
+
+    @pytest.mark.parametrize("kernel, f, scheme, w, grid", [
+        (fejer_kernel(), signals.holder_bump(0.5), UNIT, 16.0,
+         np.geomspace(0.3, 3.0, 9)),
+        # points 6.4 apart in w ln x, windows 4 wide: one run per point
+        (NonlinearKernel(make_builtin_profile("bspline", 3),
+                         make_response("soft", alpha=1.0)),
+         signals.cc_bump(), UNIT, 24.0, np.geomspace(0.2, 5.0, 13)),
+        (bspline_kernel(), signals.clipped_log(),
+         SamplingScheme.tabulated((0.0, 0.3, 0.7), 1.1), 8.0,
+         np.geomspace(0.5, 2.0, 9)),
+        (fejer_kernel(), signals.cc_bump(), UNIT, 12.0,
+         np.exp(np.linspace(-1.8, 1.8, 21))),
+    ], ids=["fejer-holder", "bspline3-cc", "bspline2-log-tabulated",
+            "fejer-cc-21"])
+    def test_sup_error_is_the_max_of_point_evaluations(self, kernel, f,
+                                                       scheme, w, grid):
+        ref = max(abs(operator.eval_kantorovich(f, w, float(x), kernel,
+                                                scheme)[0] - float(f(x)))
+                  for x in grid)
+        got = operator.sup_error(f, w, grid, kernel, scheme)
+        assert abs(got - ref) <= 1e-15 * max(1.0, ref)
 
     def test_sup_error_validation(self):
         f = signals.constant(1.0)
