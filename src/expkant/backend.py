@@ -29,6 +29,13 @@ A moment sum can take a keyword-only cut (inner, outer): only the pairs
 with inner < |y - t| <= outer count.  The cut is applied inside each
 block, so that the tails beyond a w-dependent half width take one call
 over all phases.
+
+On a unit lattice of nodes (t_j - t_0 integers) a B-spline series is a
+spline itself: bspline_lattice_sum builds its (piece x n+1) coefficient
+table once, as one product of the coefficients' windows with the piece
+table, and takes n Horner steps per phase, with no (phase x node) pairs.
+The operator sums every B-spline series on a uniform scheme of step 1 this
+way; moments, Fejer sums and other lattices keep the banded pair sums.
 """
 
 import functools
@@ -113,6 +120,64 @@ def bspline_values(v, n):
     # the last piece's alternating coefficients may round below 0 near its end
     np.maximum(out, 0.0, out=out)
     return out
+
+
+def bspline_lattice_sum(y, t, coeffs, n):
+    """sum_j B_n(y_i - t_j) * coeffs_j for ascending nodes t on a unit
+    lattice (t_j - t_0 an integer k_j): the series of a B-spline of degree
+    ``n``, equal to weighted_series_sum(y, t, coeffs, KIND_BSPLINE, n).
+
+    With the coefficients laid out at their integers k (gaps filled with
+    zeros), the series on [J, J + 1) in z = y - t_0 + (n+1)/2 is the
+    polynomial sum_d C[J, d] u^d in u = z - J, where
+
+        C[J, d] = sum_m c_{J-m} * _bspline_pieces(n)[d, m + 1]:
+
+    one product of the (piece x n+1) windows of the coefficients with the
+    piece table builds C, and each phase takes n Horner steps on its row.
+    A gap of more than n zero nodes shrinks to n zeros, since no piece
+    reaches across it.  Rows J = -1 and J = k_last + n + 1 are zero, and a
+    phase below or above the nodes' reach, or in a gap, reads one of them."""
+    y = np.atleast_1d(np.asarray(y, dtype=float))
+    t = np.asarray(t, dtype=float)
+    if t.size == 0 or y.size == 0:
+        return np.zeros(y.shape)
+    span = round(float(t[-1] - t[0]))
+    gapped = span != t.size - 1
+    if gapped:
+        k = np.rint(t - t[0]).astype(np.intp)
+        gaps = np.subtract(k[1:], k[:-1])
+        np.minimum(gaps, n + 1, out=gaps)
+        pos = np.zeros(t.size, dtype=np.intp)
+        np.add.accumulate(gaps, out=pos[1:])
+        dense = np.zeros(pos[-1] + 1)
+        dense[pos] = coeffs
+    else:
+        dense = coeffs
+    # row i of the windows holds c_{J-n}..c_J for J = i - 1
+    padded = np.zeros(len(dense) + 2 * n + 2)
+    padded[n + 1:n + 1 + len(dense)] = dense
+    windows = padded[np.add.outer(np.arange(len(dense) + n + 2),
+                                  np.arange(n + 1))]
+    table = _bspline_pieces(n)[:, n + 1:0:-1] @ windows.T
+    z = y - t[0]
+    z += 0.5 * (n + 1)
+    np.maximum(z, -1.0, out=z)
+    np.minimum(z, span + n + 1.0, out=z)
+    piece = np.floor(z)
+    u = z - piece
+    row = piece.astype(np.intp)
+    if gapped:
+        last = np.searchsorted(k, row, "right") - 1  # last node at or below
+        reach = row - k[last]
+        row = pos[last] + reach
+        row[(last < 0) | (reach > n)] = -1
+    row += 1
+    acc = table[n].take(row)
+    for d in range(n - 1, -1, -1):
+        acc *= u
+        acc += table[d].take(row)
+    return acc
 
 
 def fejer_values(v):

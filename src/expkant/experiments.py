@@ -405,9 +405,10 @@ def _run_modular_inequality(cfg: dict) -> dict:
     for seed in seeds:
         f = make_signal("random_bump", seed=int(seed))
         g = make_signal("random_bump", seed=int(seed) + 1000)
+        rhs = modular._lipschitz_rhs(kernel, scheme, pair, f, g, lam)
         for w in w_arr:
-            rep = modular.modular_lipschitz_check(kernel, scheme, pair, f, g,
-                                                  float(w), lam=lam)
+            rep = modular._lipschitz_at(kernel, scheme, pair, f, g,
+                                        float(w), rhs, lam)
             rows.append({"seed": int(seed), "w": float(w),
                          "lhs": rep.lhs, "rhs": rep.rhs,
                          "passed": rep.passed})
@@ -543,10 +544,10 @@ _L1_REACH = 400.0
 def _l1_quadrature(profile: KernelProfile) -> float:
     if profile.is_compact:
         lo, hi = -profile.support_radius, profile.support_radius
-        val, _ = modular._adaptive_integral(profile.log_values, lo, hi)
+        val, _, _ = modular._adaptive_integral(profile.log_values, lo, hi)
         return val
-    val, _ = modular._adaptive_integral(profile.log_values, -_L1_REACH,
-                                        _L1_REACH, start_panels=1024)
+    val, _, _ = modular._adaptive_integral(profile.log_values, -_L1_REACH,
+                                           _L1_REACH, start_panels=1024)
     return val + moments.integral_tail(profile, _L1_REACH)
 
 

@@ -274,7 +274,12 @@ def _series(f: Signal, w: float, ys: np.ndarray, kernel: NonlinearKernel,
     per run, the response applied once and the profile summed once over
     every phase.  A node inside another phase's window only adds a term
     the truncation bound already covers (exactly 0 for a compact
-    profile)."""
+    profile).
+
+    A B-spline series on a uniform scheme of step 1, at any offset, is
+    summed by backend.bspline_lattice_sum: one (piece x n+1) coefficient
+    table from the response values, then n Horner steps per phase.  Every
+    other profile and scheme goes through backend.profile_sum."""
     if trunc is None:
         trunc = default_truncation(f, kernel, scheme)
     half, support, bound = _retained_half_width(f, w, kernel, scheme, trunc)
@@ -289,7 +294,12 @@ def _series(f: Signal, w: float, ys: np.ndarray, kernel: NonlinearKernel,
     g = kernel.response(w, c[0] if len(c) == 1 else np.concatenate(c))
     t = [scheme.nodes(k_lo, k_hi) for k_lo, k_hi in runs]
     t = t[0] if len(t) == 1 else np.concatenate(t)
-    return backend.profile_sum(kernel.profile, ys, t, g), bound
+    profile = kernel.profile
+    if (profile.fast_kind == backend.KIND_BSPLINE and scheme.kind == "uniform"
+            and scheme.step == 1.0):
+        return (backend.bspline_lattice_sum(ys, t, g, profile.fast_order),
+                bound)
+    return backend.profile_sum(profile, ys, t, g), bound
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,13 @@
 """Modular functionals in the log measure, the growth-compatibility
 condition, and the modular Lipschitz inequality between operator outputs."""
 
+import logging
 import math
 
 import numpy as np
 import pytest
 
-from expkant import modular, signals
+from expkant import experiments, modular, signals
 from expkant.core import (NonlinearKernel, SamplingScheme, ValidationError,
                           make_builtin_profile, make_response)
 
@@ -86,7 +87,60 @@ class TestModularFunctional:
             modular.make_phi("nope")
 
 
+class TestAdaptiveIntegral:
+    def test_unconverged_integral_is_flagged(self, caplog):
+        # the jumps of 1_{[1,e]} at v = 0 and v = 1 never fall on a panel
+        # edge of (-1, 2), so the doubling stops at its cap
+        f = indicator(1.0, math.e)
+        with caplog.at_level(logging.DEBUG, logger="expkant.modular"):
+            got = modular.modular(modular.phi_power(1.0), f, 1.0,
+                                  window=(-1.0, 2.0))
+        assert not got.converged
+        assert got.value == pytest.approx(1.0, abs=1e-3)
+        assert got.to_dict()["converged"] is False
+        assert any("unconverged on [-1, 2] at 4096 panels" in r.getMessage()
+                   for r in caplog.records)
+
+    def test_converged_integral_is_not_flagged(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="expkant.modular"):
+            got = modular.modular(modular.phi_power(2.0), signals.cc_bump(),
+                                  1.0)
+        assert got.converged and got.to_dict()["converged"] is True
+        assert not caplog.records
+
+
+class _Recording:
+    """A log-evaluable function that records the abscissae it is given."""
+
+    def __init__(self, f):
+        self.f, self.calls = f, []
+
+    def log_evaluate(self, v):
+        self.calls.append(np.array(v, copy=True))
+        return self.f.log_evaluate(v)
+
+
 class TestModularError:
+    def test_coarse_points_are_the_even_fine_points(self):
+        # integrand v^2: the trapezoid values differ by O(h^2)
+        f = _Recording(signals.clipped_log())
+        g = _Recording(signals.constant(0.0))
+        phi = modular.phi_power(2.0)
+        got = modular.modular_error(phi, f, g, 1.0, window=(-1.0, 2.0),
+                                    n_points=101)
+        # one evaluation of each function on 2 n_points - 1 points
+        assert len(f.calls) == len(g.calls) == 1
+        v = f.calls[0]
+        assert v.size == 201 and np.array_equal(v, g.calls[0])
+        vals = phi(np.abs(g.f.log_evaluate(v) - f.f.log_evaluate(v)))
+        fine = np.trapezoid(vals, dx=v[1] - v[0])
+        coarse = np.trapezoid(vals[::2], dx=2.0 * (v[1] - v[0]))
+        assert got.value == pytest.approx(fine, rel=1e-14)
+        assert got.value == pytest.approx(3.0, rel=1e-4)
+        assert got.quadrature_error > 1e-5
+        assert got.quadrature_error == pytest.approx(abs(fine - coarse),
+                                                     rel=1e-12)
+
     def test_identical_signals(self):
         f = signals.cc_bump(1.0)
         got = modular.modular_error(modular.phi_power(2.0), f, f, 1.0)
@@ -190,3 +244,67 @@ class TestLogSmoothness:
                                          signals.constant(5.0), 1.0,
                                          [0.1, 0.2])
         assert curve.is_zero and curve.fitted_order is None
+
+
+def smoothness_reference(phi, f, lam, delta, t_points=17, n_points=8192):
+    """One grid of n_points per shift, the shifted signal evaluated anew."""
+    r = f.log_support_radius if f.log_support_radius is not None else 8.0
+    v = np.linspace(-(r + delta), r + delta, n_points)
+    fv = f.log_evaluate(v)
+    best = 0.0
+    for h in np.linspace(-delta, delta, t_points):
+        diff = phi(lam * np.abs(f.log_evaluate(v + h) - fv))
+        best = max(best, float(np.trapezoid(diff, v)))
+    return best
+
+
+DELTAS = (0.35, 0.125, 0.054, 0.0078, 1e-3)
+
+
+@pytest.mark.parametrize("delta", DELTAS)
+@pytest.mark.parametrize("f, rel", [
+    (signals.cc_bump(1.3), 1e-12),
+    (signals.random_bump(4), 1e-12),
+    (signals.random_bump(7), 1e-12),
+    # the tent's kinks leave trapezoid errors of O(step^2) on either grid
+    (signals.holder_bump(1.0, 1.7), 1e-5),
+], ids=["cc_bump", "random_bump4", "random_bump7", "tent"])
+def test_log_smoothness_matches_the_per_shift_loop(f, rel, delta):
+    phi = modular.phi_power(2.0)
+    got = modular.log_smoothness(phi, f, 0.8, delta)
+    assert got == pytest.approx(smoothness_reference(phi, f, 0.8, delta),
+                                rel=rel)
+
+
+@pytest.mark.parametrize("t_points", [2, 3, 16, 17])
+@pytest.mark.parametrize("delta", DELTAS)
+def test_shift_grid_holds_every_shift(t_points, delta):
+    r, n_points = 2.0, 8192
+    step, shifts = modular._shift_grid(r, delta, t_points, n_points)
+    assert step <= 2.0 * (r + delta) / (n_points - 1)
+    np.testing.assert_allclose(step * shifts,
+                               np.linspace(-delta, delta, t_points),
+                               rtol=0, atol=4e-16 * delta)
+    assert shifts[0] == -shifts[-1] and step * shifts[-1] == pytest.approx(
+        delta, rel=1e-15)
+
+
+def test_modular_inequality_rhs_once_per_signal_pair(monkeypatch):
+    calls = []
+    orig = modular._lipschitz_rhs
+    monkeypatch.setattr(modular, "_lipschitz_rhs",
+                        lambda *a, **k: calls.append(a) or orig(*a, **k))
+    rep = experiments.run({"experiment": "modular_inequality",
+                           "kernel": {"profile": {"name": "bspline", "n": 2}},
+                           "w_list": [4.0, 8.0, 16.0, 32.0], "seeds": [3, 8],
+                           "lambda": 0.5})
+    assert len(calls) == 2 and len(rep["rows"]) == 8
+    k = NonlinearKernel(make_builtin_profile("bspline", 2),
+                        make_response("identity"))
+    f, g = signals.random_bump(3), signals.random_bump(1003)
+    pair = experiments.build_pair(None, k.slope)
+    for row in rep["rows"][:4]:
+        direct = modular.modular_lipschitz_check(k, UNIT, pair,
+                                                 f, g, row["w"])
+        assert (direct.lhs, direct.rhs, direct.passed) == (
+            row["lhs"], row["rhs"], row["passed"])

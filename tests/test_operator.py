@@ -375,3 +375,73 @@ class TestGrids:
     def test_grid_function_zero_outside(self):
         gf = operator.GridFunction(np.linspace(-1, 1, 11), np.ones(11))
         assert gf.log_evaluate(np.array([5.0]))[0] == 0.0
+
+
+class TestUnitLatticePath:
+    """B-spline series on uniform schemes of step 1 are summed from the
+    spline's piece table (backend.bspline_lattice_sum).  The tabulated
+    scheme with one base point per unit period has the same nodes, as the
+    same floats, and takes the banded profile sum."""
+
+    @staticmethod
+    def schemes(offset):
+        return (SamplingScheme.uniform(1.0, offset),
+                SamplingScheme.tabulated((offset,), 1.0))
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    @pytest.mark.parametrize("offset", [0.0, 0.37, -2.6])
+    def test_agrees_with_the_banded_sum(self, n, offset):
+        kernel = NonlinearKernel(make_builtin_profile("bspline", n),
+                                 make_response("soft", alpha=1.0))
+        lattice, tabulated = self.schemes(offset)
+        f = signals.random_bump(11)
+        eps = np.finfo(float).eps
+        for w in (3.0, 24.0, 256.0):
+            a = operator.eval_on_log_grid(f, w, kernel, lattice)
+            b = operator.eval_on_log_grid(f, w, kernel, tabulated)
+            scale = f.sup_norm + 1.0  # bounds |g_w| of the soft response
+            bound = 4.0 * eps * scale * (1.0 + np.abs(w * a.v).max() + abs(offset))
+            assert np.abs(a.values - b.values).max() <= bound
+            # points far apart in w ln x: one run each
+            grid = np.exp(np.linspace(-1.5, 1.5, 7))
+            assert len(operator._runs(w * np.log(grid), 0.5 * (n + 1), None,
+                                      lattice)[0]) == (7 if w > 3.0 else 1)
+            got = [operator.eval_kantorovich(f, w, x, kernel, s)[0]
+                   for s in (lattice, tabulated) for x in (0.6, 1.3)]
+            assert np.abs(np.subtract(got[:2], got[2:])).max() <= bound
+            assert abs(operator.sup_error(f, w, grid, kernel, lattice)
+                       - operator.sup_error(f, w, grid, kernel, tabulated)) <= bound
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("offset", [0.0, 0.37, -2.6])
+    def test_constant_reproduction(self, n, offset):
+        kernel = NonlinearKernel(make_builtin_profile("bspline", n),
+                                 make_response("identity"))
+        grid = np.exp(np.linspace(-2.0, 2.0, 41))
+        for w in (3.0, 41.0, 512.0):
+            err = operator.sup_error(signals.constant(2.5), w, grid, kernel,
+                                     self.schemes(offset)[0])
+            assert err < 1e-13
+
+
+@settings(max_examples=80, deadline=None)
+@given(ys=st.lists(st.floats(-60.0, 60.0), min_size=1, max_size=30),
+       half=st.floats(0.5, 4.0), offset=st.floats(0.0, 1.0),
+       tabulated=st.booleans(),
+       support=st.one_of(st.none(), st.tuples(st.floats(-40.0, 0.0),
+                                              st.floats(0.0, 40.0))))
+def test_runs_hold_each_window(ys, half, offset, tabulated, support):
+    # every phase's window, clipped to the support, lies inside one run;
+    # runs ascend and are neither adjacent nor overlapping
+    scheme = (SamplingScheme.tabulated((offset, offset + 0.4), 1.3)
+              if tabulated else SamplingScheme.uniform(1.0, offset))
+    ys = np.array(ys)
+    runs, _ = operator._runs(ys, half, support, scheme)
+    assert all(b + 1 < c for (_, b), (c, _) in zip(runs, runs[1:]))
+    for y in ys.tolist():
+        lo, hi = y - half, y + half
+        if support is not None:
+            lo, hi = max(lo, support[0]), min(hi, support[1])
+        k_lo, k_hi = scheme.index_range(lo, hi)
+        if k_lo <= k_hi:
+            assert sum(a <= k_lo and k_hi <= b for a, b in runs) == 1

@@ -291,3 +291,54 @@ def test_cut_keeps_the_annulus(profile, window):
                                        cut=cut)[0]
                    for i in range(0, y.size, 7)]
             np.testing.assert_allclose(got, ref[::7], rtol=0, atol=ATOL)
+
+
+class TestBsplineLatticeSum:
+    """The B-spline series on a unit lattice from the (piece x n+1)
+    coefficient table, against the banded pair sum."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(2, 6), offset=st.floats(-50.0, 50.0),
+           k0=st.integers(-3000, 3000), size=st.integers(1, 9000),
+           gaps=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_matches_banded_sum(self, n, offset, k0, size, gaps, seed):
+        rng = np.random.default_rng(seed)
+        k = (np.sort(rng.choice(3 * size + 2 * n, size, replace=False))
+             if gaps else np.arange(size))
+        t = offset + (k0 + k) * 1.0
+        g = rng.standard_normal(size) * 10.0 ** rng.uniform(-3, 3)
+        half = 0.5 * (n + 1)
+        # random phases, knots of the pieces of some nodes, and phases just
+        # past either end of the nodes' reach and far outside it
+        pick = t[rng.integers(0, size, 20)]
+        knots = (pick[:, None] + np.arange(-half, half + 0.5)[None, :]).ravel()
+        y = np.concatenate([
+            rng.uniform(t[0] - half - 1.0, t[-1] + half + 1.0, 300), knots,
+            [t[0] - half, t[-1] + half, t[0] - half - 0.5, t[-1] + half + 0.5,
+             t[0] - 1e4, t[-1] + 1e4]])
+        got = backend.bspline_lattice_sum(y, t, g, n)
+        ref = backend._sum(lambda v: backend.bspline_values(v, n), half, y, t,
+                           g, 0.0)
+        # the nodes are the floats nearest offset + k, up to half an ulp
+        # of |t| off the lattice that the table assumes
+        bound = (4.0 * np.finfo(float).eps * np.abs(g).max()
+                 * (1.0 + np.abs(y[:-2] - t[0]).max() + abs(t[0])))
+        assert np.abs(got[:-2] - ref[:-2]).max() <= bound
+        assert np.all(got[-4:] == 0.0)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_constant_reproduction(self, n):
+        # sum_k B_n(y - t_k) = 1 for every y inside the nodes' span
+        for offset in (0.0, 0.37, -12.6):
+            t = UNIT.nodes(-400, 400) + offset
+            y = np.concatenate([RNG.uniform(t[0] + n, t[-1] - n, 500),
+                                t[n:-n] + 0.5 * (n + 1)])
+            for c in (1.0, -3.25):
+                got = backend.bspline_lattice_sum(y, t, np.full(t.size, c), n)
+                assert np.abs(got - c).max() < 1e-13 * abs(c)
+
+    def test_shapes_and_empty_input(self):
+        t = UNIT.nodes(-3, 3)
+        assert backend.bspline_lattice_sum([0.2], t, np.ones(7), 3).shape == (1,)
+        assert np.all(backend.bspline_lattice_sum([0.2, 1.0], np.empty(0),
+                                                  np.empty(0), 3) == 0.0)
