@@ -352,20 +352,51 @@ class Signal:
 
     The library never infers regularity: theorems quantify over classes, so
     each experiment must know what the test function claims.
+
+    A signal is given in the x domain (``evaluate``), in the log variable
+    (``log_core(v) = f(e^v)``), or both.  A log-native signal, one with a
+    ``log_core``, is evaluated at v without the round trip through exp and
+    log, so it does not underflow for v < -745; its ``evaluate`` defaults to
+    ``log_core(ln x)``.  ``log_mean(a, b)`` optionally declares the cell mean
+    ``(1/(b - a)) * int_a^b f(e^v) dv`` in closed form, elementwise over
+    arrays of cell edges a < b; ``operator.mean_values`` then takes it for
+    every Steklov mean instead of quadrature.  A mean computed as an
+    antiderivative difference ``(G(b) - G(a)) / (b - a)`` is off by at most
+    ``4 eps max(|G(a)|, |G(b)|) / (b - a) + eps |mean|`` (eps the double
+    precision unit round-off), the bound its tests check.
     """
 
     name: str
-    evaluate: Callable[[np.ndarray], np.ndarray]
+    evaluate: Optional[Callable[[np.ndarray], np.ndarray]] = None
     sup_norm: Optional[float] = None
     support: Optional[float] = None              # support inside [1/r, r], r > 1
     holder: Optional[tuple] = None               # (nu, constant)
     mellin_derivative: Optional[Callable] = None  # theta f = x f'(x)
     log_growth: Optional[tuple] = None           # |f(e^v)| <= a + b|v|
+    log_core: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    log_mean: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
+
+    def __post_init__(self):
+        if self.evaluate is None:
+            if self.log_core is None:
+                raise ValidationError(
+                    f"signal {self.name!r} needs evaluate or log_core")
+            core = self.log_core
+
+            def evaluate(x):
+                # ln 0 = -inf is a legitimate query point
+                with np.errstate(divide="ignore"):
+                    v = np.log(np.asarray(x, dtype=float))
+                return core(v)
+
+            object.__setattr__(self, "evaluate", evaluate)
 
     def __call__(self, x):
         return self.evaluate(np.asarray(x, dtype=float))
 
     def log_evaluate(self, v) -> np.ndarray:
+        if self.log_core is not None:
+            return self.log_core(np.asarray(v, dtype=float))
         # exp overflow to inf is fine: x = inf is a legitimate query point
         # for saturating signals
         with np.errstate(over="ignore"):
@@ -377,12 +408,15 @@ class Signal:
         return math.log(self.support) if self.support is not None else None
 
     def dilate(self, factor: float) -> "Signal":
-        """The dilated signal x -> f(x * factor), with metadata adjusted."""
+        """The dilated signal x -> f(x * factor), with metadata adjusted; a
+        log core and a cell mean shift by ln(factor)."""
         base = self
-        shift = abs(math.log(factor))
+        s = math.log(factor)
+        shift = abs(s)
         return Signal(
             name=f"{self.name}~dil({factor:g})",
-            evaluate=lambda x: base.evaluate(np.asarray(x, dtype=float) * factor),
+            evaluate=(None if base.log_core is not None else
+                      lambda x: base.evaluate(np.asarray(x, dtype=float) * factor)),
             sup_norm=self.sup_norm,
             support=(math.exp(self.log_support_radius + shift)
                      if self.support is not None else None),
@@ -393,22 +427,38 @@ class Signal:
             log_growth=((self.log_growth[0] + self.log_growth[1] * shift,
                          self.log_growth[1])
                         if self.log_growth is not None else None),
+            log_core=((lambda v: base.log_core(np.asarray(v, dtype=float) + s))
+                      if base.log_core is not None else None),
+            log_mean=((lambda a, b: base.log_mean(np.asarray(a, dtype=float) + s,
+                                                  np.asarray(b, dtype=float) + s))
+                      if base.log_mean is not None else None),
         )
 
 
 def difference_signal(f: Signal, g: Signal) -> Signal:
+    """f - g; a log core and a cell mean when both operands declare one."""
     sup = None
     if f.sup_norm is not None and g.sup_norm is not None:
         sup = f.sup_norm + g.sup_norm
     support = None
     if f.support is not None and g.support is not None:
         support = max(f.support, g.support)
+    log_core = log_mean = None
+    if f.log_core is not None and g.log_core is not None:
+        def log_core(v):
+            return f.log_core(v) - g.log_core(v)
+    if f.log_mean is not None and g.log_mean is not None:
+        def log_mean(a, b):
+            return f.log_mean(a, b) - g.log_mean(a, b)
     return Signal(
         name=f"({f.name})-({g.name})",
-        evaluate=lambda x: f.evaluate(np.asarray(x, dtype=float))
-        - g.evaluate(np.asarray(x, dtype=float)),
+        evaluate=(None if log_core is not None else
+                  lambda x: f.evaluate(np.asarray(x, dtype=float))
+                  - g.evaluate(np.asarray(x, dtype=float))),
         sup_norm=sup,
         support=support,
+        log_core=log_core,
+        log_mean=log_mean,
     )
 
 

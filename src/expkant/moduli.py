@@ -47,7 +47,10 @@ def log_modulus(f: Signal, delta: float, window: Optional[tuple] = None,
     """Lower-bound estimate of sup |f(x) - f(y)| over |ln x - ln y| <= delta.
 
     Anchor points on a log grid, offset sweep in [-delta, delta], then one
-    local refinement pass around the best pair.
+    local refinement pass around the best pair.  Each pass is one signal
+    evaluation over an (offset x anchor) array; the best pair is the first
+    anchor of the first offset row whose largest difference is the
+    largest.
     """
     if delta <= 0:
         raise ValidationError("log_modulus needs delta > 0")
@@ -57,24 +60,18 @@ def log_modulus(f: Signal, delta: float, window: Optional[tuple] = None,
         raise ValidationError("empty search window")
     v = np.linspace(window[0], window[1], anchors)
     h = np.linspace(-delta, delta, offsets)
-    fv = f.log_evaluate(v)
-    best = 0.0
-    bi = bj = 0
-    for j, hj in enumerate(h):
-        diff = np.abs(f.log_evaluate(v + hj) - fv)
-        i = int(np.argmax(diff))
-        if diff[i] > best:
-            best, bi, bj = float(diff[i]), i, j
+    diff = np.abs(f.log_evaluate(v[None, :] + h[:, None]) - f.log_evaluate(v))
+    rows = diff.max(axis=1)
+    bj = int(np.argmax(rows))
+    bi = int(np.argmax(diff[bj]))
     # local refinement around the best (anchor, offset) pair
     dv = (window[1] - window[0]) / (anchors - 1)
     v2 = np.linspace(v[bi] - dv, v[bi] + dv, 41)
     dh = 2.0 * delta / (offsets - 1)
     h2 = np.clip(np.linspace(h[bj] - dh, h[bj] + dh, 21), -delta, delta)
-    f2 = f.log_evaluate(v2)
-    for hj in h2:
-        diff = np.abs(f.log_evaluate(v2 + hj) - f2)
-        best = max(best, float(diff.max()))
-    return best
+    diff2 = np.abs(f.log_evaluate(v2[None, :] + h2[:, None])
+                   - f.log_evaluate(v2))
+    return max(float(rows[bj]), float(diff2.max()))
 
 
 def subadditivity_check(f: Signal, delta: float, lam: float,

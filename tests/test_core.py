@@ -194,6 +194,92 @@ class TestSignals:
         np.testing.assert_allclose(d(x), f(x) - g(x))
         assert d.support == max(f.support, g.support)
 
+    LOG_NATIVE = (signals.constant(2.5), signals.clipped_log(),
+                  signals.clipped_log(3.3), signals.power_clipped(0.7),
+                  signals.power_clipped(-1.3, 4.0), signals.holder_bump(0.5),
+                  signals.holder_bump(1.0, 1.5), signals.holder_bump(0.3, 3.0),
+                  signals.cc_bump(), signals.random_bump(3),
+                  signals.random_bump(17))
+
+    def test_log_native_builtins(self):
+        # every built-in but sin_log evaluates its log core directly; the
+        # round trip through exp and log moves v by about one ulp, so the
+        # grid keeps |v| >= 0.01 off the cusp of the Holder bumps (v = 0
+        # itself is exact)
+        v = np.linspace(-700.0, 700.0, 140001)
+        for f in self.LOG_NATIVE:
+            assert f.log_core is not None
+            direct, round_trip = f.log_evaluate(v), f.evaluate(np.exp(v))
+            scale = np.maximum(np.maximum(np.abs(direct), np.abs(round_trip)), 1.0)
+            assert np.all(np.abs(direct - round_trip) <= 4.0 * np.spacing(scale)), f.name
+        assert signals.sin_log().log_core is None
+
+    def test_log_native_far_out(self):
+        # no underflow: v = -800 is x = 0 to exp
+        v = np.array([-800.0, 800.0])
+        np.testing.assert_array_equal(signals.clipped_log().log_evaluate(v),
+                                      [-7.0, 7.0])
+        np.testing.assert_array_equal(signals.constant(1.5).log_evaluate(v),
+                                      [1.5, 1.5])
+        # x = 0 and x = inf are query points: ln 0 = -inf raises no warning
+        with np.errstate(divide="raise"):
+            np.testing.assert_array_equal(
+                signals.clipped_log()(np.array([0.0, np.inf])), [-7.0, 7.0])
+
+    def test_random_bump_parts(self):
+        # the seeded draws, replayed: each part is cc_bump(r, h) centred at
+        # c in the log variable, f(x) = sum_i cc_bump(r_i, h_i)(x e^-c_i)
+        x = np.geomspace(0.02, 50.0, 401)
+        for seed in (0, 3, 17):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(1, 4))
+            heights = rng.uniform(-2.0, 2.0, size=n)
+            centers = rng.uniform(-1.5, 1.5, size=n)
+            radii = rng.uniform(0.5, 1.5, size=n)
+            want = sum(signals.cc_bump(r, h)(x * math.exp(-c))
+                       for r, h, c in zip(radii, heights, centers))
+            np.testing.assert_allclose(signals.random_bump(seed)(x), want,
+                                       rtol=0, atol=1e-14)
+
+    def test_signal_needs_a_definition(self):
+        with pytest.raises(ValidationError):
+            core.Signal("empty", sup_norm=1.0)
+
+    def test_dilate_carries_log_core_and_mean(self):
+        f = signals.holder_bump(0.5, 2.0)
+        c = 1.7
+        g = f.dilate(c)
+        s = math.log(c)
+        v = np.linspace(-3.0, 3.0, 61)
+        np.testing.assert_array_equal(g.log_evaluate(v), f.log_core(v + s))
+        a, b = v[:-1], v[1:]
+        np.testing.assert_array_equal(g.log_mean(a, b),
+                                      f.log_mean(a + s, b + s))
+        x = np.exp(v)
+        np.testing.assert_allclose(g(x), f(x * c), rtol=0, atol=1e-12)
+        # an x-domain signal dilates in the x domain
+        h = signals.sin_log().dilate(c)
+        assert h.log_core is None and h.log_mean is None
+        np.testing.assert_allclose(h(x), np.sin(np.log(x * c)), atol=1e-15)
+
+    def test_difference_carries_log_core_and_mean(self):
+        f, g = signals.holder_bump(0.5), signals.clipped_log(1.0)
+        d = core.difference_signal(f, g)
+        v = np.linspace(-3.0, 3.0, 61)
+        np.testing.assert_array_equal(d.log_evaluate(v),
+                                      f.log_core(v) - g.log_core(v))
+        a, b = v[:-1], v[1:]
+        np.testing.assert_array_equal(d.log_mean(a, b),
+                                      f.log_mean(a, b) - g.log_mean(a, b))
+        # a bump without declared means: a core, no mean
+        e = core.difference_signal(f, signals.cc_bump())
+        assert e.log_core is not None and e.log_mean is None
+        # an x-domain operand: neither
+        s = core.difference_signal(f, signals.sin_log())
+        assert s.log_core is None and s.log_mean is None
+        x = np.exp(v)
+        np.testing.assert_allclose(s(x), f(x) - np.sin(v), atol=1e-15)
+
     def test_unknown_signal(self):
         with pytest.raises(ValidationError):
             signals.make_signal("nope")

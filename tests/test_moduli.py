@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from expkant import moduli, signals
 from expkant.core import Signal, ValidationError
@@ -48,6 +50,55 @@ class TestLogModulus:
             moduli.log_modulus(signals.constant(1.0), 0.0)
         with pytest.raises(ValidationError):
             moduli.log_modulus(signals.constant(1.0), 0.1, window=(1.0, -1.0))
+
+
+def _log_modulus_by_rows(f, delta, window, anchors=513, offsets=65):
+    """log_modulus as one signal evaluation per offset, the best pair taken
+    by the first strictly larger row maximum."""
+    v = np.linspace(window[0], window[1], anchors)
+    h = np.linspace(-delta, delta, offsets)
+    fv = f.log_evaluate(v)
+    best, bi, bj = 0.0, 0, 0
+    for j, hj in enumerate(h):
+        diff = np.abs(f.log_evaluate(v + hj) - fv)
+        i = int(np.argmax(diff))
+        if diff[i] > best:
+            best, bi, bj = float(diff[i]), i, j
+    dv = (window[1] - window[0]) / (anchors - 1)
+    v2 = np.linspace(v[bi] - dv, v[bi] + dv, 41)
+    dh = 2.0 * delta / (offsets - 1)
+    h2 = np.clip(np.linspace(h[bj] - dh, h[bj] + dh, 21), -delta, delta)
+    f2 = f.log_evaluate(v2)
+    for hj in h2:
+        best = max(best, float(np.abs(f.log_evaluate(v2 + hj) - f2).max()))
+    return best
+
+
+@pytest.mark.parametrize("f", [
+    signals.holder_bump(0.5), signals.cc_bump(), signals.random_bump(4),
+    signals.clipped_log(), signals.sin_log(), signals.constant(2.0)],
+    ids=lambda f: f.name)
+def test_two_dimensional_sweep_matches_rows(f):
+    # one (offset x anchor) evaluation per pass picks the same pair, so the
+    # values are the same floats
+    for delta in (0.5, 1.0 / 32.0, 1.0 / 256.0, 0.0123):
+        window = moduli._search_window(f, delta)
+        assert moduli.log_modulus(f, delta) == \
+            _log_modulus_by_rows(f, delta, window)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ys=st.lists(st.integers(-3, 3), min_size=13, max_size=13),
+       delta=st.sampled_from([0.2, 0.4, 0.5]))
+def test_two_dimensional_sweep_breaks_ties_like_rows(ys, delta):
+    # a coarse piecewise-linear signal on small grids: equal row maxima
+    # are common, and the refinement around each tied pair reads a
+    # different part of the signal
+    xs = np.linspace(-1.2, 1.2, 13)
+    f = Signal("pl", log_core=lambda v: np.interp(v, xs, np.asarray(ys, float)))
+    for anchors, offsets in ((9, 5), (5, 3)):
+        assert moduli.log_modulus(f, delta, (-1.0, 1.0), anchors, offsets) == \
+            _log_modulus_by_rows(f, delta, (-1.0, 1.0), anchors, offsets)
 
 
 class TestCurveAndFit:

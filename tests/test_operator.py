@@ -4,6 +4,7 @@ soundness and the structural operator properties."""
 import logging
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -73,14 +74,22 @@ def _global_doubling_means(f, k_lo, k_hi, w, quad):
     return prev
 
 
+def _holder_x(nu=0.5, radius=2.0):
+    """holder_bump given in the x domain only: it declares no cell means,
+    so its means take the quadrature path."""
+    base = signals.holder_bump(nu, radius)
+    return Signal("holder_x", base.evaluate, sup_norm=1.0,
+                  support=base.support)
+
+
 class TestCellRefinement:
     """mean_values refines only the cells that have not converged."""
 
     QUAD = QuadratureSpec()
 
     @pytest.mark.parametrize("f, quad", [
-        (signals.holder_bump(0.5), QUAD),                      # all 9 levels
-        (signals.holder_bump(0.5), QuadratureSpec(max_doublings=3)),  # capped
+        (_holder_x(0.5), QUAD),                                # all 9 levels
+        (_holder_x(0.5), QuadratureSpec(max_doublings=3)),     # capped
         (signals.cc_bump(), QUAD),                             # level 2
     ], ids=["holder_bump", "holder_bump-capped", "cc_bump"])
     def test_agrees_with_global_doubling(self, f, quad):
@@ -110,7 +119,7 @@ class TestCellRefinement:
 
     def test_doubling_cap_logged(self, caplog):
         # the cusp cells need 2048 nodes at w = 16; 3 doublings stop at 64
-        f = signals.holder_bump(0.5, 2.0)
+        f = _holder_x(0.5, 2.0)
         quad = QuadratureSpec(max_doublings=3)
         with caplog.at_level(logging.DEBUG, logger="expkant.operator"):
             operator.mean_values(f, -34, 33, 16.0, UNIT, quad)
@@ -134,7 +143,7 @@ class TestCellRefinement:
     def test_blocks_match_one_block(self, monkeypatch):
         # 3001 cells of 8 to 2048 nodes in blocks of 1024 values, against
         # one block holding every cell of a level
-        f = signals.holder_bump(0.5, 2.0)
+        f = _holder_x(0.5, 2.0)
         monkeypatch.setattr(operator, "_CELL_BLOCK", 1024)
         blocked = operator.mean_values(f, -1500, 1500, 512.0, UNIT, self.QUAD)
         monkeypatch.setattr(operator, "_CELL_BLOCK", 1 << 40)
@@ -164,6 +173,204 @@ class TestCellRefinement:
             nodes[0] = 0.0
         with pytest.raises(ValueError):
             weights[0] = 0.0
+
+
+EPS = np.finfo(float).eps
+
+
+def _roundoff_bound(g_a, g_b, a, b, mean):
+    """The stated round-off bound of a mean from an antiderivative G."""
+    return (4.0 * EPS * max(abs(g_a), abs(g_b)) / (b - a)
+            + EPS * abs(mean))
+
+
+def _quad_mean(core, a, b, breaks, cusp=None):
+    """(mean, error estimate) of core over [a, b] by scipy.integrate.quad,
+    split at the breaks inside the cell and, toward a cusp, at distances
+    halving from the cell's far edge down to its near edge: a piece that
+    ends next to a cusp, not on it, defeats quad's error estimate."""
+    from scipy.integrate import IntegrationWarning, quad
+
+    pts = {a, b, *(p for p in breaks if a < p < b)}
+    if cusp is not None:
+        for lo, hi in ((a, min(b, cusp)), (max(a, cusp), b)):
+            if lo < hi:
+                near, far = sorted((abs(lo - cusp), abs(hi - cusp)))
+                side = 1.0 if hi > cusp else -1.0
+                d = 0.5 * far
+                for _ in range(60):
+                    if d <= near:
+                        break
+                    pts.add(cusp + side * d)
+                    d *= 0.5
+    pts = sorted(pts)
+    total = err = 0.0
+    with warnings.catch_warnings():
+        # quad flags round-off on the pieces next to a cusp; its error
+        # estimate there stays above its true error (checked against
+        # 40-digit mpmath)
+        warnings.simplefilter("ignore", IntegrationWarning)
+        for lo, hi in zip(pts, pts[1:]):
+            val, e = quad(core, lo, hi, epsabs=1e-15, epsrel=0.0, limit=200)
+            total, err = total + val, err + e
+    return total / (b - a), err / (b - a)
+
+
+def _drawn_scheme(data):
+    if data.draw(st.booleans(), label="tabulated"):
+        gaps = data.draw(st.lists(st.floats(0.5, 1.5), min_size=1,
+                                  max_size=3), label="gaps")
+        base = np.concatenate([[0.0], np.cumsum(gaps[:-1])])
+        return SamplingScheme.tabulated(base, float(sum(gaps)))
+    return SamplingScheme.uniform(1.0, data.draw(st.floats(-1.0, 1.0),
+                                                 label="offset"))
+
+
+def _cells_near(scheme, w, points, count=4):
+    """Indices of the 2 count consecutive cells around each point (in the
+    log variable), the cell holding the point among them."""
+    ks = set()
+    for p in points:
+        k_lo, _ = scheme.index_range(w * p - 2.0, w * p + 2.0)
+        ks.update(range(k_lo, k_lo + 2 * count))
+    return sorted(ks)
+
+
+class TestClosedFormMeans:
+    """Signals that declare their cell means (Signal.log_mean) skip the
+    quadrature: mean_values returns the closed form for every cell."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(nu=st.floats(0.3, 1.0), radius=st.floats(1.0, 3.0),
+           log2_w=st.integers(2, 12), far=st.floats(-1.0, 1.0),
+           data=st.data())
+    def test_holder_bump_within_the_bound(self, nu, radius, log2_w, far,
+                                          data):
+        f = signals.holder_bump(nu, radius)
+        w = 2.0 ** log2_w
+        scheme = _drawn_scheme(data)
+
+        def g(v):
+            m = min(abs(v), radius)
+            return math.copysign(m - m ** (nu + 1) / ((nu + 1) * radius ** nu),
+                                 v)
+
+        def core(v):
+            return max(0.0, 1.0 - (abs(v) / radius) ** nu)
+
+        for k in _cells_near(scheme, w, (0.0, -radius, radius, far * radius)):
+            a, b = scheme.node(k) / w, scheme.node(k + 1) / w
+            got = operator.mean_value(f, k, w, scheme)
+            ref, err = _quad_mean(core, a, b, (-radius, radius), cusp=0.0)
+            assert abs(got - ref) <= _roundoff_bound(g(a), g(b), a, b, got) + err
+
+    @settings(max_examples=100, deadline=None)
+    @given(clip=st.floats(0.5, 8.0), log2_w=st.integers(2, 12),
+           beyond=st.floats(0.0, 40.0), data=st.data())
+    def test_clipped_log_within_the_bound(self, clip, log2_w, beyond, data):
+        # cells across +-clip and beyond it, where the antiderivative grows
+        f = signals.clipped_log(clip)
+        w = 2.0 ** log2_w
+        scheme = _drawn_scheme(data)
+
+        def h(v):
+            a = abs(v)
+            if a <= clip:
+                return 0.5 * v * v
+            return 0.5 * clip * clip + (clip + 1.0) * (a - clip) + math.expm1(clip - a)
+
+        def core(v):
+            a = abs(v)
+            return v if a <= clip else math.copysign(clip + 1.0 - math.exp(clip - a), v)
+
+        points = (-clip, clip, clip + beyond, -clip - beyond)
+        for k in _cells_near(scheme, w, points):
+            a, b = scheme.node(k) / w, scheme.node(k + 1) / w
+            got = operator.mean_value(f, k, w, scheme)
+            ref, err = _quad_mean(core, a, b, (-clip, clip))
+            assert abs(got - ref) <= _roundoff_bound(h(a), h(b), a, b, got) + err
+
+    def test_exact_values(self):
+        for scheme in (SamplingScheme.uniform(1.0, 0.37),
+                       SamplingScheme.tabulated((0.0, 0.3, 0.7), 1.1)):
+            for w in (3.0, 64.0, 4096.0):
+                got = operator.mean_values(signals.constant(2.5), -500, 500,
+                                           w, scheme, QuadratureSpec())
+                assert np.all(got == 2.5)
+                # every cell of [-500, 500] lies inside the clip of 6 at
+                # w >= 64
+                t = scheme.nodes(-300, 301) / w
+                got = operator.mean_values(signals.clipped_log(), -300, 300,
+                                           w, scheme, QuadratureSpec())
+                if w >= 64.0:
+                    assert np.array_equal(got, 0.5 * (t[:-1] + t[1:]))
+
+    def test_clipped_log_far_beyond_the_clip(self):
+        # where a capped Fejer series reaches (|v| ~ 1e5) the exponential
+        # part underflows and the mean is +-(clip + 1) to round-off; an
+        # antiderivative difference there would lose 4 eps |H| w ~ 1e-9
+        f = signals.clipped_log(6.0)
+        scheme = SamplingScheme.uniform(1.0, 0.37)
+        for w in (3.3, 48.5):
+            for k_lo in (400_000, -400_100):
+                got = operator.mean_values(f, k_lo, k_lo + 99, w, scheme,
+                                           QuadratureSpec())
+                want = math.copysign(7.0, k_lo)
+                assert np.all(np.abs(got - want) <= 2.0 * EPS * 7.0)
+
+    def test_cusp_cell(self):
+        # holder_bump(0.4956, 2.5), offset 0.3, w = 256: cell k = -1 holds
+        # the cusp at v = 0.  The doubling quadrature stopped at its cap
+        # 1.95e-8 off (0.9795578234803419); the reference is 40-digit
+        # mpmath quadrature split at the cusp
+        f = signals.holder_bump(0.4956, 2.5)
+        scheme = SamplingScheme.uniform(1.0, 0.3)
+        got = operator.mean_value(f, -1, 256.0, scheme)
+        assert abs(got - 0.97955780393738898552) <= 2.0 * EPS
+
+    def test_no_signal_evaluation(self, monkeypatch):
+        calls = []
+        original = Signal.log_evaluate
+
+        def counting(self, v):
+            calls.append(np.size(v))
+            return original(self, v)
+
+        monkeypatch.setattr(Signal, "log_evaluate", counting)
+        for f in (signals.holder_bump(0.5), signals.holder_bump(1.0, 1.5),
+                  signals.constant(1.5), signals.clipped_log(),
+                  signals.holder_bump(0.5).dilate(1.7)):
+            operator.mean_values(f, -100, 100, 32.0, UNIT, QuadratureSpec())
+        assert calls == []
+        operator.mean_values(signals.cc_bump(), -100, 100, 32.0, UNIT,
+                             QuadratureSpec())
+        assert calls  # the bump declares no means: quadrature
+
+    def test_nonfinite_mean_raises_at_its_block(self, monkeypatch):
+        # blocks of 8 cells: the first NaN mean is cell k = 21, and no
+        # block after its own is computed
+        seen = []
+
+        def log_mean(a, b):
+            seen.append(a.size)
+            return np.where(a * 4.0 > 20.5, np.nan, 1.0)
+
+        f = Signal("nan_mean", lambda x: np.ones_like(x), sup_norm=1.0,
+                   log_mean=log_mean)
+        monkeypatch.setattr(operator, "_CELL_BLOCK", 8)
+        with pytest.raises(EvaluationError, match=r"k=21$"):
+            operator.mean_values(f, 0, 99, 4.0, UNIT, QuadratureSpec())
+        assert seen == [8, 8, 8]
+
+    def test_capped_fejer_sin_log_still_raises(self):
+        # sin_log stays in the x domain: at the 2M-term cap of the Fejer
+        # series exp underflows to 0 and sin(ln 0) is NaN (a known defect,
+        # kept until a capped Fejer series is cheap); the oracle's
+        # signature of that defect reads "non-finite" in the message
+        with np.errstate(divide="ignore", invalid="ignore"):
+            with pytest.raises(EvaluationError, match="non-finite"):
+                operator.eval_kantorovich(signals.sin_log(), 2.0, 1.3,
+                                          fejer_kernel(), UNIT)
 
 
 class TestKantorovich:
