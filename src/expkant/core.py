@@ -358,12 +358,16 @@ class Signal:
     ``log_core``, is evaluated at v without the round trip through exp and
     log, so it does not underflow for v < -745; its ``evaluate`` defaults to
     ``log_core(ln x)``.  ``log_mean(a, b)`` optionally declares the cell mean
-    ``(1/(b - a)) * int_a^b f(e^v) dv`` in closed form, elementwise over
-    arrays of cell edges a < b; ``operator.mean_values`` then takes it for
-    every Steklov mean instead of quadrature.  A mean computed as an
+    ``(1/(b - a)) * int_a^b f(e^v) dv`` from an antiderivative, elementwise
+    over arrays of cell edges a < b; ``operator.mean_values`` then takes it
+    for every Steklov mean instead of quadrature.  A mean computed as an
     antiderivative difference ``(G(b) - G(a)) / (b - a)`` is off by at most
     ``4 eps max(|G(a)|, |G(b)|) / (b - a) + eps |mean|`` (eps the double
-    precision unit round-off), the bound its tests check.
+    precision unit round-off) when G is exact.  The bumps' G = h R Phi(v/R)
+    is tabulated to within delta (``signals.BUMP_INTEGRAL_ERROR``), which
+    adds ``2 delta |h| R / (b - a)``, and a bump mean near the subnormal
+    range adds the underflow ``2^-1073 / (b - a) + 2^-1074``.  These are
+    the bounds their tests check.
     """
 
     name: str

@@ -31,7 +31,8 @@ _log = logging.getLogger(__name__)
 @dataclass(frozen=True)
 class QuadratureSpec:
     """Inner-integral rule: Gauss-Legendre nodes per cell, doubled until
-    successive values agree to `tolerance`."""
+    successive values agree to `tolerance`, at most `max_doublings` times
+    (at least once, so that every mean is checked)."""
 
     nodes: int = 8
     tolerance: float = 1e-10
@@ -40,6 +41,8 @@ class QuadratureSpec:
     def __post_init__(self):
         if self.nodes < 1:
             raise ValidationError("quadrature needs nodes >= 1")
+        if self.max_doublings < 1:
+            raise ValidationError("quadrature needs max_doublings >= 1")
 
 
 @dataclass(frozen=True)
@@ -106,17 +109,22 @@ def mean_values(f: Signal, k_lo: int, k_hi: int, w: float,
     """Steklov means (w/Delta_k) * int_{t_k/w}^{t_{k+1}/w} f(e^u) du for
     k in [k_lo, k_hi].
 
-    A signal that declares its cell means (Signal.log_mean) gives every
-    mean in closed form, in blocks of _CELL_BLOCK cells, and quad is not
-    used: no Gauss level and no doubling.  The mean of a cell [a, b] is then
-    off by round-off only, at most 4 eps max(|G(a)|, |G(b)|) / (b - a)
-    + eps |mean| for an antiderivative G.
+    A signal that declares its cell means (Signal.log_mean; every built-in
+    but sin_log and power_clipped) gives every mean from that declaration,
+    in blocks of _CELL_BLOCK cells, and quad is not used: no Gauss level
+    and no doubling.  The mean of a cell [a, b] is then off by the bound
+    the signal states: round-off only, at most 4 eps max(|G(a)|, |G(b)|)
+    / (b - a) + eps |mean| for an exact antiderivative G, plus
+    2 delta |h| R / (b - a) + 2^-1073 / (b - a) + 2^-1074 for the bumps,
+    whose G = h R Phi(v/R) is tabulated to within delta
+    (signals.BUMP_INTEGRAL_ERROR); the powers of 2 bound underflow.
 
     Otherwise each cell's node count doubles until its own mean changes by
     at most quad.tolerance * max(1, max_k |mean_k|); cells that met it are
-    not evaluated again.  When max_doublings runs out, the last values are
-    returned.  Cells are evaluated in order, in blocks of at most
-    _CELL_BLOCK (cell x node) values.
+    not evaluated again.  When cells are still unconverged after
+    quad.max_doublings doublings, a debug log line and EvaluationError name
+    their count, the worst k and its last change.  Cells are evaluated in
+    order, in blocks of at most _CELL_BLOCK (cell x node) values.
 
     Either way a non-finite value raises at the first block that holds
     one, naming its cell."""
@@ -132,7 +140,7 @@ def mean_values(f: Signal, k_lo: int, k_hi: int, w: float,
             finite = np.isfinite(vals[cells])
             if not finite.all():
                 raise EvaluationError(
-                    f"non-finite closed-form mean of the cell "
+                    f"non-finite declared mean of the cell "
                     f"k={k_lo + start + int(np.argmin(finite))}")
         return vals
     m = quad.nodes
@@ -170,13 +178,13 @@ def mean_values(f: Signal, k_lo: int, k_hi: int, w: float,
             if active.size == 0:
                 return vals
         m *= 2
-    if active is not None:  # None: max_doublings = 0, nothing compared
-        worst = int(np.argmax(change))
-        _log.debug("mean_values: %d of %d cells unconverged after %d "
-                   "doublings; worst k=%d changed by %.3g",
-                   active.size, vals.size, quad.max_doublings,
-                   k_lo + int(active[worst]), float(change[worst]))
-    return vals
+    worst = int(np.argmax(change))
+    message = (f"mean_values: {active.size} of {vals.size} cells unconverged "
+               f"after {quad.max_doublings} doublings; worst "
+               f"k={k_lo + int(active[worst])} changed by "
+               f"{float(change[worst]):.3g}")
+    _log.debug(message)
+    raise EvaluationError(message)
 
 
 def mean_value(f: Signal, k: int, w: float, scheme: SamplingScheme,

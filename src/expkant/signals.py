@@ -6,27 +6,31 @@ so experiments can compare measured quantities against ground truth.
 
 Every built-in except sin_log is log-native: it declares its core as
 Signal.log_core, so log_evaluate(v) evaluates g(v) directly, with no round
-trip through exp and log, and evaluate(x) is g(ln x).  Three declare their
-Steklov cell means in closed form (Signal.log_mean), which
-operator.mean_values takes instead of quadrature:
+trip through exp and log, and evaluate(x) is g(ln x).  Five declare their
+Steklov cell means (Signal.log_mean), which operator.mean_values takes
+instead of quadrature:
 
 * constant(c): exactly c;
 * clipped_log: exactly (a + b)/2 inside the clip, the antiderivative
   difference across and beyond it;
 * holder_bump (any nu, the tent included): (G(b) - G(a))/(b - a) with
-  G(v) = sign(v) (m - m^(nu+1)/((nu+1) R^nu)), m = min(|v|, R).
+  G(v) = sign(v) (m - m^(nu+1)/((nu+1) R^nu)), m = min(|v|, R);
+* cc_bump and random_bump: from the one bump integral
+  Phi(x) = int_{-1}^x exp(1 - 1/(1 - s^2)) ds (bump_integral), which has no
+  elementary form and is tabulated as piecewise Chebyshev polynomials to
+  within BUMP_INTEGRAL_ERROR.
 
-The bumps cc_bump and random_bump have no elementary antiderivative, and
-power_clipped's saturated part has none either, so their means stay on
-Gauss quadrature.  sin_log stays in the x domain: at the 2M-term cap of a
-Fejer series its samples reach v < -745, where exp underflows to 0 and
-sin(ln 0) is NaN, so the series raises.  Made log-native it would sum
-2M-term series that the cap exists to stop (a known defect, kept until a
-capped Fejer series is cheap).
+power_clipped's saturated part has no elementary antiderivative, so its
+means stay on Gauss quadrature.  sin_log stays in the x domain: at the
+2M-term cap of a Fejer series its samples reach v < -745, where exp
+underflows to 0 and sin(ln 0) is NaN, so the series raises.  Made
+log-native it would sum 2M-term series that the cap exists to stop (a known
+defect, kept until a capped Fejer series is cheap).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -166,10 +170,123 @@ def holder_bump(nu: float, radius: float = 2.0) -> Signal:
     )
 
 
+# ---------------------------------------------------------------------------
+# the bump integral
+
+# degree of the Chebyshev interpolant of the bump on each table panel: 20
+# needs the same 12 panels as 24, and four Horner steps fewer per point
+_PHI_DEGREE = 20
+
+# max |bump_integral(x) - Phi(x)| over 18,900 random points of [-1, 1], a
+# quarter of them within 0.1 of +-1, measured against 30-digit mpmath
+# quadrature: 2.4e-16, about one unit in the last place of
+# Phi(1) = 1.2069...; rounded up
+BUMP_INTEGRAL_ERROR = 3e-16
+
+
+@functools.lru_cache(maxsize=1)
+def _bump_integral_table() -> tuple:
+    """(inner, mid, inv_half, coefficients): the panels of [-1, 1] by their
+    inner edges, midpoints and inverse half-widths, and per panel the
+    power-series coefficients of Phi in t = (x - mid) inv_half, which runs
+    over [-1, 1]; one row per power, highest first.
+
+    Each panel interpolates the bump at _PHI_DEGREE + 1 Chebyshev points and
+    is bisected until the two last coefficients fall to the round-off of
+    the interpolant, (_PHI_DEGREE + 1) eps of the bump's maximum 1: 12
+    panels, the finest toward +-1, where the bump is flat.  A panel's Phi
+    is the interpolant's antiderivative plus the integral of the panels
+    left of it.  Built on first use, once per process (10-20 ms); the
+    arrays are shared by every caller and therefore read-only."""
+    chebyshev = np.polynomial.chebyshev
+    bump = cc_bump(1.0).log_core
+    tol = (_PHI_DEGREE + 1) * np.finfo(float).eps
+    todo, panels = [(-1.0, 1.0)], []
+    while todo:
+        lo, hi = todo.pop()
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        c = chebyshev.chebinterpolate(lambda t: bump(mid + half * t),
+                                      _PHI_DEGREE)
+        if np.max(np.abs(c[-2:])) > tol:
+            todo += [(mid, hi), (lo, mid)]
+        else:
+            panels.append((lo, hi, chebyshev.chebint(c, lbnd=-1.0, scl=half)))
+    panels.sort()
+    rows, integrals = [], []  # integrals: of the panels left of this one
+    for _, _, c in panels:
+        power = chebyshev.cheb2poly(c)
+        power[0] += math.fsum(integrals)  # Phi at the panel's left edge
+        integrals.extend(c)  # the antiderivative at t = 1 is its sum
+        rows.append(power[::-1])
+    edges = np.array([lo for lo, _, _ in panels] + [1.0])
+    arrays = (edges[1:-1], 0.5 * (edges[1:] + edges[:-1]),
+              2.0 / np.diff(edges), np.array(rows).T.copy())
+    for arr in arrays:
+        arr.flags.writeable = False
+    return arrays
+
+
+def bump_integral(x) -> np.ndarray:
+    """Phi(x) = int_{-1}^x exp(1 - 1/(1 - s^2)) ds, elementwise, within
+    BUMP_INTEGRAL_ERROR of the exact value.  x is clipped to [-1, 1]: below
+    -1, Phi is the table's value at -1 (0 to within BUMP_INTEGRAL_ERROR),
+    above 1 its value at 1 (Phi(1) = 1.2069...), the same bit for bit for
+    every point beyond the same end.  One Horner step per power on every
+    point, with the coefficient of the point's panel."""
+    inner, mid, inv_half, coefficients = _bump_integral_table()
+    x = np.maximum(np.asarray(x, dtype=float), -1.0)
+    np.minimum(x, 1.0, out=x)
+    panel = np.searchsorted(inner, x, side="right")
+    t = x - mid[panel]
+    t *= inv_half[panel]
+    out = coefficients[0][panel]
+    for row in coefficients[1:]:
+        out *= t
+        out += row[panel]
+    return out
+
+
+def _bump_mean(a, b, centers, radii, scales) -> np.ndarray:
+    """Cell means over [a, b] of sum_i h_i exp(1 - 1/(1 - ((v - c_i)/R_i)^2))
+    as sum_i (G_i(b) - G_i(a))/(b - a), G_i(v) = h_i R_i Phi((v - c_i)/R_i),
+    from the parts' columns of c_i, R_i and h_i R_i: one bump_integral call
+    over every part and cell edge.  Adjacent cells share an edge (a[1:]
+    equal to b[:-1], as in operator.mean_values), which is then evaluated
+    once: half the points.
+
+    A cell beyond a part's support on either side gets the same clipped
+    Phi at both edges, so that part adds exactly 0.  Otherwise the mean is
+    off by at most 4 eps max|G_i| / (b - a) + 2 BUMP_INTEGRAL_ERROR
+    |h_i| R_i / (b - a) + 2^-1073 / (b - a) per part, plus eps |mean|
+    + 2^-1074 (eps the double precision unit round-off).  The two powers of
+    2 bound underflow: h_i R_i, its product with the rise of Phi (at most
+    Phi(1) < 1.21) and the division each round to a multiple of 2^-1074
+    when their result is subnormal, which only a mean near 1e-308 sees."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if a.ndim == 1 and a.size > 0 and np.all(a[1:] == b[:-1]):
+        phi = bump_integral((np.concatenate((a, b[-1:])) - centers) / radii)
+        rise = phi[:, 1:] - phi[:, :-1]
+    else:
+        n = a.size
+        phi = bump_integral((np.concatenate((a.ravel(), b.ravel())) - centers)
+                            / radii)
+        rise = phi[:, n:] - phi[:, :n]
+    rise *= scales
+    return rise.sum(axis=0).reshape(a.shape) / (b - a)
+
+
 def cc_bump(radius: float = 2.0, height: float = 1.0) -> Signal:
-    """Mollified indicator: the C-infinity bump exp(1 - 1/(1 - (v/R)^2))."""
+    """Mollified indicator: the C-infinity bump h exp(1 - 1/(1 - (v/R)^2)).
+
+    Its cell means come from G(v) = h R Phi(v/R) (bump_integral):
+    (G(b) - G(a))/(b - a), off by at most 4 eps max(|G(a)|, |G(b)|)/(b - a)
+    + 2 BUMP_INTEGRAL_ERROR |h| R/(b - a) + eps |mean| + underflow,
+    2^-1073/(b - a) + 2^-1074, and exactly 0 for a cell beyond +-R."""
     if radius <= 0:
         raise ValidationError("cc_bump needs radius > 0")
+    parts = (np.zeros((1, 1)), np.full((1, 1), float(radius)),
+             np.full((1, 1), height * radius))
 
     def core(v):
         s = (v / radius) ** 2
@@ -190,6 +307,7 @@ def cc_bump(radius: float = 2.0, height: float = 1.0) -> Signal:
     return Signal(
         name=f"cc_bump({radius:g},{height:g})",
         log_core=core,
+        log_mean=lambda a, b: _bump_mean(a, b, *parts),
         sup_norm=abs(height),
         support=math.exp(radius),
         holder=(1.0, None),
@@ -198,7 +316,11 @@ def cc_bump(radius: float = 2.0, height: float = 1.0) -> Signal:
 
 
 def random_bump(seed: int) -> Signal:
-    """Seeded random mix of shifted mollified bumps; compactly supported."""
+    """Seeded random mix of shifted mollified bumps; compactly supported.
+
+    Its cell means sum the parts' bump_integral terms at a - c_i and
+    b - c_i, within the cc_bump bound of each part but its eps |mean|
+    + 2^-1074, which the sum adds once."""
     rng = np.random.default_rng(seed)
     n = int(rng.integers(1, 4))
     heights = rng.uniform(-2.0, 2.0, size=n)
@@ -212,10 +334,12 @@ def random_bump(seed: int) -> Signal:
             out += part(v - c)
         return out
 
+    parts = (centers[:, None], radii[:, None], (heights * radii)[:, None])
     r_log = float(np.max(np.abs(centers) + radii))
     return Signal(
         name=f"random_bump(seed={seed})",
         log_core=core,
+        log_mean=lambda a, b: _bump_mean(a, b, *parts),
         sup_norm=float(np.sum(np.abs(heights))),
         support=math.exp(r_log),
     )

@@ -271,8 +271,8 @@ class TestSignals:
         a, b = v[:-1], v[1:]
         np.testing.assert_array_equal(d.log_mean(a, b),
                                       f.log_mean(a, b) - g.log_mean(a, b))
-        # a bump without declared means: a core, no mean
-        e = core.difference_signal(f, signals.cc_bump())
+        # a signal without declared means: a core, no mean
+        e = core.difference_signal(f, signals.power_clipped(0.5))
         assert e.log_core is not None and e.log_mean is None
         # an x-domain operand: neither
         s = core.difference_signal(f, signals.sin_log())

@@ -1,9 +1,13 @@
 """Series evaluation: Steklov means, exact reproduction laws, truncation
 soundness and the structural operator properties."""
 
+import decimal
 import logging
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -13,8 +17,8 @@ from hypothesis import strategies as st
 
 from expkant import moments, operator, signals
 from expkant.core import (EvaluationError, NonlinearKernel, SamplingScheme,
-                          Signal, gauss_legendre, make_builtin_profile,
-                          make_response)
+                          Signal, ValidationError, gauss_legendre,
+                          make_builtin_profile, make_response)
 from expkant.operator import QuadratureSpec, TruncationPolicy
 
 UNIT = SamplingScheme.uniform()
@@ -57,7 +61,8 @@ class TestMeanValue:
 
 
 def _global_doubling_means(f, k_lo, k_hi, w, quad):
-    """Reference: every cell doubled until the worst cell converges."""
+    """Reference: every cell doubled until the worst cell converges; None
+    when it has not converged after quad.max_doublings doublings."""
     t = UNIT.nodes(k_lo, k_hi + 1)
     a, b = t[:-1] / w, t[1:] / w
     m, prev = quad.nodes, None
@@ -71,7 +76,7 @@ def _global_doubling_means(f, k_lo, k_hi, w, quad):
                 return vals
         prev = vals
         m *= 2
-    return prev
+    return None
 
 
 def _holder_x(nu=0.5, radius=2.0):
@@ -82,18 +87,31 @@ def _holder_x(nu=0.5, radius=2.0):
                   support=base.support)
 
 
+def _cc_x(radius=2.0):
+    """cc_bump given in the x domain only, on the quadrature path."""
+    base = signals.cc_bump(radius)
+    return Signal("cc_x", base.evaluate, sup_norm=1.0, support=base.support)
+
+
 class TestCellRefinement:
     """mean_values refines only the cells that have not converged."""
 
     QUAD = QuadratureSpec()
 
-    @pytest.mark.parametrize("f, quad", [
-        (_holder_x(0.5), QUAD),                                # all 9 levels
-        (_holder_x(0.5), QuadratureSpec(max_doublings=3)),     # capped
-        (signals.cc_bump(), QUAD),                             # level 2
+    @pytest.mark.parametrize("f, quad, converges", [
+        (_holder_x(0.5), QUAD, True),                            # all 9 levels
+        (_holder_x(0.5), QuadratureSpec(max_doublings=3), False),  # capped
+        (_cc_x(), QUAD, True),                                   # level 2
     ], ids=["holder_bump", "holder_bump-capped", "cc_bump"])
-    def test_agrees_with_global_doubling(self, f, quad):
+    def test_agrees_with_global_doubling(self, f, quad, converges):
         ref = _global_doubling_means(f, -34, 33, 16.0, quad)
+        assert (ref is not None) == converges
+        if not converges:
+            # the reference stops unconverged at the cap, and mean_values
+            # raises rather than return its last values
+            with pytest.raises(EvaluationError, match="unconverged"):
+                operator.mean_values(f, -34, 33, 16.0, UNIT, quad)
+            return
         got = operator.mean_values(f, -34, 33, 16.0, UNIT, quad)
         tol = quad.tolerance * max(1.0, float(np.max(np.abs(ref))))
         assert np.max(np.abs(got - ref)) <= tol
@@ -119,12 +137,25 @@ class TestCellRefinement:
 
     def test_doubling_cap_logged(self, caplog):
         # the cusp cells need 2048 nodes at w = 16; 3 doublings stop at 64
+        # with two cells unconverged, which is logged and raises instead of
+        # returning
         f = _holder_x(0.5, 2.0)
         quad = QuadratureSpec(max_doublings=3)
+        message = (r"2 of 68 cells unconverged after 3 doublings; "
+                   r"worst k=(-1|0) changed by 4\.6\de-07")
         with caplog.at_level(logging.DEBUG, logger="expkant.operator"):
-            operator.mean_values(f, -34, 33, 16.0, UNIT, quad)
-        assert re.search(r"2 of 68 cells unconverged after 3 doublings; "
-                         r"worst k=(-1|0) changed by 4\.6\de-07", caplog.text)
+            with pytest.raises(EvaluationError, match=message + "$"):
+                operator.mean_values(f, -34, 33, 16.0, UNIT, quad)
+        assert re.search(message, caplog.text)
+
+    def test_every_mean_checked(self):
+        # a single level compares nothing, so it is refused
+        with pytest.raises(ValidationError, match="max_doublings >= 1"):
+            QuadratureSpec(max_doublings=0)
+        f = _holder_x(0.5, 2.0)
+        got = operator.mean_values(f, 5, 20, 16.0, UNIT,
+                                   QuadratureSpec(max_doublings=1))
+        assert got.shape == (16,)  # smooth cells converge at level 2
 
     def test_nonfinite_at_refined_level_named(self):
         # finite on the 8- and 16-node levels; the refined levels evaluate
@@ -339,12 +370,13 @@ class TestClosedFormMeans:
         monkeypatch.setattr(Signal, "log_evaluate", counting)
         for f in (signals.holder_bump(0.5), signals.holder_bump(1.0, 1.5),
                   signals.constant(1.5), signals.clipped_log(),
-                  signals.holder_bump(0.5).dilate(1.7)):
+                  signals.holder_bump(0.5).dilate(1.7),
+                  signals.cc_bump(1.75, -0.5), signals.random_bump(7),
+                  signals.random_bump(3).dilate(0.6)):
             operator.mean_values(f, -100, 100, 32.0, UNIT, QuadratureSpec())
         assert calls == []
-        operator.mean_values(signals.cc_bump(), -100, 100, 32.0, UNIT,
-                             QuadratureSpec())
-        assert calls  # the bump declares no means: quadrature
+        operator.mean_values(_cc_x(), -100, 100, 32.0, UNIT, QuadratureSpec())
+        assert calls  # no declared means: quadrature
 
     def test_nonfinite_mean_raises_at_its_block(self, monkeypatch):
         # blocks of 8 cells: the first NaN mean is cell k = 21, and no
@@ -371,6 +403,237 @@ class TestClosedFormMeans:
             with pytest.raises(EvaluationError, match="non-finite"):
                 operator.eval_kantorovich(signals.sin_log(), 2.0, 1.3,
                                           fejer_kernel(), UNIT)
+
+
+# Phi(x) = int_{-1}^x exp(1 - 1/(1 - s^2)) ds to 40 significant digits:
+# mpmath tanh-sinh quadrature at 50 digits, summed from -1 over the sorted
+# points; Phi(x) + Phi(-x) = Phi(1) holds to 3e-51 on every pair
+_PHI_REFERENCE = (
+    (-0.9999999850988388,
+     "1.54072128587498249080259564124806986609e-14572520"),
+    (-0.9999999701976776,
+     "1.164782342392242384398682464545620293273e-7286267"),
+    (-0.9999999403953552,
+     "1.332230717863373329890243717005889822865e-3643140"),
+    (-0.9999998807907104,
+     "7.065432241406826897502802650385171217864e-1821577"),
+    (-0.9999997615814209, "7.359886474768036127698206910551150635756e-910795"),
+    (-0.9999995231628418, "1.141470003209579616490068976355617351729e-455403"),
+    (-0.9999990463256836, "1.294640556501090353549198437787004582659e-227707"),
+    (-0.9999980926513672, "3.709077226807606425422525744990632114517e-113859"),
+    (-0.9999961853027344, "1.001245070491424275294367389032375119427e-56934"),
+    (-0.9999923706054688, "2.574183276943419144946955189128664153653e-28472"),
+    (-0.9999847412109375, "1.012864078281987376847404095091572865615e-14240"),
+    (-0.999969482421875, "1.421437936299583278224218355337301244071e-7124"),
+    (-0.99993896484375, "2.806919532005407492016946232478071595776e-3566"),
+    (-0.9998779296875, "8.317187703699638531323964744942148145785e-1787"),
+    (-0.999755859375, "9.468537547443587714317185105460792620047e-897"),
+    (-0.99951171875, "1.906555793086055331032518057872971922728e-451"),
+    (-0.9990234375, "1.769840358205846164190289736715104102651e-228"),
+    (-0.999, "3.004175659170224778342182627961162404628e-223"),
+    (-0.998046875, "1.058279270768867129703595343973211437683e-116"),
+    (-0.99609375, "1.636145011031730138391512523359350281719e-60"),
+    (-0.9921875, "4.016931749089334137592171874095898451111e-32"),
+    (-0.984375, "1.231745654943949969151797626645804270269e-17"),
+    (-0.96875, "4.143866612571861496404139591315386130261e-10"),
+    (-0.95, "4.03034420810631771120613538469121895128e-7"),
+    (-0.9375, "4.483774650904936554317979789423247561086e-6"),
+    (-0.875, "8.343380405325829230557083192616553394216e-4"),
+    (-0.8125, "6.244752643759465550195011939919463210738e-3"),
+    (-0.75, "1.931674152521013117067775509735816715116e-2"),
+    (-0.6875, "4.075781770890251366033587074296838499985e-2"),
+    (-0.625, "7.00512768369484948829433597294291567675e-2"),
+    (-0.5625, "0.1062676353156302901560781890549221443436"),
+    (-0.5, "0.1484092538367181233346001329308749510982"),
+    (-0.4375, "0.195534705829199166092551647799751364868"),
+    (-0.375, "0.2467936637854921724251484596600038196423"),
+    (-0.3125, "0.3014274636482460134869356181581180105824"),
+    (-0.3, "0.3126982489434705403687064251974569469526"),
+    (-0.25, "0.3587575826733296221473099347451057577197"),
+    (-0.1875, "0.4181707936341335518612170014976542157062"),
+    (-0.125, "0.4791042659604840619563080180169851811729"),
+    (-0.0625, "0.5410316368833322579117484037543933965254"),
+    (0.0, "0.6034501612189380876681189981652416974166"),
+    (0.0625, "0.6658686855545439174244895925760899983079"),
+    (0.1, "0.7031158255094275756955980525611027299244"),
+    (0.125, "0.7277960564773921133799299783134982136604"),
+    (0.1875, "0.7887295288037426234750209948328291791271"),
+    (0.25, "0.8481427397645465531889280615853776371136"),
+    (0.3125, "0.9054728587896301618493023781723653842509"),
+    (0.375, "0.960106658652384002911089536670479575191"),
+    (0.4375, "1.011365616608677009243686348530732029965"),
+    (0.5, "1.058491068601158052001637863399608443735"),
+    (0.5625, "1.10063268712224588518015980727556125049"),
+    (0.625, "1.136849045600927680453294636601054238066"),
+    (0.6875, "1.166142504728973661675902125587515009833"),
+    (0.7071067811865476, "1.173751552359313558124680112237710473319"),
+    (0.75, "1.187583580912666044165560241233125227682"),
+    (0.8125, "1.200655569794116709786042984390563931623"),
+    (0.875, "1.206065984397343592413182288011221739494"),
+    (0.9375, "1.206895838663225270399683678350693971586"),
+    (0.96875, "1.206900322023489514079051846690069435702"),
+    (0.984375, "1.206900322437876163018781446890983703315"),
+    (0.9921875, "1.206900322437876175336237996330443225516"),
+    (0.99609375, "1.206900322437876175336237996330483394833"),
+    (0.998046875, "1.206900322437876175336237996330483394833"),
+    (0.999, "1.206900322437876175336237996330483394833"),
+    (0.9990234375, "1.206900322437876175336237996330483394833"),
+    (0.99951171875, "1.206900322437876175336237996330483394833"),
+    (0.999755859375, "1.206900322437876175336237996330483394833"),
+    (0.9998779296875, "1.206900322437876175336237996330483394833"),
+    (0.99993896484375, "1.206900322437876175336237996330483394833"),
+    (0.999969482421875, "1.206900322437876175336237996330483394833"),
+    (0.9999847412109375, "1.206900322437876175336237996330483394833"),
+    (0.9999923706054688, "1.206900322437876175336237996330483394833"),
+    (0.9999961853027344, "1.206900322437876175336237996330483394833"),
+    (0.9999980926513672, "1.206900322437876175336237996330483394833"),
+    (0.9999990463256836, "1.206900322437876175336237996330483394833"),
+    (0.9999995231628418, "1.206900322437876175336237996330483394833"),
+    (0.9999997615814209, "1.206900322437876175336237996330483394833"),
+    (0.9999998807907104, "1.206900322437876175336237996330483394833"),
+    (0.9999999403953552, "1.206900322437876175336237996330483394833"),
+    (0.9999999701976776, "1.206900322437876175336237996330483394833"),
+    (0.9999999850988388, "1.206900322437876175336237996330483394833"),
+)
+
+
+def _bump_bound(parts, a, b, mean):
+    """The stated bound of a bump mean over [a, b]: per part (c, R, h) of
+    G(v) = h R Phi((v - c)/R), 4 eps max(|G(a)|, |G(b)|)/(b - a)
+    + 2 delta |h| R/(b - a) + 2^-1073/(b - a), plus eps |mean| + 2^-1074;
+    the powers of 2 bound underflow."""
+    delta = signals.BUMP_INTEGRAL_ERROR
+    total = EPS * abs(mean) + 2.0 ** -1074
+    for c, r, h in parts:
+        g = abs(h) * r * np.max(signals.bump_integral(
+            (np.array([a, b]) - c) / r))
+        total += (4.0 * EPS * g + 2.0 * delta * abs(h) * r
+                  + 2.0 ** -1073) / (b - a)
+    return total
+
+
+def _random_bump_parts(seed):
+    """(center, radius, height) of each part, drawn as random_bump does."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 4))
+    heights = rng.uniform(-2.0, 2.0, size=n)
+    centers = rng.uniform(-1.5, 1.5, size=n)
+    radii = rng.uniform(0.5, 1.5, size=n)
+    return list(zip(centers, radii, heights))
+
+
+class TestBumpMeans:
+    """cc_bump and random_bump declare their cell means through the
+    tabulated bump integral Phi (signals.bump_integral)."""
+
+    def test_bump_integral_reference(self):
+        ctx = decimal.Context(prec=60)
+        delta = decimal.Decimal(signals.BUMP_INTEGRAL_ERROR)
+        x = np.array([p for p, _ in _PHI_REFERENCE])
+        got = signals.bump_integral(x)
+        for (p, want), value in zip(_PHI_REFERENCE, got.tolist()):
+            err = ctx.subtract(decimal.Decimal(value), decimal.Decimal(want))
+            assert abs(err) <= delta, (p, float(err))
+        # clipped beyond +-1: the values at the ends, bit for bit
+        ends = signals.bump_integral(np.array([-1.0, 1.0]))
+        beyond = signals.bump_integral(np.array(
+            [-7.0, np.nextafter(-1.0, -2.0), -np.inf,
+             np.nextafter(1.0, 2.0), 3.0, np.inf]))
+        assert np.array_equal(beyond, np.repeat(ends, 3))
+        assert abs(ends[0]) <= signals.BUMP_INTEGRAL_ERROR
+
+    def test_table_built_once_on_first_use(self):
+        # importing the package builds no table
+        code = ("import expkant, expkant.signals as s; "
+                "print(s._bump_integral_table.cache_info().currsize)")
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": os.pathsep.join(
+                                 sys.path)}).stdout
+        assert out.strip() == "0"
+        table = signals._bump_integral_table()
+        assert signals._bump_integral_table() is table
+        for arr in table:
+            assert not arr.flags.writeable
+
+    @settings(max_examples=100, deadline=None)
+    @given(radius=st.floats(0.5, 3.0), height=st.floats(-2.0, 2.0),
+           log2_w=st.integers(2, 12), far=st.floats(-1.0, 1.0),
+           data=st.data())
+    def test_cc_bump_within_the_bound(self, radius, height, log2_w, far,
+                                      data):
+        f = signals.cc_bump(radius, height)
+        unit = signals.cc_bump(radius)
+        w = 2.0 ** log2_w
+        scheme = _drawn_scheme(data)
+
+        def core(v):
+            return float(unit.log_core(np.array([v]))[0])
+
+        parts = [(0.0, radius, height)]
+        for k in _cells_near(scheme, w, (0.0, -radius, radius, far * radius)):
+            a, b = scheme.node(k) / w, scheme.node(k + 1) / w
+            got = operator.mean_value(f, k, w, scheme)
+            # the mean is linear in h: the unit bump's reference scaled by
+            # h, which a subnormal h does not make underflow inside quad
+            ref, err = _quad_mean(core, a, b, (-radius, radius))
+            ref, err = height * ref, abs(height) * err
+            assert abs(got - ref) <= _bump_bound(parts, a, b, got) + err
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 10_000), log2_w=st.integers(2, 12),
+           data=st.data())
+    def test_random_bump_within_the_bound(self, seed, log2_w, data):
+        f = signals.random_bump(seed)
+        parts = _random_bump_parts(seed)
+        w = 2.0 ** log2_w
+        scheme = _drawn_scheme(data)
+
+        def core(v):
+            return float(f.log_core(np.array([v]))[0])
+
+        edges = [c + s * r for c, r, _ in parts for s in (-1.0, 1.0)]
+        points = [c for c, _, _ in parts] + edges
+        for k in _cells_near(scheme, w, points, count=2):
+            a, b = scheme.node(k) / w, scheme.node(k + 1) / w
+            got = operator.mean_value(f, k, w, scheme)
+            ref, err = _quad_mean(core, a, b, edges)
+            assert abs(got - ref) <= _bump_bound(parts, a, b, got) + err
+
+    @pytest.mark.parametrize("scheme", [
+        SamplingScheme.uniform(1.0, 0.37),
+        SamplingScheme.tabulated((0.0, 0.3, 0.7), 1.1)], ids=["unit", "tab"])
+    def test_cells_past_the_support_read_zero(self, scheme):
+        for f in (signals.cc_bump(1.3, -1.7), signals.random_bump(11),
+                  signals.random_bump(12).dilate(2.5)):
+            rho = f.log_support_radius
+            for w in (3.0, 64.0, 4096.0):
+                # the cells that end at or before -rho, the cells that
+                # start at or after rho
+                k_first = scheme.index_range(-w * rho - 60.0, -w * rho)
+                k_last = scheme.index_range(w * rho, w * rho + 60.0)
+                for k_lo, k_hi in ((k_first[0], k_first[1] - 1), k_last):
+                    got = operator.mean_values(f, k_lo, k_hi, w, scheme,
+                                               QuadratureSpec())
+                    assert got.size >= 30 and np.all(got == 0.0)
+
+    def test_means_are_elementwise(self):
+        # a cell's mean does not depend on the cells passed with it, on
+        # their order or on the array's shape: adjacent cells, whose shared
+        # edges are evaluated once, read the same as shuffled ones
+        rng = np.random.default_rng(3)
+        t = np.sort(rng.uniform(-4.0, 4.0, 400))
+        a, b = t[:-1], t[1:]
+        order = rng.permutation(a.size)
+        for f in (signals.cc_bump(1.9, 0.7), signals.random_bump(5),
+                  signals.random_bump(8)):
+            whole = f.log_mean(a, b)
+            shuffled = f.log_mean(a[order], b[order])
+            assert np.array_equal(shuffled, whole[order])
+            one = f.log_mean(a[17], b[17])
+            assert one.shape == () and one == whole[17]
+            grid = f.log_mean(a.reshape(3, 133), b.reshape(3, 133))
+            assert np.array_equal(grid, whole.reshape(3, 133))
 
 
 class TestKantorovich:
@@ -467,6 +730,44 @@ class TestKantorovich:
         lhs, _ = operator.eval_kantorovich(f.dilate(c), w, x, kernel, scheme)
         rhs, _ = operator.eval_kantorovich(f, w, c * x, kernel, scheme)
         assert abs(lhs - rhs) <= 1e-13
+
+    @settings(max_examples=100, deadline=None)
+    @given(kind=st.sampled_from(["constant", "clipped_log", "holder_bump",
+                                 "cc_bump", "random_bump"]),
+           p=st.floats(0.0, 1.0), q=st.floats(0.0, 1.0),
+           n=st.integers(2, 4), m=st.integers(-5, 5),
+           log2_w=st.floats(1.0, 8.0), log_x=st.floats(-2.0, 2.0),
+           data=st.data())
+    def test_dilation_covariance_of_declared_means(self, kind, p, q, n, m,
+                                                   log2_w, log_x, data):
+        # every built-in that declares its cell means, on unit and
+        # tabulated schemes: c = e^{m P / w}, P the phase period, shifts
+        # the nodes onto themselves, so K_w(f(c .))(x) = K_w f(c x) up to
+        # the round-off of the shifted phase and cell edges
+        f = {"constant": lambda: signals.constant(6.0 * p - 3.0),
+             "clipped_log": lambda: signals.clipped_log(0.5 + 4.0 * p),
+             "holder_bump": lambda: signals.holder_bump(0.3 + 0.7 * p,
+                                                        1.0 + 2.0 * q),
+             "cc_bump": lambda: signals.cc_bump(0.5 + 2.5 * p, 4.0 * q - 2.0),
+             "random_bump": lambda: signals.random_bump(int(1000 * p)),
+             }[kind]()
+        assert f.log_mean is not None
+        kernel = NonlinearKernel(make_builtin_profile("bspline", n),
+                                 make_response("soft", alpha=1.0))
+        scheme = _drawn_scheme(data)
+        w, x = 2.0 ** log2_w, math.exp(log_x)
+        period = scheme.phase_period
+        c = math.exp(m * period / w)
+        g = f.dilate(c)
+        a = np.linspace(-3.0, 3.0, 41)
+        assert np.array_equal(g.log_mean(a[:-1], a[1:]),
+                              f.log_mean(a[:-1] + math.log(c),
+                                         a[1:] + math.log(c)))
+        lhs, _ = operator.eval_kantorovich(g, w, x, kernel, scheme)
+        rhs, _ = operator.eval_kantorovich(f, w, c * x, kernel, scheme)
+        # phases of size |y| = |w ln(c x)| carry eps |y| each
+        scale = w + abs(w * math.log(c * x)) + abs(m) * period
+        assert abs(lhs - rhs) <= 8.0 * EPS * max(1.0, f.sup_norm) * scale
 
     def test_truncation_soundness(self):
         # widening gamma moves the value by at most the reported bound
