@@ -195,20 +195,6 @@ class KernelProfile:
     def is_compact(self) -> bool:
         return self.support_radius is not None
 
-    def effective_radius(self, eps: float = 1e-12) -> float:
-        """Log radius beyond which individual profile values fall below eps."""
-        if self.is_compact:
-            return self.support_radius
-        return (self.decay_coeff / eps) ** (1.0 / self.decay_power)
-
-    def tail_term_bound(self, radius: float) -> float:
-        """Upper bound on L(e^v) for |v| >= radius (0 for compact support)."""
-        if self.is_compact:
-            return 0.0 if radius >= self.support_radius else self.sup_bound
-        if radius <= self.decay_v0:
-            return self.sup_bound
-        return self.decay_coeff * radius ** (-self.decay_power)
-
 
 def make_builtin_profile(name: str, n: int = 2) -> KernelProfile:
     """Built-in profiles: bspline(n) and mellin_fejer.
@@ -376,7 +362,6 @@ class Signal:
     support: Optional[float] = None              # support inside [1/r, r], r > 1
     holder: Optional[tuple] = None               # (nu, constant)
     mellin_derivative: Optional[Callable] = None  # theta f = x f'(x)
-    log_growth: Optional[tuple] = None           # |f(e^v)| <= a + b|v|
     log_core: Optional[Callable[[np.ndarray], np.ndarray]] = None
     log_mean: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
 
@@ -428,9 +413,6 @@ class Signal:
             mellin_derivative=(
                 (lambda x: base.mellin_derivative(np.asarray(x, dtype=float) * factor))
                 if self.mellin_derivative is not None else None),
-            log_growth=((self.log_growth[0] + self.log_growth[1] * shift,
-                         self.log_growth[1])
-                        if self.log_growth is not None else None),
             log_core=((lambda v: base.log_core(np.asarray(v, dtype=float) + s))
                       if base.log_core is not None else None),
             log_mean=((lambda a, b: base.log_mean(np.asarray(a, dtype=float) + s,

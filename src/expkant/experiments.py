@@ -541,14 +541,16 @@ def _run_quantitative_5_1(cfg: dict) -> dict:
 _L1_REACH = 400.0
 
 
-def _l1_quadrature(profile: KernelProfile) -> float:
+def _l1_quadrature(profile: KernelProfile):
+    """(value, error, converged) of the L1 log norm: the adaptive Gauss
+    rule over the support, or over |v| <= _L1_REACH plus the closed tail
+    bound beyond it for a heavy-tailed profile."""
     if profile.is_compact:
         lo, hi = -profile.support_radius, profile.support_radius
-        val, _, _ = modular._adaptive_integral(profile.log_values, lo, hi)
-        return val
-    val, _, _ = modular._adaptive_integral(profile.log_values, -_L1_REACH,
-                                           _L1_REACH, start_panels=1024)
-    return val + moments.integral_tail(profile, _L1_REACH)
+        return modular._adaptive_integral(profile.log_values, lo, hi)
+    val, err, converged = modular._adaptive_integral(
+        profile.log_values, -_L1_REACH, _L1_REACH, start_panels=1024)
+    return val + moments.integral_tail(profile, _L1_REACH), err, converged
 
 
 def _run_audit_kernel(cfg: dict) -> dict:
@@ -584,11 +586,14 @@ def _run_audit_kernel(cfg: dict) -> dict:
     checks["chi4_S"] = s_rep.to_dict()
     checks["chi4_T"] = t_rep.to_dict()
     checks["chi4_star"] = moments.check_chi4_star(kernel, scheme, w_arr).to_dict()
-    l1 = _l1_quadrature(profile)
-    checks["L1"] = {"quadrature": l1, "declared": profile.l1_log_norm,
+    l1, l1_err, l1_converged = _l1_quadrature(profile)
+    checks["L1"] = {"quadrature": l1, "quadrature_error": l1_err,
+                    "converged": l1_converged,
+                    "declared": profile.l1_log_norm,
                     "tail_bound": (0.0 if profile.is_compact else
                                    moments.integral_tail(profile, _L1_REACH)),
-                    "passed": abs(l1 - profile.l1_log_norm) < 1e-6}
+                    "passed": (l1_converged
+                               and abs(l1 - profile.l1_log_norm) < 1e-6)}
     mrep = moments.discrete_moment(profile, scheme, beta)
     checks["L2"] = {**mrep.to_dict(), "passed": not mrep.diverged}
     checks["L3"] = moments.check_L3(profile, scheme, r, gamma, w_arr).to_dict()

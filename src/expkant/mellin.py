@@ -6,14 +6,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import moments, operator
 from .core import (EvaluationError, NonlinearKernel, PreconditionError,
                    SamplingScheme, Signal, ValidationError)
-from .operator import QuadratureSpec, TruncationPolicy
 
 
 def mellin_derivative(f: Signal, x: float, h: float = 1e-5) -> float:
@@ -85,8 +84,6 @@ def _audit_preconditions(kernel: NonlinearKernel, scheme: SamplingScheme,
 def voronovskaja_experiment(f: Signal, x: float, r: float,
                             kernel: NonlinearKernel, scheme: SamplingScheme,
                             w_list: Sequence[float],
-                            trunc: Optional[TruncationPolicy] = None,
-                            quad: QuadratureSpec = QuadratureSpec(),
                             slack: float = 0.05) -> VoronovskajaReport:
     """Computes w^r |K_w f(x) - f(x)| along w_list and the moment bound
     (Delta^r |theta f(x)|^r / 2^r) M_0 + |theta f(x)|^r M_r.
@@ -104,8 +101,7 @@ def voronovskaja_experiment(f: Signal, x: float, r: float,
     fx = float(f.evaluate(np.array([x]))[0])
     lhs = []
     for w in w_arr:
-        val, _ = operator.eval_kantorovich(f, float(w), x, kernel, scheme,
-                                           trunc, quad)
+        val, _ = operator.eval_kantorovich(f, float(w), x, kernel, scheme)
         lhs.append(float(w) ** r * abs(val - fx))
     m0 = moments.moment_value(kernel.profile, scheme, 0.0)
     mr = moments.moment_value(kernel.profile, scheme, r)

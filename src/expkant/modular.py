@@ -16,12 +16,12 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from . import moments, operator
+from . import moments
 from .core import (NonlinearKernel, PhiFunction, PhiPair, SamplingScheme,
                    Signal, SlopeFunction, ValidationError, difference_signal,
                    gauss_legendre)
-from .operator import GridFunction, QuadratureSpec, eval_on_log_grid
-from .ratefit import fit_loglog
+from .moduli import ZERO_MODULUS, holder_fit
+from .operator import GridFunction, eval_on_log_grid
 
 _log = logging.getLogger(__name__)
 
@@ -285,14 +285,13 @@ def _lipschitz_rhs(kernel: NonlinearKernel, scheme: SamplingScheme,
 
 def _lipschitz_at(kernel: NonlinearKernel, scheme: SamplingScheme,
                   pair: PhiPair, f: Signal, g: Signal, w: float, rhs: float,
-                  lam: float, quad: QuadratureSpec = QuadratureSpec(),
-                  rel_slack: float = 1e-3) -> ModularLipschitzReport:
+                  lam: float, rel_slack: float = 1e-3) -> ModularLipschitzReport:
     """The left-hand side I_phi[c (K_w f - K_w g)], c = C_lambda / M_0, at
     one w, checked against ``rhs`` from _lipschitz_rhs."""
     m0 = moments.moment_value(kernel.profile, scheme, 0.0)
     c = pair.c_lambda(lam) / m0
-    kf = eval_on_log_grid(f, w, kernel, scheme, quad)
-    kg = eval_on_log_grid(g, w, kernel, scheme, quad)
+    kf = eval_on_log_grid(f, w, kernel, scheme)
+    kg = eval_on_log_grid(g, w, kernel, scheme)
     lhs = modular_error(pair.phi, kg, kf, c).value
     return ModularLipschitzReport(lhs, rhs, lam, c,
                                   lhs <= rhs * (1.0 + rel_slack) + 1e-15)
@@ -301,14 +300,12 @@ def _lipschitz_at(kernel: NonlinearKernel, scheme: SamplingScheme,
 def modular_lipschitz_check(kernel: NonlinearKernel, scheme: SamplingScheme,
                             pair: PhiPair, f: Signal, g: Signal, w: float,
                             lam: float = 0.5,
-                            quad: QuadratureSpec = QuadratureSpec(),
                             rel_slack: float = 1e-3) -> ModularLipschitzReport:
     """The modular inequality between operator outputs:
     I_phi[c (K_w f - K_w g)] <= (||L||_1 / (delta M_0)) I_eta[lam (f - g)]
     with c = C_lambda / M_0, both sides by quadrature."""
     rhs = _lipschitz_rhs(kernel, scheme, pair, f, g, lam)
-    return _lipschitz_at(kernel, scheme, pair, f, g, w, rhs, lam, quad,
-                         rel_slack)
+    return _lipschitz_at(kernel, scheme, pair, f, g, w, rhs, lam, rel_slack)
 
 
 # ---------------------------------------------------------------------------
@@ -320,11 +317,15 @@ class SmoothnessCurve:
     deltas: tuple
     values: tuple
     lam: float
-    fitted_order: Optional[float] = None
 
     @property
     def is_zero(self) -> bool:
-        return all(v < 1e-14 for v in self.values)
+        return all(v < ZERO_MODULUS for v in self.values)
+
+    @property
+    def fitted_order(self) -> Optional[float]:
+        """Lipschitz-class order: moduli.holder_fit of the curve."""
+        return holder_fit(self)
 
     def to_dict(self) -> dict:
         return {"deltas": list(self.deltas), "values": list(self.values),
@@ -385,16 +386,4 @@ def smoothness_curve(phi: PhiFunction, f: Signal, lam: float,
                      deltas: Sequence[float], **kwargs) -> SmoothnessCurve:
     ds = sorted((float(d) for d in deltas), reverse=True)
     values = tuple(log_smoothness(phi, f, lam, d, **kwargs) for d in ds)
-    curve = SmoothnessCurve(tuple(ds), values, lam)
-    return SmoothnessCurve(curve.deltas, curve.values, lam,
-                           lip_class_fit(curve))
-
-
-def lip_class_fit(curve: SmoothnessCurve) -> Optional[float]:
-    """Lipschitz-class order from the smoothness curve, clipped to (0, 1]."""
-    if curve.is_zero:
-        return None
-    fit = fit_loglog(1.0 / np.asarray(curve.deltas), np.asarray(curve.values))
-    if fit is None:
-        return None
-    return float(min(1.0, max(1e-12, -fit.slope)))
+    return SmoothnessCurve(tuple(ds), values, lam)

@@ -24,11 +24,14 @@ ZERO_MODULUS = 1e-14
 class ModulusCurve:
     deltas: tuple
     values: tuple
-    fitted_order: Optional[float] = None
 
     @property
     def is_zero(self) -> bool:
         return all(v < ZERO_MODULUS for v in self.values)
+
+    @property
+    def fitted_order(self) -> Optional[float]:
+        return holder_fit(self)
 
     def to_dict(self) -> dict:
         return {"deltas": list(self.deltas), "values": list(self.values),
@@ -85,13 +88,13 @@ def subadditivity_check(f: Signal, delta: float, lam: float,
 def modulus_curve(f: Signal, deltas: Sequence[float], **kwargs) -> ModulusCurve:
     ds = sorted((float(d) for d in deltas), reverse=True)
     values = tuple(log_modulus(f, d, **kwargs) for d in ds)
-    curve = ModulusCurve(tuple(ds), values)
-    return ModulusCurve(curve.deltas, curve.values, holder_fit(curve))
+    return ModulusCurve(tuple(ds), values)
 
 
-def holder_fit(curve: ModulusCurve) -> Optional[float]:
-    """Log-Holder order: log-log slope of the modulus curve, clipped to
-    (0, 1].  None marks the zero-modulus case."""
+def holder_fit(curve) -> Optional[float]:
+    """Log-Holder order: log-log slope of a modulus or smoothness curve
+    (deltas, values, is_zero), clipped to (0, 1].  None marks the
+    zero-modulus case."""
     if curve.is_zero:
         return None
     fit = fit_loglog(1.0 / np.asarray(curve.deltas), np.asarray(curve.values))

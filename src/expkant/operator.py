@@ -5,6 +5,11 @@ With y := w ln x the series reads sum_k L(y - t_k) * g_w(m_k) where
 m_k = (w / Delta_k) * integral of f(e^u) over [t_k/w, t_{k+1}/w].
 Terms with m_k = 0 vanish identically (chi(., 0) = 0), so for compactly
 supported signals the retained index set is finite and the sum is exact.
+
+One truncation rule serves every entry point (_retained_half_width): a
+compact profile or a compactly supported signal is summed exactly, and a
+heavy-tailed profile on a bounded signal keeps MAX_RETAINED_TERMS nodes
+around each point and reports the moment tail beyond them as its bound.
 """
 
 from __future__ import annotations
@@ -12,8 +17,6 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Optional
-
 import numpy as np
 
 from . import backend, moments
@@ -45,45 +48,6 @@ class QuadratureSpec:
             raise ValidationError("quadrature needs max_doublings >= 1")
 
 
-@dataclass(frozen=True)
-class TruncationPolicy:
-    """window(gamma): sum over |t_k - w ln x| <= gamma * w.
-    tolerance(eps, beta): pick gamma from the moment tail bound so that
-    psi(2 ||f||_inf) * M_beta / (gamma w)^beta <= eps."""
-
-    mode: str = "tolerance"
-    gamma: Optional[float] = None
-    eps: float = 1e-10
-    beta: Optional[float] = None
-
-    def __post_init__(self):
-        if self.mode == "window":
-            if self.gamma is None or self.gamma <= 0:
-                raise ValidationError("window truncation needs gamma > 0")
-        elif self.mode == "tolerance":
-            if self.eps <= 0:
-                raise ValidationError("tolerance truncation needs eps > 0")
-            if self.beta is not None and self.beta <= 0:
-                raise ValidationError("tolerance truncation needs beta > 0")
-        else:
-            raise ValidationError(f"unknown truncation mode {self.mode!r}")
-
-
-def default_truncation(f: Signal, kernel: NonlinearKernel,
-                       scheme: SamplingScheme) -> TruncationPolicy:
-    """Certified tolerance-mode truncation when the tail bound applies,
-    window mode sized from the support radii otherwise."""
-    profile = kernel.profile
-    if profile.is_compact or f.support is not None:
-        return TruncationPolicy(mode="window",
-                                gamma=2.0 * ((profile.support_radius or 8.0)
-                                             + scheme.upper_gap))
-    if f.sup_norm is not None:
-        beta = 1.0 if profile.decay_power > 2.0 else 0.5 * (profile.decay_power - 1.0)
-        return TruncationPolicy(mode="tolerance", eps=1e-10, beta=beta)
-    return TruncationPolicy(mode="window", gamma=8.0)
-
-
 # ---------------------------------------------------------------------------
 # Steklov means
 
@@ -105,7 +69,8 @@ def _gauss_cells(a: np.ndarray, b: np.ndarray, m: int):
 
 
 def mean_values(f: Signal, k_lo: int, k_hi: int, w: float,
-                scheme: SamplingScheme, quad: QuadratureSpec) -> np.ndarray:
+                scheme: SamplingScheme,
+                quad: QuadratureSpec = QuadratureSpec()) -> np.ndarray:
     """Steklov means (w/Delta_k) * int_{t_k/w}^{t_{k+1}/w} f(e^u) du for
     k in [k_lo, k_hi].
 
@@ -199,52 +164,38 @@ def mean_value(f: Signal, k: int, w: float, scheme: SamplingScheme,
 
 
 def _retained_half_width(f: Signal, w: float, kernel: NonlinearKernel,
-                         scheme: SamplingScheme, trunc: TruncationPolicy):
+                         scheme: SamplingScheme):
     """(half, support, bound): the half-width of node positions retained
     around every phase, the node-position interval outside which every
     Steklov mean vanishes (None for an unbounded support) and the certified
-    truncation bound.  None of them depends on the phase."""
-    if f.sup_norm is None and f.support is None:
-        if f.log_growth is None:
-            raise EvaluationError(
-                "unbounded signal without log-growth metadata")
-        if trunc.mode != "window":
-            raise EvaluationError(
-                "log-growth signals need window-mode truncation")
-    profile = kernel.profile
-    if profile.is_compact:
-        half = profile.support_radius + 1e-12
-        bound = 0.0
-    elif trunc.mode == "window":
-        half = trunc.gamma * w
-        bound = math.nan
-        if f.sup_norm is not None and trunc.beta is not None:
-            m_beta = moments.moment_value(profile, scheme, trunc.beta)
-            bound = (float(kernel.slope(2.0 * f.sup_norm)) * m_beta
-                     / half ** trunc.beta if math.isfinite(m_beta) else math.inf)
-    else:
-        if f.sup_norm is None or trunc.beta is None:
-            raise EvaluationError(
-                "tolerance truncation needs a bounded signal and a moment order")
-        m_beta = moments.moment_value(profile, scheme, trunc.beta)
-        if not math.isfinite(m_beta):
-            raise EvaluationError(
-                f"moment of order {trunc.beta} diverges for {profile.name}")
-        psi_val = float(kernel.slope(2.0 * f.sup_norm))
-        gamma = (psi_val * m_beta / trunc.eps) ** (1.0 / trunc.beta) / w
-        gamma_cap = MAX_RETAINED_TERMS * scheme.lower_gap / (2.0 * w)
-        gamma = min(gamma, gamma_cap)
-        half = gamma * w
-        bound = psi_val * m_beta / (gamma * w) ** trunc.beta
+    truncation bound.  None of them depends on the phase.
 
+    One rule, for signals that declare a sup norm or a support (others
+    raise EvaluationError):
+    - a compact profile: its support radius, bound 0;
+    - a compactly supported signal: its whole support, since outside it
+      every Steklov mean vanishes (chi2), bound 0;
+    - a heavy-tailed profile on a bounded signal: MAX_RETAINED_TERMS nodes'
+      worth, half = MAX_RETAINED_TERMS * lower_gap / 2, and the moment tail
+      bound psi(2 ||f||_inf) * M_beta / half^beta with beta = 1 for decay
+      powers p > 2 and (p - 1)/2 otherwise (inf when M_beta diverges)."""
+    if f.sup_norm is None and f.support is None:
+        raise EvaluationError(
+            f"signal {f.name!r} declares neither a sup norm nor a support")
+    profile = kernel.profile
     rho = f.log_support_radius
-    if rho is None:
-        return half, None, bound
-    if not profile.is_compact:
-        # outside the signal support every Steklov mean vanishes (chi2), so
-        # summing the whole support is exact
-        half, bound = math.inf, 0.0
-    return half, (-w * rho - scheme.upper_gap, w * rho), bound
+    support = None if rho is None else (-w * rho - scheme.upper_gap, w * rho)
+    if profile.is_compact:
+        return profile.support_radius + 1e-12, support, 0.0
+    if support is not None:
+        return math.inf, support, 0.0
+    p = profile.decay_power
+    beta = 1.0 if p > 2.0 else 0.5 * (p - 1.0)
+    half = MAX_RETAINED_TERMS * scheme.lower_gap / 2.0
+    m_beta = moments.moment_value(profile, scheme, beta)
+    bound = (float(kernel.slope(2.0 * f.sup_norm)) * m_beta / half ** beta
+             if math.isfinite(m_beta) else math.inf)
+    return half, None, bound
 
 
 def _runs(ys: np.ndarray, half: float, support, scheme: SamplingScheme):
@@ -275,10 +226,10 @@ def _runs(ys: np.ndarray, half: float, support, scheme: SamplingScheme):
 
 
 def _coefficients(f: Signal, k_lo: int, k_hi: int, w: float,
-                  scheme: SamplingScheme, quad: Optional[QuadratureSpec]):
-    """Steklov means, or with quad None the sample values f(e^{t_k/w})."""
-    if quad is not None:
-        return mean_values(f, k_lo, k_hi, w, scheme, quad)
+                  scheme: SamplingScheme, means: bool):
+    """Steklov means, or with means False the sample values f(e^{t_k/w})."""
+    if means:
+        return mean_values(f, k_lo, k_hi, w, scheme)
     samples = f.log_evaluate(scheme.nodes(k_lo, k_hi) / w)
     if not np.all(np.isfinite(samples)):
         bad = k_lo + int(np.argmax(~np.isfinite(samples)))
@@ -287,12 +238,11 @@ def _coefficients(f: Signal, k_lo: int, k_hi: int, w: float,
 
 
 def _series(f: Signal, w: float, ys: np.ndarray, kernel: NonlinearKernel,
-            scheme: SamplingScheme, trunc: Optional[TruncationPolicy],
-            quad: Optional[QuadratureSpec]):
+            scheme: SamplingScheme, means: bool):
     """(values, bound): sum_k L(y - t_k) g_w(c_k) at every phase y of ys
     over the nodes retained for any of them, with c_k the Steklov means
-    (quad given) or the sample values (quad None), and the certified
-    truncation bound of each value.
+    (means True) or the sample values (means False), and the certified
+    truncation bound of each value (_retained_half_width).
 
     The retained half-width is fixed once per call; the windows around the
     phases merge into runs of indices, the coefficients are computed once
@@ -305,17 +255,16 @@ def _series(f: Signal, w: float, ys: np.ndarray, kernel: NonlinearKernel,
     summed by backend.bspline_lattice_sum: one (piece x n+1) coefficient
     table from the response values, then n Horner steps per phase.  Every
     other profile and scheme goes through backend.profile_sum."""
-    if trunc is None:
-        trunc = default_truncation(f, kernel, scheme)
-    half, support, bound = _retained_half_width(f, w, kernel, scheme, trunc)
+    half, support, bound = _retained_half_width(f, w, kernel, scheme)
     runs, empty = _runs(ys, half, support, scheme)
     if empty and support is None:
-        raise EvaluationError("empty retained index set; widen gamma")
+        raise EvaluationError(
+            "empty retained index set: no node within the profile's reach")
     if not runs:
         return np.zeros(ys.shape), bound  # every term vanishes
     # the nodes only after the coefficients, and no copy of a lone run: a
     # capped run holds 2M values per array
-    c = [_coefficients(f, k_lo, k_hi, w, scheme, quad) for k_lo, k_hi in runs]
+    c = [_coefficients(f, k_lo, k_hi, w, scheme, means) for k_lo, k_hi in runs]
     g = kernel.response(w, c[0] if len(c) == 1 else np.concatenate(c))
     t = [scheme.nodes(k_lo, k_hi) for k_lo, k_hi in runs]
     t = t[0] if len(t) == 1 else np.concatenate(t)
@@ -332,38 +281,34 @@ def _series(f: Signal, w: float, ys: np.ndarray, kernel: NonlinearKernel,
 
 
 def eval_kantorovich(f: Signal, w: float, x: float, kernel: NonlinearKernel,
-                     scheme: SamplingScheme,
-                     trunc: Optional[TruncationPolicy] = None,
-                     quad: QuadratureSpec = QuadratureSpec()):
+                     scheme: SamplingScheme):
     """(K_w f)(x) by truncated summation; returns (value, truncation_bound)."""
     if w <= 0 or x <= 0:
         raise ValidationError("eval_kantorovich needs w > 0 and x > 0")
     values, bound = _series(f, w, np.array([w * math.log(x)]), kernel, scheme,
-                            trunc, quad)
+                            True)
     return float(values[0]), bound
 
 
 def eval_generalized(f: Signal, w: float, x: float, kernel: NonlinearKernel,
-                     scheme: SamplingScheme,
-                     trunc: Optional[TruncationPolicy] = None) -> float:
+                     scheme: SamplingScheme) -> float:
     """(S_w f)(x): sample values f(e^{t_k/w}) instead of Steklov means."""
     if w <= 0 or x <= 0:
         raise ValidationError("eval_generalized needs w > 0 and x > 0")
     values, _ = _series(f, w, np.array([w * math.log(x)]), kernel, scheme,
-                        trunc, None)
+                        False)
     return float(values[0])
 
 
 def sup_error(f: Signal, w: float, grid, kernel: NonlinearKernel,
-              scheme: SamplingScheme, trunc: Optional[TruncationPolicy] = None,
-              quad: QuadratureSpec = QuadratureSpec()) -> float:
+              scheme: SamplingScheme) -> float:
     """max over the grid of |(K_w f)(x) - f(x)| (discretized sup norm)."""
     grid = np.asarray(grid, dtype=float).ravel()
     if grid.size == 0:
         raise ValidationError("sup_error needs a non-empty grid")
     if np.any(grid <= 0):
         raise ValidationError("sup_error grid must be positive")
-    values, _ = _series(f, w, w * np.log(grid), kernel, scheme, trunc, quad)
+    values, _ = _series(f, w, w * np.log(grid), kernel, scheme, True)
     return float(np.max(np.abs(values - f(grid))))
 
 
@@ -384,17 +329,19 @@ class GridFunction:
 
 
 def eval_on_log_grid(f: Signal, w: float, kernel: NonlinearKernel,
-                     scheme: SamplingScheme,
-                     quad: QuadratureSpec = QuadratureSpec()) -> GridFunction:
+                     scheme: SamplingScheme) -> GridFunction:
     """K_w f on _GRID_POINTS log-uniform points spanning the signal support
-    inflated by the kernel's effective radius.  Exact (no truncation) for
-    compactly supported signals."""
+    inflated by the profile's support radius.  Exact (no truncation): it
+    needs a compactly supported signal and a compact profile.  A
+    heavy-tailed profile raises ValidationError, since 4096 points over
+    its reach do not resolve K_w f and no bound covers the interpolant."""
     if f.log_support_radius is None:
         raise ValidationError("grid evaluation needs a compactly supported signal")
-    radius = (kernel.profile.support_radius
-              if kernel.profile.is_compact
-              else kernel.profile.effective_radius(1e-10))
-    half = f.log_support_radius + (radius + scheme.upper_gap) / w + 0.25
+    if not kernel.profile.is_compact:
+        raise ValidationError(
+            f"grid evaluation needs a compact profile, not {kernel.profile.name}")
+    half = (f.log_support_radius
+            + (kernel.profile.support_radius + scheme.upper_gap) / w + 0.25)
     v = np.linspace(-half, half, _GRID_POINTS)
-    values, _ = _series(f, w, w * v, kernel, scheme, None, quad)
+    values, _ = _series(f, w, w * v, kernel, scheme, True)
     return GridFunction(v, values)

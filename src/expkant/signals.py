@@ -103,7 +103,6 @@ def clipped_log(clip: float = 6.0) -> Signal:
         sup_norm=clip + 1.0,
         holder=(1.0, 1.0),
         mellin_derivative=theta,
-        log_growth=(0.0, 1.0),
     )
 
 

@@ -114,8 +114,9 @@ class TestProfiles:
         from expkant.experiments import _l1_quadrature
         p = make_builtin_profile("mellin_fejer")
         # upper bound: quadrature plus the decay-envelope tail estimate
-        got = _l1_quadrature(p)
+        got, err, converged = _l1_quadrature(p)
         assert 1.0 - 1e-9 <= got <= 1.0 + 5e-3
+        assert converged and err <= 1e-8
 
     def test_errors(self):
         with pytest.raises(ValidationError):

@@ -125,8 +125,32 @@ class TestReports:
             assert checks[name]["passed"], name
         assert checks["chi4_S"]["extra"]["m0_range"] == [1.0, 1.0]
         assert 0.0 <= checks["L1"]["quadrature"] - 1.0 < 1e-7
+        assert checks["L1"]["converged"]
+        assert 0.0 <= checks["L1"]["quadrature_error"] <= 1e-8
         assert checks["L1"]["tail_bound"] == moments.integral_tail(
             make_builtin_profile("mellin_fejer"), 400.0)
+
+    def test_bspline_audit_l1_records_quadrature_error(self):
+        checks = experiments.run({
+            "experiment": "audit_kernel",
+            "kernel": {"profile": {"name": "bspline", "n": 2}},
+            "w_list": [4, 8, 16, 32]})["checks"]
+        assert checks["L1"]["converged"] is True
+        assert 0.0 <= checks["L1"]["quadrature_error"] <= 1e-8
+        assert checks["L1"]["passed"]
+
+    def test_audit_l1_fails_when_quadrature_unconverged(self, monkeypatch):
+        # the declared value, but from a quadrature that ran out of
+        # doublings: the check must not pass on it
+        monkeypatch.setattr(experiments.modular, "_adaptive_integral",
+                            lambda *a, **k: (1.0, 0.5, False))
+        checks = experiments.run({
+            "experiment": "audit_kernel",
+            "kernel": {"profile": {"name": "bspline", "n": 2}},
+            "w_list": [4, 8, 16, 32]})["checks"]
+        assert checks["L1"]["quadrature"] == 1.0
+        assert checks["L1"]["converged"] is False
+        assert not checks["L1"]["passed"]
 
     def test_fejer_runs_import_no_scipy(self):
         # scipy is a test extra only; importing scipy.special costs tens
@@ -256,6 +280,18 @@ class TestCli:
         cfg_path.write_text("{not json")
         proc = run_cli(["run", str(cfg_path)])
         assert proc.returncode == cli.EXIT_VALIDATION
+
+    def test_fejer_modular_convergence_exit_3(self, tmp_path):
+        # the log grid of a heavy-tailed profile does not resolve K_w f
+        cfg = base_config(experiment="modular_convergence",
+                          kernel={"profile": {"name": "mellin_fejer"}},
+                          signal={"name": "cc_bump", "radius": 1.75},
+                          w_list=[8, 16, 32, 64])
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        proc = run_cli(["run", str(cfg_path)])
+        assert proc.returncode == cli.EXIT_VALIDATION, proc.stderr
+        assert "compact profile" in proc.stderr
 
     def test_run_missing_file_exit_3(self):
         assert run_cli(["run", "/no/such/file.json"]).returncode == \

@@ -19,7 +19,7 @@ from expkant import moments, operator, signals
 from expkant.core import (EvaluationError, NonlinearKernel, SamplingScheme,
                           Signal, ValidationError, gauss_legendre,
                           make_builtin_profile, make_response)
-from expkant.operator import QuadratureSpec, TruncationPolicy
+from expkant.operator import QuadratureSpec
 
 UNIT = SamplingScheme.uniform()
 
@@ -770,31 +770,70 @@ class TestKantorovich:
         assert abs(lhs - rhs) <= 8.0 * EPS * max(1.0, f.sup_norm) * scale
 
     def test_truncation_soundness(self):
-        # widening gamma moves the value by at most the reported bound
-        f = signals.clipped_log()
-        k = fejer_kernel()
-        narrow = TruncationPolicy(mode="window", gamma=2.0, beta=1.0)
-        wide = TruncationPolicy(mode="window", gamma=20.0, beta=1.0)
-        for w, x in ((4.0, 2.0), (9.0, 0.7)):
-            v1, bound = operator.eval_kantorovich(f, w, x, k, UNIT, narrow)
-            v2, _ = operator.eval_kantorovich(f, w, x, k, UNIT, wide)
-            assert abs(v2 - v1) <= bound + 1e-12
+        # Fejer x constant(c), identity response, step h < 2 pi: m0 = 1/h
+        # at every phase (Poisson summation), so K_w c = c/h exactly and
+        # the truncated sum misses it by the dropped tail, which the bound
+        # must cover
+        c = 0.75
+        for h, offset, x in ((0.5, 0.0, 1.0), (1.0, 0.3, 2.7),
+                             (2.5, -0.7, 0.4), (6.0, 1.1, 1.9)):
+            scheme = SamplingScheme.uniform(h, offset)
+            value, bound = operator.eval_kantorovich(
+                signals.constant(c), 4.0, x, fejer_kernel(), scheme)
+            assert 0.0 < bound < math.inf
+            assert abs(value - c / h) <= bound
+            # the tail is positive: the truncated sum stays below c/h
+            assert value <= c / h * (1.0 + 1e-12)
 
-    def test_tolerance_mode_bound(self):
-        # heavy-tailed profile: the window must grow like (M/eps)^{1/beta},
-        # so the requested tolerance has to stay realistic
-        f = signals.clipped_log()
-        k = fejer_kernel()
-        trunc = TruncationPolicy(mode="tolerance", eps=1e-3, beta=0.9)
-        _, bound = operator.eval_kantorovich(f, 6.0, 1.5, k, UNIT, trunc)
-        assert bound <= 1e-3
-
-    def test_tolerance_mode_compact_profile(self):
+    def test_compact_profile_bound_is_zero(self):
         f = signals.sin_log()
-        trunc = TruncationPolicy(mode="tolerance", eps=1e-10, beta=2.0)
         _, bound = operator.eval_kantorovich(f, 6.0, 1.5, bspline_kernel(),
-                                             UNIT, trunc)
+                                             UNIT)
         assert bound == 0.0
+
+    def test_compactly_supported_signal_is_exact(self):
+        # Fejer on a compactly supported signal: the whole support is summed
+        _, bound = operator.eval_kantorovich(signals.cc_bump(1.5), 6.0, 1.2,
+                                             fejer_kernel(), UNIT)
+        assert bound == 0.0
+
+    def test_undeclared_signal_raises(self):
+        f = Signal("bare", lambda x: np.ones_like(np.asarray(x, dtype=float)))
+        for kernel in (bspline_kernel(), fejer_kernel()):
+            with pytest.raises(EvaluationError, match="sup norm"):
+                operator.eval_kantorovich(f, 4.0, 1.0, kernel, UNIT)
+
+
+class TestFejerSmallSignals:
+    """Fejer at unit step with the identity response on signals whose sup
+    norm makes the moment tail bound tiny or zero: the retained window is
+    the MAX_RETAINED_TERMS cap whatever the bound."""
+
+    @pytest.mark.parametrize("w", [1.0, 8.0])
+    def test_zero_signal(self, w):
+        f = signals.constant(0.0)
+        k = fejer_kernel()
+        assert operator.eval_kantorovich(f, w, 1.0, k, UNIT) == (0.0, 0.0)
+        assert operator.sup_error(f, w, [1.0], k, UNIT) == 0.0
+        assert operator.eval_generalized(f, w, 1.0, k, UNIT) == 0.0
+
+    def test_zero_signal_pointwise_config(self):
+        from expkant import experiments
+        report = experiments.run({
+            "experiment": "converge_pointwise",
+            "kernel": {"profile": {"name": "mellin_fejer"}},
+            "signal": {"name": "constant", "c": 0.0},
+            "w_list": [1, 2, 4, 8], "x": 1.0})
+        assert [row["error"] for row in report["rows"]] == [0.0] * 4
+        assert report["passed"]
+
+    @pytest.mark.parametrize("w", [1.0, 8.0])
+    def test_tiny_signal_within_bound(self, w):
+        c = 1e-12
+        value, bound = operator.eval_kantorovich(signals.constant(c), w, 1.37,
+                                                 fejer_kernel(), UNIT)
+        assert 0.0 < bound < 1e-14
+        assert abs(value - c) <= bound
 
 
 class TestGeneralized:
@@ -870,6 +909,11 @@ class TestGrids:
             operator.sup_error(f, 4.0, [], bspline_kernel(), UNIT)
         with pytest.raises(Exception):
             operator.sup_error(f, 4.0, [-1.0], bspline_kernel(), UNIT)
+
+    def test_eval_on_log_grid_refuses_heavy_tailed_profiles(self):
+        with pytest.raises(ValidationError, match="compact profile"):
+            operator.eval_on_log_grid(signals.cc_bump(1.75), 8.0,
+                                      fejer_kernel(), UNIT)
 
     def test_eval_on_log_grid_matches_pointwise(self):
         f = signals.cc_bump(1.5)
