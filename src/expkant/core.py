@@ -177,7 +177,6 @@ class KernelProfile:
     name: str
     log_values: Callable[[np.ndarray], np.ndarray]
     l1_log_norm: float
-    sup_bound: float
     support_radius: Optional[float] = None       # compact support in |v|
     decay_power: Optional[float] = None          # L(e^v) <= coeff * |v|**-p
     decay_coeff: Optional[float] = None
@@ -211,12 +210,10 @@ def make_builtin_profile(name: str, n: int = 2) -> KernelProfile:
     if name == "bspline":
         if n < 2:
             raise ValidationError("bspline profile needs order n >= 2")
-        sup = float(backend.bspline_values(np.array([0.0]), n)[0])
         return KernelProfile(
             name=f"bspline({n})",
             log_values=lambda v, _n=n: backend.bspline_values(v, _n),
             l1_log_norm=1.0,
-            sup_bound=sup,
             support_radius=0.5 * (n + 1),
             fast_kind=backend.KIND_BSPLINE,
             fast_order=n,
@@ -226,7 +223,6 @@ def make_builtin_profile(name: str, n: int = 2) -> KernelProfile:
             name="mellin_fejer",
             log_values=backend.fejer_values,
             l1_log_norm=1.0,
-            sup_bound=1.0 / (2.0 * math.pi),
             decay_power=2.0,
             decay_coeff=2.0 / math.pi,
             decay_v0=0.0,
@@ -352,8 +348,10 @@ class Signal:
     precision unit round-off) when G is exact.  The bumps' G = h R Phi(v/R)
     is tabulated to within delta (``signals.BUMP_INTEGRAL_ERROR``), which
     adds ``2 delta |h| R / (b - a)``, and a bump mean near the subnormal
-    range adds the underflow ``2^-1073 / (b - a) + 2^-1074``.  These are
-    the bounds their tests check.
+    range adds the underflow ``2^-1073 / (b - a) + 2^-1074``.  sin_log's
+    mean, a product of sines, is off by at most
+    ``eps (|a| + |b|) / 2 + 4 eps``.  These are the bounds their tests
+    check.
     """
 
     name: str

@@ -217,7 +217,7 @@ def _decay_verdict(errors: np.ndarray, fit: Optional[RateFit]) -> bool:
         return True
     if fit is None:
         return False
-    return fit.slope < 0.0 and errors[-1] < errors[0]
+    return bool(fit.slope < 0.0 and errors[-1] < errors[0])
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +428,6 @@ def _tau_profile() -> KernelProfile:
         name="tau",
         log_values=lambda v: ((v >= 0.0) & (v <= 1.0)).astype(float),
         l1_log_norm=1.0,
-        sup_bound=1.0,
         support_radius=1.0,
     )
 
@@ -670,7 +669,7 @@ def write_outputs(report: dict, output: Optional[dict]) -> None:
         write_csv(output["csv"], report["columns"], report["rows"])
     if "json" in output:
         with open(output["json"], "w") as fh:
-            json.dump(report, fh, indent=2, default=str)
+            json.dump(report, fh, indent=2)
             fh.write("\n")
 
 

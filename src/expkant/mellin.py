@@ -108,6 +108,6 @@ def voronovskaja_experiment(f: Signal, x: float, r: float,
     delta_hi = scheme.upper_gap
     rhs = (delta_hi**r * abs(theta) ** r / 2.0**r) * m0 + abs(theta) ** r * mr
     tail = lhs[-max(2, w_arr.size // 3):]
-    passed = max(tail) <= rhs * (1.0 + slack) + 1e-12
+    passed = bool(max(tail) <= rhs * (1.0 + slack) + 1e-12)
     return VoronovskajaReport(x, r, tuple(w_arr), tuple(lhs), rhs, passed,
                               theta)

@@ -9,7 +9,10 @@ supported signals the retained index set is finite and the sum is exact.
 One truncation rule serves every entry point (_retained_half_width): a
 compact profile or a compactly supported signal is summed exactly, and a
 heavy-tailed profile on a bounded signal keeps MAX_RETAINED_TERMS nodes
-around each point and reports the moment tail beyond them as its bound.
+around each point and reports a bound on the terms beyond them: for the
+Mellin-Fejer profile the closed-form lattice tail at the evaluated phases
+(moments._cut_tails), which falls like 1/half, and for other heavy-tailed
+profiles the moment tail, which falls like half^-beta.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from . import backend, moments
 from .core import (EvaluationError, NonlinearKernel, SamplingScheme, Signal,
                    ValidationError, gauss_legendre)
 
-MAX_RETAINED_TERMS = 2_000_000
+MAX_RETAINED_TERMS = 20_000
 
 # points of the log-uniform grid of eval_on_log_grid
 _GRID_POINTS = 4096
@@ -52,10 +55,11 @@ class QuadratureSpec:
 # Steklov means
 
 
-# (cell x node) values per block of mean_values: 8 MB per temporary.  The
-# 2M-cell windows of heavy-tailed profiles span 16M values at 8 nodes;
-# smaller windows fit one block, so their allocations, and with them
-# glibc's dynamic mmap threshold, stay as they are.
+# (cell x node) values per block of mean_values: 8 MB per temporary.  Every
+# window the truncation rule retains fits one block (MAX_RETAINED_TERMS
+# cells span 160k values at 8 nodes); the blocks bound the memory of a
+# call over a wider index range, as a compactly supported signal at a
+# large w asks for.
 _CELL_BLOCK = 1 << 20
 
 
@@ -75,14 +79,16 @@ def mean_values(f: Signal, k_lo: int, k_hi: int, w: float,
     k in [k_lo, k_hi].
 
     A signal that declares its cell means (Signal.log_mean; every built-in
-    but sin_log and power_clipped) gives every mean from that declaration,
-    in blocks of _CELL_BLOCK cells, and quad is not used: no Gauss level
-    and no doubling.  The mean of a cell [a, b] is then off by the bound
-    the signal states: round-off only, at most 4 eps max(|G(a)|, |G(b)|)
+    but power_clipped) gives every mean from that declaration, in blocks of
+    _CELL_BLOCK cells, and quad is not used: no Gauss level and no
+    doubling.  The mean of a cell [a, b] is then off by the bound the
+    signal states: round-off only, at most 4 eps max(|G(a)|, |G(b)|)
     / (b - a) + eps |mean| for an exact antiderivative G, plus
     2 delta |h| R / (b - a) + 2^-1073 / (b - a) + 2^-1074 for the bumps,
     whose G = h R Phi(v/R) is tabulated to within delta
-    (signals.BUMP_INTEGRAL_ERROR); the powers of 2 bound underflow.
+    (signals.BUMP_INTEGRAL_ERROR), the powers of 2 bounding underflow;
+    sin_log's product form is within eps (|a| + |b|)/2 + 4 eps
+    (signals.sin_log_mean).
 
     Otherwise each cell's node count doubles until its own mean changes by
     at most quad.tolerance * max(1, max_k |mean_k|); cells that met it are
@@ -164,11 +170,12 @@ def mean_value(f: Signal, k: int, w: float, scheme: SamplingScheme,
 
 
 def _retained_half_width(f: Signal, w: float, kernel: NonlinearKernel,
-                         scheme: SamplingScheme):
+                         scheme: SamplingScheme, ys: np.ndarray):
     """(half, support, bound): the half-width of node positions retained
     around every phase, the node-position interval outside which every
     Steklov mean vanishes (None for an unbounded support) and the certified
-    truncation bound.  None of them depends on the phase.
+    truncation bound of the series at every phase of ys.  The half-width
+    and the support do not depend on the phase.
 
     One rule, for signals that declare a sup norm or a support (others
     raise EvaluationError):
@@ -176,9 +183,16 @@ def _retained_half_width(f: Signal, w: float, kernel: NonlinearKernel,
     - a compactly supported signal: its whole support, since outside it
       every Steklov mean vanishes (chi2), bound 0;
     - a heavy-tailed profile on a bounded signal: MAX_RETAINED_TERMS nodes'
-      worth, half = MAX_RETAINED_TERMS * lower_gap / 2, and the moment tail
-      bound psi(2 ||f||_inf) * M_beta / half^beta with beta = 1 for decay
-      powers p > 2 and (p - 1)/2 otherwise (inf when M_beta diverges)."""
+      worth, half = MAX_RETAINED_TERMS * lower_gap / 2.  Every dropped term
+      is at most psi(2 ||f||_inf) times its profile value, so the bound is
+      psi(2 ||f||_inf) times a bound on the profile sum beyond half.  For
+      the Mellin-Fejer profile that sum is the lattice tail in closed form
+      (moments._cut_tails with beta = 0, maxed over ys), which falls like
+      1/half; it is cut one lower gap inside the window, so that a node at
+      the window's edge counts whichever side of it round-off puts the
+      node.  For other decay powers p it is M_beta / half^beta with
+      beta = 1 for p > 2 and (p - 1)/2 otherwise (inf when M_beta
+      diverges)."""
     if f.sup_norm is None and f.support is None:
         raise EvaluationError(
             f"signal {f.name!r} declares neither a sup norm nor a support")
@@ -189,12 +203,16 @@ def _retained_half_width(f: Signal, w: float, kernel: NonlinearKernel,
         return profile.support_radius + 1e-12, support, 0.0
     if support is not None:
         return math.inf, support, 0.0
+    half = MAX_RETAINED_TERMS * scheme.lower_gap / 2.0
+    slope = float(kernel.slope(2.0 * f.sup_norm))
+    if profile.fejer_tails:
+        tails, _, _ = moments._cut_tails(profile, scheme, ys,
+                                         half - scheme.lower_gap, 0.0)
+        return half, None, slope * float(np.max(tails))
     p = profile.decay_power
     beta = 1.0 if p > 2.0 else 0.5 * (p - 1.0)
-    half = MAX_RETAINED_TERMS * scheme.lower_gap / 2.0
     m_beta = moments.moment_value(profile, scheme, beta)
-    bound = (float(kernel.slope(2.0 * f.sup_norm)) * m_beta / half ** beta
-             if math.isfinite(m_beta) else math.inf)
+    bound = slope * m_beta / half ** beta if math.isfinite(m_beta) else math.inf
     return half, None, bound
 
 
@@ -247,7 +265,8 @@ def _series(f: Signal, w: float, ys: np.ndarray, kernel: NonlinearKernel,
     The retained half-width is fixed once per call; the windows around the
     phases merge into runs of indices, the coefficients are computed once
     per run, the response applied once and the profile summed once over
-    every phase.  A node inside another phase's window only adds a term
+    every phase.  A heavy-tailed window writes one debug line with its
+    half-width, the nodes retained and the bound.  A node inside another phase's window only adds a term
     the truncation bound already covers (exactly 0 for a compact
     profile).
 
@@ -255,15 +274,18 @@ def _series(f: Signal, w: float, ys: np.ndarray, kernel: NonlinearKernel,
     summed by backend.bspline_lattice_sum: one (piece x n+1) coefficient
     table from the response values, then n Horner steps per phase.  Every
     other profile and scheme goes through backend.profile_sum."""
-    half, support, bound = _retained_half_width(f, w, kernel, scheme)
+    half, support, bound = _retained_half_width(f, w, kernel, scheme, ys)
     runs, empty = _runs(ys, half, support, scheme)
+    if support is None and not kernel.profile.is_compact:
+        _log.debug("heavy-tailed window: half-width %g, %d nodes retained, "
+                   "truncation bound %.3g", half,
+                   sum(k_hi - k_lo + 1 for k_lo, k_hi in runs), bound)
     if empty and support is None:
         raise EvaluationError(
             "empty retained index set: no node within the profile's reach")
     if not runs:
         return np.zeros(ys.shape), bound  # every term vanishes
-    # the nodes only after the coefficients, and no copy of a lone run: a
-    # capped run holds 2M values per array
+    # the nodes only after the coefficients, and no copy of a lone run
     c = [_coefficients(f, k_lo, k_hi, w, scheme, means) for k_lo, k_hi in runs]
     g = kernel.response(w, c[0] if len(c) == 1 else np.concatenate(c))
     t = [scheme.nodes(k_lo, k_hi) for k_lo, k_hi in runs]

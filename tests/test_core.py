@@ -200,20 +200,22 @@ class TestSignals:
                   signals.power_clipped(-1.3, 4.0), signals.holder_bump(0.5),
                   signals.holder_bump(1.0, 1.5), signals.holder_bump(0.3, 3.0),
                   signals.cc_bump(), signals.random_bump(3),
-                  signals.random_bump(17))
+                  signals.random_bump(17), signals.sin_log())
 
     def test_log_native_builtins(self):
-        # every built-in but sin_log evaluates its log core directly; the
-        # round trip through exp and log moves v by about one ulp, so the
-        # grid keeps |v| >= 0.01 off the cusp of the Holder bumps (v = 0
-        # itself is exact)
+        # every built-in evaluates its log core directly; the round trip
+        # through exp and log moves v by about one ulp, so the grid keeps
+        # |v| >= 0.01 off the cusp of the Holder bumps (v = 0 itself is
+        # exact), and sin_log, of slope up to 1 at values up to 1, differs
+        # by up to a few ulp of v
         v = np.linspace(-700.0, 700.0, 140001)
         for f in self.LOG_NATIVE:
             assert f.log_core is not None
             direct, round_trip = f.log_evaluate(v), f.evaluate(np.exp(v))
             scale = np.maximum(np.maximum(np.abs(direct), np.abs(round_trip)), 1.0)
+            if f.name == "sin_log":
+                scale = np.maximum(scale, np.abs(v))
             assert np.all(np.abs(direct - round_trip) <= 4.0 * np.spacing(scale)), f.name
-        assert signals.sin_log().log_core is None
 
     def test_log_native_far_out(self):
         # no underflow: v = -800 is x = 0 to exp
@@ -258,8 +260,15 @@ class TestSignals:
                                       f.log_mean(a + s, b + s))
         x = np.exp(v)
         np.testing.assert_allclose(g(x), f(x * c), rtol=0, atol=1e-12)
-        # an x-domain signal dilates in the x domain
+        # sin_log's core and mean shift too
         h = signals.sin_log().dilate(c)
+        np.testing.assert_array_equal(h.log_evaluate(v), np.sin(v + s))
+        np.testing.assert_array_equal(h.log_mean(a, b),
+                                      signals.sin_log_mean(a + s, b + s))
+        # an x-domain signal dilates in the x domain
+        bare = core.Signal("bare_sin", lambda x: np.sin(np.log(x)),
+                           sup_norm=1.0)
+        h = bare.dilate(c)
         assert h.log_core is None and h.log_mean is None
         np.testing.assert_allclose(h(x), np.sin(np.log(x * c)), atol=1e-15)
 
@@ -275,8 +284,15 @@ class TestSignals:
         # a signal without declared means: a core, no mean
         e = core.difference_signal(f, signals.power_clipped(0.5))
         assert e.log_core is not None and e.log_mean is None
-        # an x-domain operand: neither
+        # sin_log declares both
         s = core.difference_signal(f, signals.sin_log())
+        np.testing.assert_array_equal(s.log_mean(a, b),
+                                      f.log_mean(a, b)
+                                      - signals.sin_log_mean(a, b))
+        # an x-domain operand: neither
+        bare = core.Signal("bare_sin", lambda x: np.sin(np.log(x)),
+                           sup_norm=1.0)
+        s = core.difference_signal(f, bare)
         assert s.log_core is None and s.log_mean is None
         x = np.exp(v)
         np.testing.assert_allclose(s(x), f(x) - np.sin(v), atol=1e-15)

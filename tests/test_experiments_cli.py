@@ -1,6 +1,7 @@
 """Config validation, experiment reports, report files and the CLI."""
 
 import csv
+import importlib.util
 import json
 import math
 import os
@@ -236,6 +237,28 @@ class TestReportFiles:
             doc = json.load(fh)
         assert doc["experiment"] == "converge_uniform"
         assert len(doc["rows"]) == 4
+        assert doc["passed"] is True
+
+
+def _pool_configs(seed):
+    """Every pool config of the four benchmark workloads at the seed, from
+    perfbench/workloads.py loaded by path (it imports only numpy)."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    # its dataclass resolves annotations through sys.modules
+    sys.modules[spec.name] = workloads
+    spec.loader.exec_module(workloads)
+    return [(name, i, cfg) for name in workloads.WORKLOADS
+            for i, cfg in enumerate(workloads.make_plan(name, seed).pool)]
+
+
+def test_pool_reports_are_json():
+    # every verdict a Python bool, every report serializable as it stands
+    for name, i, cfg in _pool_configs(1):
+        report = experiments.run(cfg)
+        json.dumps(report)
+        assert isinstance(report["passed"], bool), (name, i)
 
 
 def run_cli(args, **kw):

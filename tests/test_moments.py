@@ -23,8 +23,8 @@ FEJER = make_builtin_profile("mellin_fejer")
 # the Fejer values with only their decay envelope declared: moments take
 # the generic path of growing windows plus the envelope remainder
 ENVELOPE = KernelProfile(name="fejer_envelope", log_values=backend.fejer_values,
-                         l1_log_norm=1.0, sup_bound=1.0 / (2.0 * math.pi),
-                         decay_power=2.0, decay_coeff=2.0 / math.pi)
+                         l1_log_norm=1.0, decay_power=2.0,
+                         decay_coeff=2.0 / math.pi)
 
 
 CUT_SCHEMES = [UNIT, SamplingScheme.uniform(0.8, 0.3),
@@ -156,7 +156,7 @@ class TestDiscreteMoment:
     @pytest.mark.parametrize("profile", [
         FEJER,
         # declares a summable decay, but its window sums grow like sqrt(half)
-        KernelProfile(name="misdeclared", l1_log_norm=1.0, sup_bound=1.0,
+        KernelProfile(name="misdeclared", l1_log_norm=1.0,
                       log_values=lambda v: (1.0 + np.abs(v)) ** -0.5,
                       decay_power=3.0, decay_coeff=1.0)],
         ids=["decay-power", "window-growth"])
@@ -394,7 +394,7 @@ class TestMomentCache:
     def box(i):
         return KernelProfile(
             name=f"box{i}", log_values=lambda v: (np.abs(v) <= 0.5) * 1.0,
-            l1_log_norm=1.0, sup_bound=1.0, support_radius=0.5)
+            l1_log_norm=1.0, support_radius=0.5)
 
     def test_size_stays_within_bound(self, monkeypatch):
         monkeypatch.setattr(moments, "_MOMENT_CACHE_SIZE", 4)

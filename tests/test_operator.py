@@ -337,8 +337,8 @@ class TestClosedFormMeans:
                     assert np.array_equal(got, 0.5 * (t[:-1] + t[1:]))
 
     def test_clipped_log_far_beyond_the_clip(self):
-        # where a capped Fejer series reaches (|v| ~ 1e5) the exponential
-        # part underflows and the mean is +-(clip + 1) to round-off; an
+        # far beyond the clip (|v| ~ 1e5) the exponential part underflows
+        # and the mean is +-(clip + 1) to round-off; an
         # antiderivative difference there would lose 4 eps |H| w ~ 1e-9
         f = signals.clipped_log(6.0)
         scheme = SamplingScheme.uniform(1.0, 0.37)
@@ -394,15 +394,33 @@ class TestClosedFormMeans:
             operator.mean_values(f, 0, 99, 4.0, UNIT, QuadratureSpec())
         assert seen == [8, 8, 8]
 
-    def test_capped_fejer_sin_log_still_raises(self):
-        # sin_log stays in the x domain: at the 2M-term cap of the Fejer
-        # series exp underflows to 0 and sin(ln 0) is NaN (a known defect,
-        # kept until a capped Fejer series is cheap); the oracle's
-        # signature of that defect reads "non-finite" in the message
-        with np.errstate(divide="ignore", invalid="ignore"):
-            with pytest.raises(EvaluationError, match="non-finite"):
-                operator.eval_kantorovich(signals.sin_log(), 2.0, 1.3,
-                                          fejer_kernel(), UNIT)
+    @settings(max_examples=100, deadline=None)
+    @given(log2_w=st.integers(1, 12), far=st.floats(-1e4, 1e4),
+           data=st.data())
+    def test_sin_log_within_the_bound(self, log2_w, far, data):
+        # cells near 0 and out to |v| = 1e4, where the rounding of a + b
+        # dominates the stated bound; the reference integrates
+        # sin(a + t) = sin a cos t + cos a sin t over t in [0, b - a], so
+        # that quad sees no large argument, and allows 2 eps for its own
+        # sin a, cos a and b - a
+        from scipy.integrate import IntegrationWarning, quad
+
+        f = signals.sin_log()
+        assert f.log_mean is signals.sin_log_mean
+        w = 2.0 ** log2_w
+        scheme = _drawn_scheme(data)
+        for k in _cells_near(scheme, w, (0.0, far)):
+            a, b = scheme.node(k) / w, scheme.node(k + 1) / w
+            got = operator.mean_value(f, k, w, scheme)
+            d = b - a
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", IntegrationWarning)
+                c, c_err = quad(math.cos, 0.0, d, epsabs=1e-15, epsrel=0.0)
+                s, s_err = quad(math.sin, 0.0, d, epsabs=1e-15, epsrel=0.0)
+            ref = (math.sin(a) * c + math.cos(a) * s) / d
+            err = (c_err + s_err) / d + 2.0 * EPS
+            bound = EPS * (abs(a) + abs(b)) / 2.0 + 4.0 * EPS
+            assert abs(got - ref) <= bound + err
 
 
 # Phi(x) = int_{-1}^x exp(1 - 1/(1 - s^2)) ds to 40 significant digits:
@@ -769,21 +787,52 @@ class TestKantorovich:
         scale = w + abs(w * math.log(c * x)) + abs(m) * period
         assert abs(lhs - rhs) <= 8.0 * EPS * max(1.0, f.sup_norm) * scale
 
+    # (scheme, x, moment bound psi(2c) M_1/2 / half^1/2 of 2M-term windows,
+    # the least factor by which the lattice-tail bound of MAX_RETAINED_TERMS
+    # terms lies below it); the moment bound falls like half^-1/2 and the
+    # tail like 1/(P half) with half proportional to the lower gap, so the
+    # factor shrinks with the gaps: 17.8 at step 0.5, 13.9 on the
+    # tabulated scheme with lower gap 0.3, 25.4 at unit step, 82 at step 6
+    TRUNCATION_CASES = (
+        (SamplingScheme.uniform(0.5, 0.0), 1.0, 6.799e-3, 15.0),
+        (SamplingScheme.uniform(1.0, 0.3), 2.7, 2.423e-3, 25.0),
+        (SamplingScheme.uniform(2.5, -0.7), 0.4, 6.365e-4, 25.0),
+        (SamplingScheme.uniform(6.0, 1.1), 1.9, 2.180e-4, 25.0),
+        (SamplingScheme.tabulated((0.0, 0.3, 1.1), 1.6), 1.3, 8.309e-3,
+         12.0),
+    )
+
     def test_truncation_soundness(self):
-        # Fejer x constant(c), identity response, step h < 2 pi: m0 = 1/h
-        # at every phase (Poisson summation), so K_w c = c/h exactly and
-        # the truncated sum misses it by the dropped tail, which the bound
-        # must cover
+        # Fejer x constant(c), identity response, phase period P < 2 pi:
+        # m0 = (classes)/P at every phase (Poisson summation), so K_w c is
+        # c m0 exactly and the truncated sum misses it by the dropped
+        # tail, which the bound must cover
         c = 0.75
-        for h, offset, x in ((0.5, 0.0, 1.0), (1.0, 0.3, 2.7),
-                             (2.5, -0.7, 0.4), (6.0, 1.1, 1.9)):
-            scheme = SamplingScheme.uniform(h, offset)
+        for scheme, x, moment_bound, factor in self.TRUNCATION_CASES:
+            m0 = len(scheme.base or (0,)) / scheme.phase_period
             value, bound = operator.eval_kantorovich(
                 signals.constant(c), 4.0, x, fejer_kernel(), scheme)
-            assert 0.0 < bound < math.inf
-            assert abs(value - c / h) <= bound
-            # the tail is positive: the truncated sum stays below c/h
-            assert value <= c / h * (1.0 + 1e-12)
+            assert 0.0 < bound <= moment_bound / factor
+            assert abs(value - c * m0) <= bound
+            # the tail is positive: the truncated sum stays below c m0
+            assert value <= c * m0 * (1.0 + 1e-12)
+
+    @pytest.mark.parametrize("step", [1.0, 2.5])
+    @pytest.mark.parametrize("w", [4.0, 32.0])
+    def test_fejer_sin_log_within_bound_of_wider_window(self, monkeypatch,
+                                                        step, w):
+        # the MAX_RETAINED_TERMS window against one 100 times wider: both
+        # hold the same terms but for the dropped tails, so the two values
+        # differ by at most the sum of their bounds
+        kernel = fejer_kernel("soft", alpha=1.0)
+        scheme = SamplingScheme.uniform(step)
+        f = signals.sin_log()
+        value, bound = operator.eval_kantorovich(f, w, 1.37, kernel, scheme)
+        monkeypatch.setattr(operator, "MAX_RETAINED_TERMS",
+                            100 * operator.MAX_RETAINED_TERMS)
+        ref, ref_bound = operator.eval_kantorovich(f, w, 1.37, kernel, scheme)
+        assert np.isfinite(value) and 0.0 < ref_bound < bound < 3e-4
+        assert abs(value - ref) <= bound + ref_bound
 
     def test_compact_profile_bound_is_zero(self):
         f = signals.sin_log()

@@ -37,7 +37,7 @@ def tau_profile():
     return KernelProfile(
         name="tau",
         log_values=lambda v: ((v >= 0.0) & (v <= 1.0)).astype(float),
-        l1_log_norm=1.0, sup_bound=1.0, support_radius=1.0)
+        l1_log_norm=1.0, support_radius=1.0)
 
 
 UNIT = SamplingScheme.uniform(1.0)
