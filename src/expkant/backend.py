@@ -251,7 +251,9 @@ def _fejer_sum(y, t, coeffs, beta, cut):
         keep = None if cut is None else _keep(w, cut)
         if beta == 0.0:
             np.multiply(w, w, out=w)
-            with np.errstate(divide="ignore"):
+            # a |v| below 1e-154 squares to a subnormal or 0 whose
+            # reciprocal overflows: those pairs are zeroed just below
+            with np.errstate(divide="ignore", over="ignore"):
                 np.divide(1.0, w, out=w)
         else:
             np.abs(w, out=w)

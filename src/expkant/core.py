@@ -51,6 +51,17 @@ def gauss_legendre(m: int) -> tuple:
     return nodes, weights
 
 
+def gauss_panels(a: np.ndarray, b: np.ndarray, m: int) -> tuple:
+    """(u, wts): the m-point Gauss-Legendre nodes and weights mapped onto
+    each panel [a_i, b_i], as (panel x node) arrays."""
+    nodes, weights = gauss_legendre(m)
+    half = 0.5 * (b - a)
+    mid = 0.5 * (a + b)
+    u = mid[:, None] + half[:, None] * nodes[None, :]
+    wts = half[:, None] * weights[None, :]
+    return u, wts
+
+
 # ---------------------------------------------------------------------------
 # sampling schemes
 
@@ -132,13 +143,6 @@ class SamplingScheme:
         q, i = np.divmod(ks, m)
         return q * self.period + np.asarray(self.base)[i]
 
-    def node_gaps(self, k_lo: int, k_hi: int) -> np.ndarray:
-        """Delta_k = t_{k+1} - t_k for k in [k_lo, k_hi] inclusive."""
-        if self.kind == "uniform":
-            return np.full(k_hi - k_lo + 1, self.step)
-        g = self.gaps
-        return g[np.arange(k_lo, k_hi + 1) % len(self.base)]
-
     def index_range(self, lo: float, hi: float) -> tuple:
         """Smallest k-interval [k_lo, k_hi] containing every t_k in [lo, hi].
 
@@ -172,23 +176,26 @@ class SamplingScheme:
 @dataclass(frozen=True, eq=False)
 class KernelProfile:
     """The nonnegative factor L of a factorized kernel, viewed in the log
-    variable: log_values(v) = L(e^v)."""
+    variable: log_values(v) = L(e^v).
+
+    A profile is of one of two families: compact, supported in
+    |v| <= support_radius, or the Mellin-Fejer form, whose closed-form
+    tails and partition sums the moments module uses (fejer_tails).
+    Declaring neither or both raises ValidationError."""
 
     name: str
     log_values: Callable[[np.ndarray], np.ndarray]
     l1_log_norm: float
     support_radius: Optional[float] = None       # compact support in |v|
-    decay_power: Optional[float] = None          # L(e^v) <= coeff * |v|**-p
-    decay_coeff: Optional[float] = None
-    decay_v0: float = 0.0
-    band_limit: Optional[float] = None           # Fourier transform of L(e^v)
-                                                 # is 0 for |xi| >= band_limit
     fejer_tails: bool = False                    # L(e^v) = (1 - cos v)/(pi v^2)
     fast_kind: Optional[int] = None              # backend dispatch for builtins
     fast_order: int = 0
 
-    def evaluate(self, x) -> np.ndarray:
-        return self.log_values(np.log(np.asarray(x, dtype=float)))
+    def __post_init__(self):
+        if (self.support_radius is None) != self.fejer_tails:
+            raise ValidationError(
+                f"profile {self.name!r} needs either a support radius or the "
+                "Mellin-Fejer form, not neither or both")
 
     @property
     def is_compact(self) -> bool:
@@ -223,10 +230,6 @@ def make_builtin_profile(name: str, n: int = 2) -> KernelProfile:
             name="mellin_fejer",
             log_values=backend.fejer_values,
             l1_log_norm=1.0,
-            decay_power=2.0,
-            decay_coeff=2.0 / math.pi,
-            decay_v0=0.0,
-            band_limit=1.0,
             fejer_tails=True,
             fast_kind=backend.KIND_FEJER,
         )
@@ -318,10 +321,6 @@ class NonlinearKernel:
     def __post_init__(self):
         if self.slope is None:
             object.__setattr__(self, "slope", self.response.lipschitz_slope)
-
-    def chi_log(self, w: float, v, u) -> np.ndarray:
-        """chi at kernel argument e^v: L(e^v) * g_w(u)."""
-        return self.profile.log_values(np.asarray(v, dtype=float)) * self.response(w, u)
 
 
 # ---------------------------------------------------------------------------

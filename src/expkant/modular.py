@@ -19,7 +19,7 @@ import numpy as np
 from . import moments
 from .core import (NonlinearKernel, PhiFunction, PhiPair, SamplingScheme,
                    Signal, SlopeFunction, ValidationError, difference_signal,
-                   gauss_legendre)
+                   gauss_panels)
 from .moduli import ZERO_MODULUS, holder_fit
 from .operator import GridFunction, eval_on_log_grid
 
@@ -113,12 +113,9 @@ class ModularValue:
 
 def _panel_integrate(fun: Callable[[np.ndarray], np.ndarray], lo: float,
                      hi: float, panels: int, nodes: int = 8) -> float:
-    xg, wg = gauss_legendre(nodes)
     edges = np.linspace(lo, hi, panels + 1)
-    a, b = edges[:-1], edges[1:]
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    v = mid[:, None] + half[:, None] * xg[None, :]
-    return float(np.sum(fun(v) * (half[:, None] * wg[None, :])))
+    v, wts = gauss_panels(edges[:-1], edges[1:], nodes)
+    return float(np.sum(fun(v) * wts))
 
 
 def _adaptive_integral(fun, lo: float, hi: float, rel_tol: float = 1e-8,

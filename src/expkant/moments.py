@@ -9,12 +9,12 @@ brackets of a few dozen phases per profile sum; tail audits over many
 phases take one profile sum per w, cut to the nodes beyond the tail's
 half width.
 
-Profiles that declare their Fourier band limit get the partition sum m0 in
-closed form (Poisson summation); the Mellin-Fejer profile, which declares
-the form (1 - cos v)/(pi v^2), gets its lattice tails from a few dozen
-direct nodes per side, Hurwitz zeta values and repeated summation by parts
-on the cosine part.  Other decaying profiles sum growing node windows and
-add their decay envelope.
+A profile is compact or of the Mellin-Fejer form (1 - cos v)/(pi v^2).
+A compact profile sums every node within its support.  The Fejer profile
+gets its partition sum m0 in closed form on phase periods up to 2 pi
+(Poisson summation), and its lattice tails from a few dozen direct nodes
+per side, Hurwitz zeta values and repeated summation by parts on the
+cosine part.
 """
 
 from __future__ import annotations
@@ -30,11 +30,10 @@ import numpy as np
 
 from . import backend
 from .core import (KernelProfile, NonlinearKernel, SamplingScheme,
-                   ValidationError, gauss_legendre)
+                   ValidationError, gauss_panels)
 from .ratefit import RateFit, fit_loglog
 
 EXACT_SUP = 1e-12
-_TAIL_WINDOW = 1e5
 
 # Direct nodes of a lattice tail, per residue class and side: up to
 # _LATTICE_REACH log units past the cut, and no more than
@@ -117,29 +116,6 @@ def _window_nodes(scheme: SamplingScheme, center: float, half: float) -> np.ndar
     return scheme.nodes(k_lo, k_hi)
 
 
-def _added_nodes(scheme: SamplingScheme, window: tuple,
-                 grown: tuple) -> np.ndarray:
-    """Ascending nodes of the index window ``grown`` = (k_lo, k_hi) that are
-    not in the nested, possibly empty, window ``window``."""
-    if window[1] < window[0]:
-        return scheme.nodes(*grown)
-    return np.concatenate([scheme.nodes(grown[0], window[0] - 1),
-                           scheme.nodes(window[1] + 1, grown[1])])
-
-
-def _tail_remainder(profile: KernelProfile, scheme: SamplingScheme,
-                    radius: float, beta: float) -> float:
-    """Upper bound on sum over |y - t_k| > radius of L |.|^beta, by
-    comparison with the decay envelope (nodes at least lower_gap apart)."""
-    if profile.is_compact:
-        return 0.0 if radius >= profile.support_radius else math.inf
-    p, c = profile.decay_power, profile.decay_coeff
-    if beta >= p - 1:
-        return math.inf
-    r0 = max(radius - scheme.upper_gap, profile.decay_v0, 1e-6)
-    return 2.0 * c / scheme.lower_gap * r0 ** (beta + 1.0 - p) / (p - 1.0 - beta)
-
-
 def hurwitz_zeta(s: float, q) -> tuple:
     """(value, bound) with |zeta(s, q) - value| <= bound, where
     zeta(s, q) = sum_{k >= 0} (q + k)^-s, for real s > 1 and q > 0.
@@ -182,14 +158,15 @@ def _exact_partition(profile: KernelProfile,
     """m0(y) = sum_k L(e^{y - t_k}) in closed form, or None.
 
     By Poisson summation each residue class b + qP contributes
-    (1/P) sum_n Lhat(2 pi n/P) e^{2 pi i n (y - b)/P}.  When Lhat vanishes
-    for |xi| >= band_limit and 2 pi/P >= band_limit, only n = 0 is left,
-    so m0 == (number of classes) * l1_log_norm / P at every phase
-    (Butzer & Jansche, JFAA 1997)."""
-    if profile.band_limit is None:
+    (1/P) sum_n Lhat(2 pi n/P) e^{2 pi i n (y - b)/P}.  The Fejer form's
+    Lhat is the triangle (1 - |xi|)_+, so for P <= 2 pi only n = 0 is
+    left and m0 == (number of classes) * l1_log_norm / P at every phase
+    (Butzer & Jansche, JFAA 1997).  None for a compact profile and for
+    P > 2 pi."""
+    if not profile.fejer_tails:
         return None
     offsets, period = _residue_classes(scheme)
-    if period * profile.band_limit > 2.0 * math.pi:
+    if period > 2.0 * math.pi:
         return None
     return len(offsets) * profile.l1_log_norm / period
 
@@ -312,15 +289,12 @@ def integral_tail(profile: KernelProfile, v0: float) -> float:
     For the Fejer form it is (2/pi)(1/v0 - int_v0^inf cos v/v^2 dv), and
     integrating by parts twice gives int_v0^inf cos v/v^2 = -sin v0/v0^2
     + 2 cos v0/v0^3 - 6 int_v0^inf cos v/v^4, the last integral at most
-    1/(3 v0^3).  Other decaying profiles integrate their envelope."""
+    1/(3 v0^3).  A compact profile's is 0 beyond its support."""
     if profile.is_compact:
         return 0.0 if v0 >= profile.support_radius else math.inf
-    if profile.fejer_tails:
-        return (2.0 / math.pi * (1.0 / v0 + math.sin(v0) / v0 ** 2
-                                 - 2.0 * math.cos(v0) / v0 ** 3)
-                + 4.0 / math.pi / v0 ** 3)
-    p, c = profile.decay_power, profile.decay_coeff
-    return 2.0 * c * v0 ** (1.0 - p) / (p - 1.0)
+    return (2.0 / math.pi * (1.0 / v0 + math.sin(v0) / v0 ** 2
+                             - 2.0 * math.cos(v0) / v0 ** 3)
+            + 4.0 / math.pi / v0 ** 3)
 
 
 def _refined_sup(fun, ys: np.ndarray, h: float) -> tuple:
@@ -349,10 +323,12 @@ def discrete_moment(profile: KernelProfile, scheme: SamplingScheme,
     """Log-discrete absolute moment of order beta (w-independent in the
     phase variable).
 
-    Decaying profiles with decay power p <= beta + 1 are flagged divergent
-    immediately: their weighted terms are not summable.  The partition sum
-    (beta = 0) of a band-limited profile is exact on phase periods up to
-    2 pi / band_limit.
+    A compact profile sums every node within its support.  The Fejer
+    profile's moments of order beta >= 1 are flagged divergent
+    immediately: its weighted terms decay like |v|^(beta - 2), which is
+    not summable.  Its partition sum (beta = 0) is exact on phase periods
+    up to 2 pi; every other moment of it adds the closed-form lattice
+    tails (_lattice_tails) to the nodes summed directly.
     """
     if beta < 0:
         raise ValidationError("discrete_moment needs beta >= 0")
@@ -363,10 +339,9 @@ def discrete_moment(profile: KernelProfile, scheme: SamplingScheme,
             return MomentReport(beta, m0, "exact at every phase (Poisson "
                                 "summation)", False, None, 0.0, True)
     desc = f"{probe_points} phase points on one period [0, {period:g})"
-    if not profile.is_compact and profile.decay_power <= beta + 1.0:
-        _log.debug("discrete_moment: %s beta=%g flagged divergent, decay "
-                   "power %g <= beta + 1", profile.name, beta,
-                   profile.decay_power)
+    if profile.fejer_tails and beta >= 1.0:
+        _log.debug("discrete_moment: %s beta=%g flagged divergent, the "
+                   "Fejer terms decay like |v|^(beta - 2)", profile.name, beta)
         return MomentReport(beta, math.inf, desc, True)
     refined = (f"{desc}, the best refined by {_REFINE_CALLS} brackets of "
                f"{_REFINE_POINTS} phases")
@@ -387,37 +362,13 @@ def discrete_moment(profile: KernelProfile, scheme: SamplingScheme,
         return MomentReport(beta, value, f"{refined}, and {2 * probe_points} "
                             "phase points", False, half, 0.0)
 
-    if profile.fejer_tails:
-        def lattice_sup(ys):
-            direct, bound = _lattice_tails(profile, scheme, ys, None, beta)
-            return direct + bound, bound
+    def lattice_sup(ys):
+        direct, bound = _lattice_tails(profile, scheme, ys, None, beta)
+        return direct + bound, bound
 
-        value, remainder = _refined_sup(lattice_sup, ys,
-                                          period / probe_points)
-        return MomentReport(beta, value, refined, False,
-                            _lattice_terms(period) * period, remainder)
-
-    # decaying profile with finite moment: grow the window geometrically,
-    # summing only the nodes each doubling adds, and add the analytic tail
-    # envelope so the value is an upper bound
-    vals = np.zeros(probe_points)
-    window = (0, -1)
-    history = []
-    for i in range(7):
-        half = 64.0 * 2.0 ** i
-        grown = scheme.index_range(0.5 * period - half, 0.5 * period + half)
-        t = _added_nodes(scheme, window, grown)
-        vals += backend.profile_sum(profile, ys, t, beta=beta)
-        history.append(float(vals.max()))
-        window = grown
-    diverged = history[-2] > 0 and history[-1] / history[-2] > 1.1
-    remainder = _tail_remainder(profile, scheme, half, beta)
-    if diverged:
-        _log.debug("discrete_moment: %s beta=%g flagged divergent, window "
-                   "sups %.6g -> %.6g at half widths %g -> %g", profile.name,
-                   beta, history[-2], history[-1], half / 2.0, half)
-    return MomentReport(beta, history[-1] + remainder, desc, diverged,
-                        half, remainder)
+    value, remainder = _refined_sup(lattice_sup, ys, period / probe_points)
+    return MomentReport(beta, value, refined, False,
+                        _lattice_terms(period) * period, remainder)
 
 
 _MOMENT_CACHE_SIZE = 256
@@ -460,24 +411,21 @@ def _cut_tails(profile: KernelProfile, scheme: SamplingScheme,
         direct, bound = _lattice_tails(profile, scheme, ys, h, beta)
         return (direct + bound, bound,
                 h + _lattice_terms(scheme.phase_period) * scheme.phase_period)
-    if profile.is_compact:
-        if h >= profile.support_radius:
-            return np.zeros(ys.size), np.zeros(ys.size), None
-        outer = profile.support_radius + scheme.upper_gap
-    else:
-        outer = h + _TAIL_WINDOW
+    if h >= profile.support_radius:
+        return np.zeros(ys.size), np.zeros(ys.size), None
+    outer = profile.support_radius + scheme.upper_gap
     # one sum over every phase: the nodes with h < |y - t_k| <= outer
     span = float(ys.max() - ys.min())
     t = _window_nodes(scheme, float(ys.min()) + 0.5 * span, outer + 0.5 * span)
-    rem = np.full(ys.size, _tail_remainder(profile, scheme, outer, beta))
-    return (backend.profile_sum(profile, ys, t, beta=beta, cut=(h, outer))
-            + rem, rem, outer)
+    return (backend.profile_sum(profile, ys, t, beta=beta, cut=(h, outer)),
+            np.zeros(ys.size), outer)
 
 
 def tail_sum(profile: KernelProfile, scheme: SamplingScheme, gamma: float,
              w: float, x: float) -> float:
     """sum over |t_k - w ln x| > gamma w of L(e^{-t_k} x^w), as an upper
-    bound (partial sum plus a closed-form or decay-envelope remainder)."""
+    bound (exact for a compact profile; direct nodes plus the closed-form
+    lattice tail for the Fejer form)."""
     if gamma <= 0 or w <= 0 or x <= 0:
         raise ValidationError("tail_sum needs gamma, w, x > 0")
     totals, _, _ = _cut_tails(profile, scheme, np.array([w * math.log(x)]),
@@ -490,24 +438,27 @@ def tail_sum(profile: KernelProfile, scheme: SamplingScheme, gamma: float,
 
 
 def partition_bounds(profile: KernelProfile, scheme: SamplingScheme) -> tuple:
-    """(min, max) over the phase of m0(y) = sum_k L(e^{y - t_k}), the max
-    including the truncation remainder so it is a true upper bound; both
-    are the exact value for a band-limited profile on phase periods up to
-    2 pi / band_limit."""
+    """(min, max) of m0(y) = sum_k L(e^{y - t_k}) over _PARTITION_PHASES
+    phases of one period.
+
+    A compact profile sums every node in reach, so both are the sampled
+    values.  For the Fejer form both are the exact value on phase periods
+    up to 2 pi; beyond, each phase takes the lattice tails at beta = 0
+    (_lattice_tails, no cut): the min is the least partial sum of the
+    nodes summed directly, below m0 at its phase, and the max the most of
+    that sum plus the closed-form tail bound, above m0 at its phase."""
     m0 = _exact_partition(profile, scheme)
     if m0 is not None:
         return m0, m0
     period = scheme.phase_period
     ys = np.linspace(0.0, period, _PARTITION_PHASES, endpoint=False)
-    if profile.is_compact:
-        half = profile.support_radius + period + scheme.upper_gap
-        rem = 0.0
-    else:
-        half = 2e4
-        rem = _tail_remainder(profile, scheme, half - period, 0.0)
+    if profile.fejer_tails:
+        direct, bound = _lattice_tails(profile, scheme, ys, None, 0.0)
+        return float(direct.min()), float((direct + bound).max())
+    half = profile.support_radius + period + scheme.upper_gap
     t = _window_nodes(scheme, 0.5 * period, half)
     m0 = backend.profile_sum(profile, ys, t)
-    return float(m0.min()), float(m0.max()) + rem
+    return float(m0.min()), float(m0.max())
 
 
 def _signed_logspace(lo: float, hi: float, n: int) -> np.ndarray:
@@ -600,14 +551,15 @@ def check_L3(profile: KernelProfile, scheme: SamplingScheme, r: float,
     """Condition (L3): weighted tails beyond |t_k - w ln x| > gamma w must
     vanish as w grows.  ``extra`` gives per w the half width around each
     phase inside which nodes are summed directly (None when no node can
-    count) and the tail bound added at the phase of the sup.  Tails that
-    diverge (decay power <= r + 1) are flagged before any sum: every sup
-    reads inf, with no half width or bound."""
+    count) and the tail bound added at the phase of the sup (0 for a
+    compact profile, whose cut sums are exact).  The Fejer tails of order
+    r = 1 diverge and are flagged before any sum: every sup reads inf,
+    with no half width or bound."""
     if not (0.0 < r <= 1.0) or gamma <= 0:
         raise ValidationError("check_L3 needs r in (0,1] and gamma > 0")
     w_arr = np.asarray(sorted(w_list), dtype=float)
     params = {"r": r, "gamma": gamma}
-    if not profile.is_compact and profile.decay_power <= r + 1.0:
+    if profile.fejer_tails and r >= 1.0:
         none = [None] * w_arr.size
         return ConditionReport(
             condition="L3", params=params, w_values=tuple(w_arr),
@@ -647,10 +599,11 @@ def _log_tail_integral(profile: KernelProfile, threshold: float) -> float:
     """integral over |v| > threshold of L(e^v) dv (two-sided), as an upper
     bound beyond the integrated panels.
 
-    Panels are at most 0.5 wide, narrow enough to resolve oscillatory
-    profiles.  A compact profile's panels end on the points -R + j/2,
-    which hold every knot of the B-splines and of the tau indicator, so
-    that each panel integrates one polynomial piece."""
+    Panels are at most 0.5 wide, narrow enough to resolve the Fejer
+    form's oscillation, and reach max(400, 2 threshold), beyond which
+    integral_tail bounds the rest.  A compact profile's panels end on the
+    points -R + j/2, which hold every knot of the B-splines and of the tau
+    indicator, so that each panel integrates one polynomial piece."""
     if profile.is_compact:
         hi = profile.support_radius
         if threshold >= hi:
@@ -658,16 +611,12 @@ def _log_tail_integral(profile: KernelProfile, threshold: float) -> float:
         knots = np.arange(-hi, hi, 0.5)
         edges = np.concatenate(([threshold], knots[knots > threshold], [hi]))
     else:
-        hi = (max(400.0, 2.0 * threshold) if profile.fejer_tails
-              else max(1e4, 100.0 * threshold))
+        hi = max(400.0, 2.0 * threshold)
         n_panels = max(8, int(math.ceil((hi - threshold) / 0.5)))
         edges = np.linspace(threshold, hi, n_panels + 1)
-    nodes, weights = gauss_legendre(8)
-    a, b = edges[:-1], edges[1:]
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    v = mid[:, None] + half[:, None] * nodes[None, :]
+    v, wts = gauss_panels(edges[:-1], edges[1:], 8)
     total = float(np.sum((profile.log_values(v) + profile.log_values(-v))
-                         * (half[:, None] * weights[None, :])))
+                         * wts))
     return total + integral_tail(profile, hi)
 
 

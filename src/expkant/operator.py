@@ -7,12 +7,11 @@ Terms with m_k = 0 vanish identically (chi(., 0) = 0), so for compactly
 supported signals the retained index set is finite and the sum is exact.
 
 One truncation rule serves every entry point (_retained_half_width): a
-compact profile or a compactly supported signal is summed exactly, and a
-heavy-tailed profile on a bounded signal keeps MAX_RETAINED_TERMS nodes
-around each point and reports a bound on the terms beyond them: for the
-Mellin-Fejer profile the closed-form lattice tail at the evaluated phases
-(moments._cut_tails), which falls like 1/half, and for other heavy-tailed
-profiles the moment tail, which falls like half^-beta.
+compact profile or a compactly supported signal is summed exactly, and the
+heavy-tailed Mellin-Fejer profile on a bounded signal keeps
+MAX_RETAINED_TERMS nodes around each point and reports a bound on the
+terms beyond them: the closed-form lattice tail at the evaluated phases
+(moments._cut_tails), which falls like 1/half.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ import numpy as np
 
 from . import backend, moments
 from .core import (EvaluationError, NonlinearKernel, SamplingScheme, Signal,
-                   ValidationError, gauss_legendre)
+                   ValidationError, gauss_panels)
 
 MAX_RETAINED_TERMS = 20_000
 
@@ -61,15 +60,6 @@ class QuadratureSpec:
 # call over a wider index range, as a compactly supported signal at a
 # large w asks for.
 _CELL_BLOCK = 1 << 20
-
-
-def _gauss_cells(a: np.ndarray, b: np.ndarray, m: int):
-    nodes, weights = gauss_legendre(m)
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    u = mid[:, None] + half[:, None] * nodes[None, :]
-    wts = half[:, None] * weights[None, :]
-    return u, wts
 
 
 def mean_values(f: Signal, k_lo: int, k_hi: int, w: float,
@@ -123,7 +113,7 @@ def mean_values(f: Signal, k_lo: int, k_hi: int, w: float,
         rows = max(1, _CELL_BLOCK // m)
         for start in range(0, lo.size, rows):
             cells = slice(start, start + rows)
-            u, wts = _gauss_cells(lo[cells], hi[cells], m)
+            u, wts = gauss_panels(lo[cells], hi[cells], m)
             fv = f.log_evaluate(u)
             finite = np.isfinite(fv).all(axis=1)
             if not finite.all():
@@ -182,17 +172,14 @@ def _retained_half_width(f: Signal, w: float, kernel: NonlinearKernel,
     - a compact profile: its support radius, bound 0;
     - a compactly supported signal: its whole support, since outside it
       every Steklov mean vanishes (chi2), bound 0;
-    - a heavy-tailed profile on a bounded signal: MAX_RETAINED_TERMS nodes'
-      worth, half = MAX_RETAINED_TERMS * lower_gap / 2.  Every dropped term
-      is at most psi(2 ||f||_inf) times its profile value, so the bound is
-      psi(2 ||f||_inf) times a bound on the profile sum beyond half.  For
-      the Mellin-Fejer profile that sum is the lattice tail in closed form
-      (moments._cut_tails with beta = 0, maxed over ys), which falls like
-      1/half; it is cut one lower gap inside the window, so that a node at
-      the window's edge counts whichever side of it round-off puts the
-      node.  For other decay powers p it is M_beta / half^beta with
-      beta = 1 for p > 2 and (p - 1)/2 otherwise (inf when M_beta
-      diverges)."""
+    - the heavy-tailed Mellin-Fejer profile on a bounded signal:
+      MAX_RETAINED_TERMS nodes' worth, half = MAX_RETAINED_TERMS *
+      lower_gap / 2.  Every dropped term is at most psi(2 ||f||_inf) times
+      its profile value, so the bound is psi(2 ||f||_inf) times the
+      lattice tail beyond half in closed form (moments._cut_tails with
+      beta = 0, maxed over ys), which falls like 1/half.  The tail is cut
+      one lower gap inside the window, so that a node at the window's edge
+      counts whichever side of it round-off puts the node."""
     if f.sup_norm is None and f.support is None:
         raise EvaluationError(
             f"signal {f.name!r} declares neither a sup norm nor a support")
@@ -205,15 +192,9 @@ def _retained_half_width(f: Signal, w: float, kernel: NonlinearKernel,
         return math.inf, support, 0.0
     half = MAX_RETAINED_TERMS * scheme.lower_gap / 2.0
     slope = float(kernel.slope(2.0 * f.sup_norm))
-    if profile.fejer_tails:
-        tails, _, _ = moments._cut_tails(profile, scheme, ys,
-                                         half - scheme.lower_gap, 0.0)
-        return half, None, slope * float(np.max(tails))
-    p = profile.decay_power
-    beta = 1.0 if p > 2.0 else 0.5 * (p - 1.0)
-    m_beta = moments.moment_value(profile, scheme, beta)
-    bound = slope * m_beta / half ** beta if math.isfinite(m_beta) else math.inf
-    return half, None, bound
+    tails, _, _ = moments._cut_tails(profile, scheme, ys,
+                                     half - scheme.lower_gap, 0.0)
+    return half, None, slope * float(np.max(tails))
 
 
 def _runs(ys: np.ndarray, half: float, support, scheme: SamplingScheme):

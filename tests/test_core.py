@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from expkant import core, signals
-from expkant.core import (NonlinearKernel, SamplingScheme, ValidationError,
-                          make_builtin_profile, make_response)
+from expkant.core import (KernelProfile, NonlinearKernel, SamplingScheme,
+                          ValidationError, make_builtin_profile, make_response)
 
 
 class TestSamplingScheme:
@@ -34,9 +34,8 @@ class TestSamplingScheme:
         # t_{3q+i} = 2q + base_i
         assert s.node(3) == pytest.approx(2.0)
         assert s.node(-1) == pytest.approx(-2.0 + 1.1)
-        gaps = s.node_gaps(-3, 5)
-        assert gaps.min() == pytest.approx(0.4)
-        assert gaps.max() == pytest.approx(0.9)
+        assert s.lower_gap == pytest.approx(0.4)
+        assert s.upper_gap == pytest.approx(0.9)
         # every node from nodes() respects the gap bounds
         t = s.nodes(-7, 7)
         d = np.diff(t)
@@ -71,7 +70,7 @@ class TestSamplingScheme:
 class TestProfiles:
     def test_bspline_center_value(self):
         p = make_builtin_profile("bspline", 2)
-        assert p.evaluate(np.array([1.0]))[0] == pytest.approx(0.75, abs=1e-14)
+        assert p.log_values(np.array([0.0]))[0] == pytest.approx(0.75, abs=1e-14)
 
     def test_bspline_support_boundary(self):
         p = make_builtin_profile("bspline", 2)
@@ -105,15 +104,28 @@ class TestProfiles:
             1.0 / (2 * math.pi))
         v = np.linspace(-50, 50, 10001)
         assert np.all(p.log_values(v) >= 0.0)
-        # decay envelope
+        # (1 - cos v)/(pi v^2) <= 2/(pi v^2)
         big = np.array([10.0, 100.0, -40.0])
-        assert np.all(p.log_values(big)
-                      <= p.decay_coeff * np.abs(big) ** -p.decay_power + 1e-15)
+        assert np.all(p.log_values(big) <= 2.0 / (math.pi * big ** 2) + 1e-15)
+
+    def test_profile_family_is_declared_once(self):
+        # compact (a support radius) or the Mellin-Fejer form, not neither
+        # and not both
+        values = make_builtin_profile("mellin_fejer").log_values
+        with pytest.raises(ValidationError, match="neither or both"):
+            KernelProfile(name="bare", log_values=values, l1_log_norm=1.0)
+        with pytest.raises(ValidationError, match="neither or both"):
+            KernelProfile(name="both", log_values=values, l1_log_norm=1.0,
+                          support_radius=1.5, fejer_tails=True)
+        assert KernelProfile(name="box", log_values=values, l1_log_norm=1.0,
+                             support_radius=0.5).is_compact
+        assert not KernelProfile(name="fejer", log_values=values,
+                                 l1_log_norm=1.0, fejer_tails=True).is_compact
 
     def test_fejer_l1_norm_quadrature(self):
         from expkant.experiments import _l1_quadrature
         p = make_builtin_profile("mellin_fejer")
-        # upper bound: quadrature plus the decay-envelope tail estimate
+        # upper bound: quadrature plus the closed-form Fejer tail bound
         got, err, converged = _l1_quadrature(p)
         assert 1.0 - 1e-9 <= got <= 1.0 + 5e-3
         assert converged and err <= 1e-8
@@ -156,8 +168,7 @@ class TestResponses:
     def test_kernel_vanishes_at_zero(self):
         k = NonlinearKernel(make_builtin_profile("bspline", 2),
                             make_response("soft", alpha=2.0))
-        v = np.linspace(-1.4, 1.4, 7)
-        assert np.all(k.chi_log(5.0, v, np.zeros_like(v)) == 0.0)
+        assert np.all(k.response(5.0, np.zeros(7)) == 0.0)
 
     def test_errors(self):
         with pytest.raises(ValidationError):

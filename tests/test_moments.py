@@ -15,16 +15,57 @@ from hypothesis import strategies as st
 
 from expkant import backend, moments
 from expkant.core import (KernelProfile, NonlinearKernel, SamplingScheme,
-                          ValidationError, make_builtin_profile, make_response)
+                          ValidationError, gauss_panels, make_builtin_profile,
+                          make_response)
 
 UNIT = SamplingScheme.uniform()
 BSPLINE = make_builtin_profile("bspline", 2)
 FEJER = make_builtin_profile("mellin_fejer")
-# the Fejer values with only their decay envelope declared: moments take
-# the generic path of growing windows plus the envelope remainder
-ENVELOPE = KernelProfile(name="fejer_envelope", log_values=backend.fejer_values,
-                         l1_log_norm=1.0, decay_power=2.0,
-                         decay_coeff=2.0 / math.pi)
+
+
+# The decay envelope L(e^v) <= (2/pi) |v|^-2 of the Fejer values: the
+# looser reference the closed-form tails are checked against.
+
+
+def envelope_tail(scheme, radius, beta):
+    """Upper bound on the sum over |y - t_k| > radius of L |y - t_k|^beta
+    for nodes at least lower_gap apart: 2 (2/pi)/lower_gap
+    r0^(beta - 1)/(1 - beta) with r0 = radius - upper_gap."""
+    r0 = max(radius - scheme.upper_gap, 1e-6)
+    return (2.0 * (2.0 / math.pi) / scheme.lower_gap * r0 ** (beta - 1.0)
+            / (1.0 - beta))
+
+
+def envelope_moment(scheme, beta, probe, half=4096.0):
+    """(window sup, envelope value): the sup over probe phases of the sum
+    over the nodes within half of the period's centre, and that sup plus
+    envelope_tail beyond the window."""
+    period = scheme.phase_period
+    ys = np.linspace(0.0, period, probe, endpoint=False)
+    t = moments._window_nodes(scheme, 0.5 * period, half)
+    sup = float(np.max(backend.profile_sum(FEJER, ys, t, beta=beta)))
+    return sup, sup + envelope_tail(scheme, half, beta)
+
+
+def envelope_tail_sum(scheme, y, cut, reach=1e5):
+    """The sum over cut < |t_k - y| <= cut + reach of L plus envelope_tail
+    beyond: an upper bound of the Fejer tail beyond cut."""
+    outer = cut + reach
+    t = moments._window_nodes(scheme, y, outer)
+    near = float(backend.profile_sum(FEJER, y, t, cut=(cut, outer))[0])
+    return near + envelope_tail(scheme, outer, 0.0)
+
+
+def envelope_tail_mass(threshold):
+    """The integral over |v| > threshold of L by 8-point Gauss panels of
+    width at most 0.5 up to hi = max(1e4, 100 threshold), plus the envelope
+    integral (4/pi)/hi beyond: an upper bound of the Fejer tail mass."""
+    hi = max(1e4, 100.0 * threshold)
+    edges = np.linspace(threshold, hi,
+                        max(8, int(math.ceil((hi - threshold) / 0.5))) + 1)
+    v, wts = gauss_panels(edges[:-1], edges[1:], 8)
+    return (float(np.sum((FEJER.log_values(v) + FEJER.log_values(-v)) * wts))
+            + 4.0 / math.pi / hi)
 
 
 CUT_SCHEMES = [UNIT, SamplingScheme.uniform(0.8, 0.3),
@@ -33,12 +74,10 @@ CUT_IDS = ["unit", "step-0.8", "tabulated"]
 
 
 def per_phase_tails(profile, scheme, y, h, beta):
-    """(sum over h < |t_k - y| <= outer, outer): the per-phase, per-side
-    loop check_L3 and tail_sum ran before their cut sums."""
-    if profile.is_compact:
-        outer = profile.support_radius + scheme.upper_gap
-    else:
-        outer = h + moments._TAIL_WINDOW
+    """(sum over h < |t_k - y| <= outer, outer) for a compact profile: the
+    per-phase, per-side loop check_L3 and tail_sum ran before their cut
+    sums."""
+    outer = profile.support_radius + scheme.upper_gap
     total = 0.0
     for lo, hi in ((y - outer, y - h), (y + h, y + outer)):
         k_lo, k_hi = scheme.index_range(lo, hi)
@@ -53,20 +92,18 @@ def per_phase_tails(profile, scheme, y, h, beta):
 
 
 def per_phase_L3(profile, scheme, r, gamma, w_list, phase_points=128):
-    """The L3 sups and remainders of the per-phase loop."""
+    """The L3 sups and remainders of the per-phase loop for a compact
+    profile, whose cut sums are exact (remainder 0)."""
     ys = np.linspace(0.0, scheme.phase_period, phase_points, endpoint=False)
-    sups, rems = [], []
+    sups = []
     for w in sorted(w_list):
         h = gamma * w
-        if profile.is_compact and h >= profile.support_radius:
+        if h >= profile.support_radius:
             sups.append(0.0)
-            rems.append(0.0)
             continue
-        per_y = [per_phase_tails(profile, scheme, y, h, r) for y in ys]
-        rem = moments._tail_remainder(profile, scheme, per_y[0][1], r)
-        sups.append(max(v for v, _ in per_y) + rem)
-        rems.append(rem)
-    return sups, rems
+        sups.append(max(per_phase_tails(profile, scheme, y, h, r)[0]
+                        for y in ys))
+    return sups, [0.0] * len(sups)
 
 
 class TestDiscreteMoment:
@@ -114,12 +151,6 @@ class TestDiscreteMoment:
             moments.discrete_moment(BSPLINE, UNIT, -1.0)
 
     def test_report_records_window_and_remainder(self):
-        rep = moments.discrete_moment(ENVELOPE, UNIT, 0.5).to_dict()
-        assert rep["half_width"] == 4096.0
-        assert rep["remainder"] == moments._tail_remainder(ENVELOPE, UNIT,
-                                                           4096.0, 0.5)
-        assert 0.0 < rep["remainder"] < 0.05 * rep["value"]
-        assert not rep["exact"]
         rep = moments.discrete_moment(BSPLINE, UNIT, 1.0).to_dict()
         assert rep["half_width"] == BSPLINE.support_radius + UNIT.upper_gap
         assert rep["remainder"] == 0.0
@@ -153,13 +184,7 @@ class TestDiscreteMoment:
                                       0.0, probe_points=64)
         assert not rep.exact and rep.remainder > 0.0
 
-    @pytest.mark.parametrize("profile", [
-        FEJER,
-        # declares a summable decay, but its window sums grow like sqrt(half)
-        KernelProfile(name="misdeclared", l1_log_norm=1.0,
-                      log_values=lambda v: (1.0 + np.abs(v)) ** -0.5,
-                      decay_power=3.0, decay_coeff=1.0)],
-        ids=["decay-power", "window-growth"])
+    @pytest.mark.parametrize("profile", [FEJER], ids=["decay-power"])
     def test_divergence_writes_a_debug_line(self, profile, caplog):
         with caplog.at_level(logging.DEBUG, logger="expkant.moments"):
             rep = moments.discrete_moment(profile, UNIT, 1.0, probe_points=16)
@@ -173,30 +198,16 @@ class TestDiscreteMoment:
         SamplingScheme.tabulated((0.0, 0.3, 1.1), 1.7)],
         ids=["unit", "shifted", "tabulated"])
     @pytest.mark.parametrize("beta", [0.0, 0.5])
-    def test_annulus_growth_matches_whole_windows(self, scheme, beta):
-        # each doubling adds only its two annuli to the running sums; the
-        # sup must equal that of the whole last window summed from scratch
+    def test_fejer_moment_covers_the_whole_window(self, scheme, beta):
+        # the Fejer closed-form tails: an upper bound above the sup of the
+        # whole 4096-wide window's sum (exact m0 for beta = 0), and no
+        # looser than that sum plus the decay envelope beyond it
         probe = 64
-        rep = moments.discrete_moment(ENVELOPE, scheme, beta,
-                                      probe_points=probe)
-        period = scheme.phase_period
-        ys = np.linspace(0.0, period, probe, endpoint=False)
-        sups = []
-        for half in 64.0 * 2.0 ** np.arange(7):
-            t = moments._window_nodes(scheme, 0.5 * period, half)
-            v = ys[:, None] - t[None, :]
-            sups.append(float(np.max(
-                (ENVELOPE.log_values(v) * np.abs(v) ** beta).sum(axis=1))))
-        remainder = moments._tail_remainder(ENVELOPE, scheme, half, beta)
-        assert rep.value == pytest.approx(sups[-1] + remainder, rel=1e-13)
-        assert rep.remainder == remainder
-        assert rep.diverged == (sups[-1] / sups[-2] > 1.1)
-        # the Fejer closed-form tails: an upper bound no looser than the
-        # envelope, above the whole window's sum (exact m0 for beta = 0)
+        sup, envelope = envelope_moment(scheme, beta, probe)
         fejer = moments.discrete_moment(FEJER, scheme, beta,
                                         probe_points=probe)
-        assert sups[-1] <= fejer.value * (1.0 + 1e-12)
-        assert fejer.value < rep.value
+        assert sup <= fejer.value * (1.0 + 1e-12)
+        assert fejer.value < envelope
         assert fejer.exact == (beta == 0.0)
 
 
@@ -367,12 +378,14 @@ class TestLatticeTails:
         assert len(lines) == 1 and "forces the 2Z" in lines[0]
 
     def test_moment_tighter_than_parent_envelope(self):
-        # M_1/2 at unit step: the 7-window sum plus the envelope read
-        # 1.63524; the closed-form tails read 1.61545 past 512 log units of
-        # direct sums and 1.61534 by summation by parts, above the
+        # M_1/2 at unit step: the 4096-wide window sum plus the envelope
+        # reads 1.63524; the closed-form tails read 1.61545 past 512 log
+        # units of direct sums and 1.61534 by summation by parts, above the
         # 2e5-node direct sum 1.61249
         fejer = moments.discrete_moment(FEJER, UNIT, 0.5).value
-        assert fejer < moments.discrete_moment(ENVELOPE, UNIT, 0.5).value
+        envelope = envelope_moment(UNIT, 0.5, 2048)[1]
+        assert envelope == pytest.approx(1.63524, abs=1e-5)
+        assert fejer < envelope
         assert fejer == pytest.approx(1.61534, abs=1e-5)
         assert 1.61249 < fejer < 1.61545
 
@@ -380,8 +393,8 @@ class TestLatticeTails:
         for gamma, w, x in ((1.0, 4.0, 2.0), (0.5, 64.0, 0.3),
                             (2.0, 16.0, 1.0)):
             fejer = moments.tail_sum(FEJER, UNIT, gamma, w, x)
-            envelope = moments.tail_sum(ENVELOPE, UNIT, gamma, w, x)
             y, cut = w * math.log(x), gamma * w
+            envelope = envelope_tail_sum(UNIT, y, cut)
             assert direct_tail(UNIT, y, cut, (0.0,))[0] <= fejer < envelope
 
 
@@ -519,14 +532,13 @@ class TestPartition:
         # Mellin-Poisson summation: the Fejer transform is the triangle on
         # [-1, 1], so for step <= 2 pi only the zero frequency survives and
         # m0(y) = 1/step at every phase.  A window sum misses only
-        # positive terms, which the tail remainder bounds.
+        # positive terms, which the decay envelope bounds.
         scheme = SamplingScheme.uniform(step, offset)
         ys = step * (shift + np.arange(5) / 5.0)
         center = 0.5 * step
         t = moments._window_nodes(scheme, center, half)
         sums = backend.profile_sum(FEJER, ys, t)
-        rem = moments._tail_remainder(FEJER, scheme,
-                                      half - np.max(np.abs(ys - center)), 0.0)
+        rem = envelope_tail(scheme, half - np.max(np.abs(ys - center)), 0.0)
         assert np.all(sums <= (1.0 + 1e-12) / step)
         assert np.all(1.0 / step <= (sums + rem) * (1.0 + 1e-12))
         # the closed form the package returns lies in the same bracket
@@ -534,6 +546,27 @@ class TestPartition:
         assert moments.partition_bounds(FEJER, scheme) == (m0, m0)
         assert np.all(sums <= m0 * (1.0 + 1e-12))
         assert np.all(m0 <= (sums + rem) * (1.0 + 1e-12))
+
+    @pytest.mark.parametrize("scheme", [
+        SamplingScheme.uniform(7.0, 0.3), SamplingScheme.uniform(9.5, 0.1),
+        SamplingScheme.uniform(13.0, 0.1),
+        SamplingScheme.tabulated((0.0, 2.0, 5.5), 8.0)],
+        ids=["7", "9.5", "13", "tabulated"])
+    def test_fejer_bounds_beyond_2pi_bracket_a_direct_sum(self, scheme):
+        # past P = 2 pi more frequencies than the zero one survive, so m0
+        # varies with the phase; at each sampled phase the nodes summed
+        # directly stay below a +-3e5-node reference sum, and adding the
+        # closed-form tail bound lifts them above it
+        period = scheme.phase_period
+        ys = np.linspace(0.0, period, moments._PARTITION_PHASES,
+                         endpoint=False)
+        ref = backend.profile_sum(FEJER, ys, scheme.nodes(-300_000, 300_000))
+        direct, bound = moments._lattice_tails(FEJER, scheme, ys, None, 0.0)
+        assert np.all(direct <= ref * (1.0 + 1e-12))
+        assert np.all(ref <= direct + bound)
+        lo, hi = moments.partition_bounds(FEJER, scheme)
+        assert (lo, hi) == (float(direct.min()), float((direct + bound).max()))
+        assert lo <= float(ref.min()) and float(ref.max()) <= hi
 
 
 class TestChi4:
@@ -610,12 +643,11 @@ class TestL3:
             raise AssertionError("profile_sum called for divergent tails")
 
         monkeypatch.setattr(backend, "profile_sum", no_sum)
-        for profile in (FEJER, ENVELOPE):
-            rep = moments.check_L3(profile, UNIT, 1.0, 1.0, [4, 8, 16, 32])
-            assert rep.sup_values == (math.inf,) * 4
-            assert rep.extra == {"diverged": True, "half_width": [None] * 4,
-                                 "remainder": [None] * 4}
-            assert not rep.passed and rep.fitted_rate is None
+        rep = moments.check_L3(FEJER, UNIT, 1.0, 1.0, [4, 8, 16, 32])
+        assert rep.sup_values == (math.inf,) * 4
+        assert rep.extra == {"diverged": True, "half_width": [None] * 4,
+                             "remainder": [None] * 4}
+        assert not rep.passed and rep.fitted_rate is None
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     @pytest.mark.parametrize("scheme", CUT_SCHEMES, ids=CUT_IDS)
@@ -629,15 +661,6 @@ class TestL3:
             np.testing.assert_allclose(rep.sup_values, sups, rtol=1e-14,
                                        atol=0.0)
             assert rep.extra["remainder"] == rems
-
-    def test_decaying_profile_matches_the_per_phase_loop(self):
-        scheme = SamplingScheme.uniform(0.7, 0.3)
-        rep = moments.check_L3(ENVELOPE, scheme, 0.5, 1.0, [1.0, 2.0],
-                               phase_points=4)
-        sups, rems = per_phase_L3(ENVELOPE, scheme, 0.5, 1.0, [1.0, 2.0],
-                                  phase_points=4)
-        np.testing.assert_allclose(rep.sup_values, sups, rtol=1e-13, atol=0.0)
-        assert rep.extra["remainder"] == rems
 
 
 class TestE31:
@@ -731,7 +754,7 @@ class TestE31:
         got = moments._log_tail_integral(FEJER, threshold)
         exact = self.fejer_tail_mass(threshold)
         assert exact <= got <= exact + 1e-7
-        assert got < moments._log_tail_integral(ENVELOPE, threshold)
+        assert got < envelope_tail_mass(threshold)
 
 
 class TestCompactOuterWindow:
