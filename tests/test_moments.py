@@ -25,8 +25,6 @@ FEJER = make_builtin_profile("mellin_fejer")
 
 # The decay envelope L(e^v) <= (2/pi) |v|^-2 of the Fejer values: the
 # looser reference the closed-form tails are checked against.
-
-
 def envelope_tail(scheme, radius, beta):
     """Upper bound on the sum over |y - t_k| > radius of L |y - t_k|^beta
     for nodes at least lower_gap apart: 2 (2/pi)/lower_gap
