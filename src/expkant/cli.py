@@ -11,8 +11,7 @@ import json
 import sys
 
 from . import experiments, moments
-from .core import (ExpKantError, PreconditionError, SamplingScheme,
-                   ValidationError, make_builtin_profile)
+from .core import ExpKantError, SamplingScheme, ValidationError
 
 EXIT_PASS = 0
 EXIT_THEOREM_FAIL = 2
@@ -33,17 +32,10 @@ def _load_config(path: str) -> dict:
 
 
 def _parse_profile(text: str):
+    """NAME or NAME:N, as the config profile {"name": NAME, "n": N}."""
     name, _, arg = text.partition(":")
-    if name == "bspline":
-        try:
-            order = int(arg) if arg else 2
-        except ValueError:
-            raise ValidationError(
-                f"bspline order must be an integer (got {arg!r})") from None
-        return make_builtin_profile("bspline", order)
-    if arg:
-        raise ValidationError(f"profile {name!r} takes no parameter")
-    return make_builtin_profile(name)
+    return experiments.build_profile({"name": name, "n": arg} if arg
+                                     else {"name": name})
 
 
 def _parse_scheme(text: str) -> SamplingScheme:
@@ -84,7 +76,7 @@ def _cmd_moments(args) -> int:
     profile = _parse_profile(args.profile)
     scheme = _parse_scheme(args.scheme)
     rep = moments.discrete_moment(profile, scheme, args.beta)
-    print(json.dumps(rep.to_dict(), default=str))
+    print(experiments.to_json(rep.to_dict()))
     return EXIT_PASS
 
 
@@ -120,9 +112,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValidationError, PreconditionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
     except ExpKantError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

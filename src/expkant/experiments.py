@@ -2,9 +2,12 @@
 convergence statement as a (w, error) table with a rate fit and a
 pass/fail verdict, or audits kernel admissibility conditions.
 
-Configs are single JSON documents; unknown keys are rejected at every
-level so a run is reproducible from its config alone.  CSV tables carry a
-header row, '.' decimals and 17 significant digits.
+Each experiment is one row of ``_EXPERIMENTS``: its runner and its
+required and optional config keys, read by both ``validate_config`` and
+``run``.  Configs are single JSON documents; unknown keys are rejected at
+every level so a run is reproducible from its config alone.  CSV tables
+carry a header row, '.' decimals and 17 significant digits; JSON report
+files are strict RFC 8259 JSON, with each non-finite float written as null.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from . import mellin, modular, moduli, moments, operator
 from .core import (KernelProfile, NonlinearKernel, PhiPair,
                    PreconditionError, SamplingScheme, Signal,
                    ValidationError, make_builtin_profile, make_response)
-from .modular import make_phi, power_pair
+from .modular import make_phi
 from .ratefit import RateFit, fit_loglog
 from .signals import make_signal
 
@@ -65,12 +68,19 @@ def build_scheme(spec: Optional[dict]) -> SamplingScheme:
 
 
 def build_profile(spec: dict) -> KernelProfile:
+    """A built-in profile; only the B-spline takes an order "n" (default 2)."""
     spec = _require_dict(spec, "profile")
-    _check_keys(spec, {"name", "n"}, {"name"}, "profile")
-    if spec["name"] == "bspline":
-        return make_builtin_profile("bspline", int(spec.get("n", 2)))
-    _check_keys(spec, {"name"}, {"name"}, "profile")
-    return make_builtin_profile(spec["name"])
+    bspline = spec.get("name") == "bspline"
+    _check_keys(spec, {"name", "n"} if bspline else {"name"}, {"name"},
+                "profile")
+    if not bspline:
+        return make_builtin_profile(spec["name"])
+    try:
+        n = int(spec.get("n", 2))
+    except (TypeError, ValueError):
+        raise ValidationError(
+            f"bspline order must be an integer (got {spec['n']!r})") from None
+    return make_builtin_profile("bspline", n)
 
 
 def build_kernel(spec: dict) -> NonlinearKernel:
@@ -108,9 +118,7 @@ def build_phi(spec: Optional[dict]):
 def build_pair(spec: Optional[dict], slope) -> PhiPair:
     """Power-type phi with the companion eta determined by the kernel slope
     (so the growth condition holds by construction)."""
-    if spec is None:
-        return modular.matched_pair(2.0, slope)
-    spec = _require_dict(spec, "pair")
+    spec = _require_dict({} if spec is None else spec, "pair")
     _check_keys(spec, {"p"}, set(), "pair")
     return modular.matched_pair(spec.get("p", 2.0), slope)
 
@@ -135,59 +143,29 @@ def build_grid(spec: Optional[dict], f: Signal) -> np.ndarray:
     return np.linspace(lo, hi, n)
 
 
-def _w_list(cfg: dict) -> np.ndarray:
-    w = cfg.get("w_list")
-    if w is None:
-        raise ValidationError("config needs a w_list")
-    w = np.asarray(w, dtype=float)
+def _setup(cfg: dict) -> tuple:
+    """(kernel, scheme, signal or None, w array) of an experiment that takes
+    a kernel, built in that order."""
+    kernel = build_kernel(cfg["kernel"])
+    scheme = build_scheme(cfg.get("scheme"))
+    f = build_signal(cfg["signal"]) if "signal" in cfg else None
+    w = np.asarray(cfg["w_list"], dtype=float)
     if w.size < 4 or np.any(np.diff(w) <= 0) or w[0] <= 0:
         raise ValidationError(
             "w_list must be strictly increasing, positive, length >= 4")
-    return w
-
-
-_COMMON_KEYS = {"experiment", "output"}
-
-_EXPERIMENT_KEYS = {
-    "converge_uniform": {"kernel", "scheme", "signal", "w_list", "grid"},
-    "converge_pointwise": {"kernel", "scheme", "signal", "w_list", "x"},
-    "quantitative_3_2": {"kernel", "scheme", "signal", "w_list", "grid",
-                         "beta", "j", "slack"},
-    "voronovskaja": {"kernel", "scheme", "signal", "w_list", "x", "r",
-                     "slack"},
-    "modular_convergence": {"kernel", "scheme", "signal", "w_list", "phi",
-                            "lambda", "threshold", "n_points"},
-    "modular_inequality": {"kernel", "scheme", "w_list", "pair", "seeds",
-                           "lambda"},
-    "quantitative_5_1": {"kernel", "scheme", "signal", "w_list", "pair",
-                         "gamma", "lambda0", "lambda", "slack", "n_points"},
-    "audit_kernel": {"kernel", "scheme", "w_list", "j", "beta", "r", "gamma",
-                     "e31_gamma", "pair"},
-    "moments": {"profile", "scheme", "betas"},
-}
-
-_REQUIRED_KEYS = {
-    "converge_uniform": {"kernel", "signal", "w_list"},
-    "converge_pointwise": {"kernel", "signal", "w_list", "x"},
-    "quantitative_3_2": {"kernel", "signal", "w_list", "beta"},
-    "voronovskaja": {"kernel", "signal", "w_list", "x", "r"},
-    "modular_convergence": {"kernel", "signal", "w_list"},
-    "modular_inequality": {"kernel", "w_list"},
-    "quantitative_5_1": {"kernel", "signal", "w_list", "gamma"},
-    "audit_kernel": {"kernel", "w_list"},
-    "moments": {"profile", "betas"},
-}
+    return kernel, scheme, f, w
 
 
 def validate_config(cfg: dict) -> str:
     cfg = _require_dict(cfg, "config")
     name = cfg.get("experiment")
-    if name not in _EXPERIMENT_KEYS:
+    if name not in _EXPERIMENTS:
         raise ValidationError(
             f"unknown experiment {name!r} "
-            f"(one of {sorted(_EXPERIMENT_KEYS)})")
-    _check_keys(cfg, _EXPERIMENT_KEYS[name] | _COMMON_KEYS,
-                _REQUIRED_KEYS[name] | {"experiment"}, "config")
+            f"(one of {sorted(_EXPERIMENTS)})")
+    _, required, optional = _EXPERIMENTS[name]
+    _check_keys(cfg, required | optional | {"experiment", "output"},
+                required | {"experiment"}, "config")
     if "output" in cfg:
         out = _require_dict(cfg["output"], "output")
         _check_keys(out, {"csv", "json"}, set(), "output")
@@ -195,29 +173,51 @@ def validate_config(cfg: dict) -> str:
 
 
 # ---------------------------------------------------------------------------
-# shared helpers
-
-
-def fit_rate(pairs: Sequence) -> Optional[RateFit]:
-    """Rate fit for (w, err) pairs; None marks the exact (all-zero) case."""
-    pairs = list(pairs)
-    if not pairs:
-        raise ValidationError("fit_rate needs at least one pair")
-    w = [p[0] for p in pairs]
-    v = [p[1] for p in pairs]
-    return fit_loglog(w, v)
+# verdicts
 
 
 def _fit_dict(fit: Optional[RateFit]) -> Optional[dict]:
     return None if fit is None else fit.to_dict()
 
 
-def _decay_verdict(errors: np.ndarray, fit: Optional[RateFit]) -> bool:
-    if np.all(errors < EXACT_ERROR):
-        return True
-    if fit is None:
-        return False
-    return bool(fit.slope < 0.0 and errors[-1] < errors[0])
+def _decay_report(w_arr: np.ndarray, errors: np.ndarray, **extra) -> dict:
+    """The (w, error) table of a convergence run.  It passes when every
+    error is below EXACT_ERROR (fit "exact"), or when the fitted slope is
+    negative and the last error is below the first."""
+    fit = fit_loglog(w_arr, errors)
+    exact = bool(np.all(errors < EXACT_ERROR))
+    return {
+        "rows": [{"w": float(w), "error": float(e)}
+                 for w, e in zip(w_arr, errors)],
+        "columns": ["w", "error"],
+        **extra,
+        "fit": "exact" if exact else _fit_dict(fit),
+        "passed": exact or (fit is not None and bool(
+            fit.slope < 0.0 and errors[-1] < errors[0])),
+    }
+
+
+def _bound_report(rows: list, w_arr: np.ndarray, slack: float, floor: float,
+                  parts: Optional[list], **extra) -> dict:
+    """The (w, lhs, rhs) table of a quantitative estimate.  It passes when
+    lhs <= rhs (1 + slack) + floor in every row and, unless parts is None,
+    the fitted decay of lhs is no slower than min(parts) - 0.1."""
+    inequality_ok = all(r["lhs"] <= r["rhs"] * (1.0 + slack) + floor
+                        for r in rows)
+    fit = fit_loglog(w_arr, [r["lhs"] for r in rows])
+    required = None if parts is None else min(parts)
+    rate_ok = required is None or fit is None \
+        or -fit.slope >= required - 0.1
+    return {
+        "rows": rows,
+        "columns": ["w", "lhs", "rhs"],
+        **extra,
+        "fit": _fit_dict(fit),
+        "required_order": required,
+        "rate_ok": bool(rate_ok),
+        "inequality_ok": bool(inequality_ok),
+        "passed": bool(inequality_ok and rate_ok),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -225,55 +225,28 @@ def _decay_verdict(errors: np.ndarray, fit: Optional[RateFit]) -> bool:
 
 
 def _run_converge_uniform(cfg: dict) -> dict:
-    kernel = build_kernel(cfg["kernel"])
-    scheme = build_scheme(cfg.get("scheme"))
-    f = build_signal(cfg["signal"])
-    w_arr = _w_list(cfg)
+    kernel, scheme, f, w_arr = _setup(cfg)
     grid = build_grid(cfg.get("grid"), f)
-    errors = np.array([operator.sup_error(f, float(w), grid, kernel, scheme)
-                       for w in w_arr])
-    fit = fit_loglog(w_arr, errors)
-    exact = bool(np.all(errors < EXACT_ERROR))
-    return {
-        "rows": [{"w": float(w), "error": float(e)}
-                 for w, e in zip(w_arr, errors)],
-        "columns": ["w", "error"],
-        "fit": "exact" if exact else _fit_dict(fit),
-        "passed": _decay_verdict(errors, fit),
-    }
+    return _decay_report(w_arr, np.array([
+        operator.sup_error(f, float(w), grid, kernel, scheme)
+        for w in w_arr]))
 
 
 def _run_converge_pointwise(cfg: dict) -> dict:
-    kernel = build_kernel(cfg["kernel"])
-    scheme = build_scheme(cfg.get("scheme"))
-    f = build_signal(cfg["signal"])
-    w_arr = _w_list(cfg)
+    kernel, scheme, f, w_arr = _setup(cfg)
     x = float(cfg["x"])
     if x <= 0:
         raise ValidationError("converge_pointwise needs x > 0")
     fx = float(f(np.array([x]))[0])
-    errors = np.array([
+    return _decay_report(w_arr, np.array([
         abs(operator.eval_kantorovich(f, float(w), x, kernel, scheme)[0] - fx)
-        for w in w_arr])
-    fit = fit_loglog(w_arr, errors)
-    exact = bool(np.all(errors < EXACT_ERROR))
-    return {
-        "rows": [{"w": float(w), "error": float(e)}
-                 for w, e in zip(w_arr, errors)],
-        "columns": ["w", "error"],
-        "x": x,
-        "fit": "exact" if exact else _fit_dict(fit),
-        "passed": _decay_verdict(errors, fit),
-    }
+        for w in w_arr]), x=x)
 
 
 def _run_quantitative_3_2(cfg: dict) -> dict:
     """Quantitative uniform estimate: sup error against the measured-constant
     RHS, in the beta >= 1 and 0 < beta < 1 variants."""
-    kernel = build_kernel(cfg["kernel"])
-    scheme = build_scheme(cfg.get("scheme"))
-    f = build_signal(cfg["signal"])
-    w_arr = _w_list(cfg)
+    kernel, scheme, f, w_arr = _setup(cfg)
     grid = build_grid(cfg.get("grid"), f)
     beta = float(cfg["beta"])
     j = int(cfg.get("j", 2))
@@ -315,11 +288,8 @@ def _run_quantitative_3_2(cfg: dict) -> dict:
             rhs += 2.0 ** (beta + 1.0) * float(psi(f.sup_norm)) \
                 * w ** (-beta) * m_beta
         rows.append({"w": float(w), "lhs": float(lhs[i]), "rhs": float(rhs)})
-    inequality_ok = all(r["lhs"] <= r["rhs"] * (1.0 + slack) for r in rows)
 
-    fit = fit_loglog(w_arr, lhs)
-    required = None
-    rate_ok = True
+    parts = None
     alpha = kernel.response.deviation_rate
     q = kernel.slope.growth_exponent
     if f.holder is not None and q is not None:
@@ -327,27 +297,14 @@ def _run_quantitative_3_2(cfg: dict) -> dict:
         parts = [nu * q] if case == 1 else [nu * beta * q, beta]
         if alpha is not None:
             parts.append(alpha)
-        required = min(parts)
-        rate_ok = fit is None or -fit.slope >= required - 0.1
-    return {
-        "rows": rows,
-        "columns": ["w", "lhs", "rhs"],
-        "case": case,
-        "constants": {"m0": m0, "m_beta": m_beta, "aggregate": const,
-                      "m1_diverged": not math.isfinite(m1)},
-        "fit": _fit_dict(fit),
-        "required_order": required,
-        "rate_ok": bool(rate_ok),
-        "inequality_ok": bool(inequality_ok),
-        "passed": bool(inequality_ok and rate_ok),
-    }
+    return _bound_report(
+        rows, w_arr, slack, 0.0, parts, case=case,
+        constants={"m0": m0, "m_beta": m_beta, "aggregate": const,
+                   "m1_diverged": not math.isfinite(m1)})
 
 
 def _run_voronovskaja(cfg: dict) -> dict:
-    kernel = build_kernel(cfg["kernel"])
-    scheme = build_scheme(cfg.get("scheme"))
-    f = build_signal(cfg["signal"])
-    w_arr = _w_list(cfg)
+    kernel, scheme, f, w_arr = _setup(cfg)
     rep = mellin.voronovskaja_experiment(
         f, float(cfg["x"]), float(cfg["r"]), kernel, scheme, w_arr,
         slack=float(cfg.get("slack", 0.05)))
@@ -361,13 +318,10 @@ def _run_voronovskaja(cfg: dict) -> dict:
 
 
 def _run_modular_convergence(cfg: dict) -> dict:
-    kernel = build_kernel(cfg["kernel"])
-    scheme = build_scheme(cfg.get("scheme"))
-    f = build_signal(cfg["signal"])
+    kernel, scheme, f, w_arr = _setup(cfg)
     if f.log_support_radius is None:
         raise ValidationError(
             "modular_convergence needs a compactly supported signal")
-    w_arr = _w_list(cfg)
     phi = build_phi(cfg.get("phi"))
     lam = float(cfg.get("lambda", 1.0))
     threshold = float(cfg.get("threshold", 1e-5))
@@ -393,9 +347,7 @@ def _run_modular_convergence(cfg: dict) -> dict:
 
 
 def _run_modular_inequality(cfg: dict) -> dict:
-    kernel = build_kernel(cfg["kernel"])
-    scheme = build_scheme(cfg.get("scheme"))
-    w_arr = _w_list(cfg)
+    kernel, scheme, _, w_arr = _setup(cfg)
     pair = build_pair(cfg.get("pair"), kernel.slope)
     lam = float(cfg.get("lambda", 0.5))
     seeds = cfg.get("seeds", list(range(10)))
@@ -436,16 +388,13 @@ def _run_quantitative_5_1(cfg: dict) -> dict:
     """Quantitative modular estimate: I_phi[nu(K_w f - f)] against the
     four-term RHS built from the smoothness moduli, the tail-mass fit and
     the (chi4*) deviation."""
-    kernel = build_kernel(cfg["kernel"])
-    scheme = build_scheme(cfg.get("scheme"))
+    kernel, scheme, f, w_arr = _setup(cfg)
     if not scheme.is_unit_uniform:
         raise ValidationError(
             "quantitative_5_1 requires the unit uniform scheme (gaps = 1)")
-    f = build_signal(cfg["signal"])
     if f.log_support_radius is None:
         raise ValidationError(
             "quantitative_5_1 needs a compactly supported signal")
-    w_arr = _w_list(cfg)
     pair = build_pair(cfg.get("pair"), kernel.slope)
     gamma = float(cfg["gamma"])
     if not (0.0 < gamma < 1.0):
@@ -508,33 +457,19 @@ def _run_quantitative_5_1(cfg: dict) -> dict:
         term4 = 0.0 if star_exact else i_phi_lam0 / 3.0 * w ** (-alpha)
         rows.append({"w": w, "lhs": float(lhs),
                      "rhs": float(term1 + term2 + term3 + term4)})
-    inequality_ok = all(r["lhs"] <= r["rhs"] * (1.0 + slack) + 1e-15
-                        for r in rows)
-
-    fit = fit_loglog(w_arr, [r["lhs"] for r in rows])
-    required = None
-    rate_ok = True
+    parts = None
     if f.holder is not None:
         parts = [gamma * f.holder[0]]
         if not math.isinf(gamma0):
             parts.append(gamma0)
         if not star_exact:
             parts.append(alpha)
-        required = min(parts)
-        rate_ok = fit is None or -fit.slope >= required - 0.1
-    return {
-        "rows": rows,
-        "columns": ["w", "lhs", "rhs"],
-        "constants": {"m0": m0, "m0_tau": m0_tau, "nu": nu, "lambda": lam,
-                      "lambda0": lam0, "gamma": gamma, "gamma0": gamma0,
-                      "chi4_star_exact": star_exact},
-        "tail_condition": e31.to_dict(),
-        "fit": _fit_dict(fit),
-        "required_order": required,
-        "rate_ok": bool(rate_ok),
-        "inequality_ok": bool(inequality_ok),
-        "passed": bool(inequality_ok and rate_ok),
-    }
+    return _bound_report(
+        rows, w_arr, slack, 1e-15, parts,
+        constants={"m0": m0, "m0_tau": m0_tau, "nu": nu, "lambda": lam,
+                   "lambda0": lam0, "gamma": gamma, "gamma0": gamma0,
+                   "chi4_star_exact": star_exact},
+        tail_condition=e31.to_dict())
 
 
 _L1_REACH = 400.0
@@ -553,9 +488,7 @@ def _l1_quadrature(profile: KernelProfile):
 
 
 def _run_audit_kernel(cfg: dict) -> dict:
-    kernel = build_kernel(cfg["kernel"])
-    scheme = build_scheme(cfg.get("scheme"))
-    w_arr = _w_list(cfg)
+    kernel, scheme, _, w_arr = _setup(cfg)
     j = int(cfg.get("j", 2))
     profile = kernel.profile
     beta = float(cfg.get("beta", 2.0 if profile.is_compact else 0.5))
@@ -629,16 +562,33 @@ def _run_moments(cfg: dict) -> dict:
     }
 
 
-_RUNNERS = {
-    "converge_uniform": _run_converge_uniform,
-    "converge_pointwise": _run_converge_pointwise,
-    "quantitative_3_2": _run_quantitative_3_2,
-    "voronovskaja": _run_voronovskaja,
-    "modular_convergence": _run_modular_convergence,
-    "modular_inequality": _run_modular_inequality,
-    "quantitative_5_1": _run_quantitative_5_1,
-    "audit_kernel": _run_audit_kernel,
-    "moments": _run_moments,
+# name: (runner, required config keys, optional config keys); every config
+# also takes "experiment" (required) and "output" (optional)
+_EXPERIMENTS = {
+    "converge_uniform": (_run_converge_uniform,
+                         {"kernel", "signal", "w_list"}, {"scheme", "grid"}),
+    "converge_pointwise": (_run_converge_pointwise,
+                           {"kernel", "signal", "w_list", "x"}, {"scheme"}),
+    "quantitative_3_2": (_run_quantitative_3_2,
+                         {"kernel", "signal", "w_list", "beta"},
+                         {"scheme", "grid", "j", "slack"}),
+    "voronovskaja": (_run_voronovskaja,
+                     {"kernel", "signal", "w_list", "x", "r"},
+                     {"scheme", "slack"}),
+    "modular_convergence": (_run_modular_convergence,
+                            {"kernel", "signal", "w_list"},
+                            {"scheme", "phi", "lambda", "threshold",
+                             "n_points"}),
+    "modular_inequality": (_run_modular_inequality, {"kernel", "w_list"},
+                           {"scheme", "pair", "seeds", "lambda"}),
+    "quantitative_5_1": (_run_quantitative_5_1,
+                         {"kernel", "signal", "w_list", "gamma"},
+                         {"scheme", "pair", "lambda0", "lambda", "slack",
+                          "n_points"}),
+    "audit_kernel": (_run_audit_kernel, {"kernel", "w_list"},
+                     {"scheme", "j", "beta", "r", "gamma", "e31_gamma",
+                      "pair"}),
+    "moments": (_run_moments, {"profile", "betas"}, {"scheme"}),
 }
 
 
@@ -662,6 +612,22 @@ def write_csv(path: str, columns: Sequence[str], rows: Sequence[dict]) -> None:
             writer.writerow([_format_cell(row[c]) for c in columns])
 
 
+def _finite(value):
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _finite(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite(v) for v in value]
+    return value
+
+
+def to_json(report, **kwargs) -> str:
+    """RFC 8259 JSON text of a report, each non-finite float written as
+    null; the report's flags (diverged, exact_zero, zero_from_w) say why."""
+    return json.dumps(_finite(report), allow_nan=False, **kwargs)
+
+
 def write_outputs(report: dict, output: Optional[dict]) -> None:
     if not output:
         return
@@ -669,15 +635,14 @@ def write_outputs(report: dict, output: Optional[dict]) -> None:
         write_csv(output["csv"], report["columns"], report["rows"])
     if "json" in output:
         with open(output["json"], "w") as fh:
-            json.dump(report, fh, indent=2)
-            fh.write("\n")
+            fh.write(to_json(report, indent=2) + "\n")
 
 
 def run(cfg: dict) -> dict:
     """Validates the config, runs the experiment, writes any requested
     report files and returns the report dict (with a 'passed' verdict)."""
     name = validate_config(cfg)
-    report = _RUNNERS[name](cfg)
+    report = _EXPERIMENTS[name][0](cfg)
     report["experiment"] = name
     report["config"] = {k: v for k, v in cfg.items() if k != "output"}
     write_outputs(report, cfg.get("output"))

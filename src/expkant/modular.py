@@ -139,7 +139,7 @@ def _adaptive_integral(fun, lo: float, hi: float, rel_tol: float = 1e-8,
 
 
 def modular(phi: PhiFunction, f: Signal, lam: float,
-            window: Optional[tuple] = None, rel_tol: float = 1e-8) -> ModularValue:
+            window: Optional[tuple] = None) -> ModularValue:
     """I_phi[lam f] = integral of phi(lam |f(e^v)|) dv.
 
     For signals without compact support the window is extended until the
@@ -154,17 +154,17 @@ def modular(phi: PhiFunction, f: Signal, lam: float,
 
     if window is not None:
         lo, hi = window
-        value, err, converged = _adaptive_integral(integrand, lo, hi, rel_tol)
+        value, err, converged = _adaptive_integral(integrand, lo, hi)
         return ModularValue(lam, value, err, converged=converged)
     if f.log_support_radius is not None:
         r = f.log_support_radius
-        value, err, converged = _adaptive_integral(integrand, -r, r, rel_tol)
+        value, err, converged = _adaptive_integral(integrand, -r, r)
         return ModularValue(lam, value, err, converged=converged)
     # unbounded support: grow the window and watch the tail panels decay
-    value, err, converged = _adaptive_integral(integrand, -30.0, 30.0, rel_tol)
+    value, err, converged = _adaptive_integral(integrand, -30.0, 30.0)
     tail = (_panel_integrate(integrand, 30.0, 60.0, 256)
             + _panel_integrate(integrand, -60.0, -30.0, 256))
-    diverged = tail > max(rel_tol * max(1.0, value), 1e-12)
+    diverged = tail > max(1e-8 * max(1.0, value), 1e-12)
     return ModularValue(lam, value + tail, max(err, tail), diverged, converged)
 
 
@@ -234,16 +234,14 @@ class ConditionHReport:
                 "worst_at": list(self.worst_at)}
 
 
-def check_H(pair: PhiPair, slope: SlopeFunction,
-            lambda_grid: Sequence[float] = (0.1, 0.25, 0.5, 0.75, 0.9),
-            u_grid: Optional[np.ndarray] = None,
-            slack: float = 1e-9) -> ConditionHReport:
-    """Pointwise check of phi(C_lambda psi(u)) <= eta(lambda u) on grids."""
-    if u_grid is None:
-        u_grid = np.concatenate([[0.0], np.geomspace(1e-6, 1e3, 181)])
+def check_H(pair: PhiPair, slope: SlopeFunction) -> ConditionHReport:
+    """Pointwise check of phi(C_lambda psi(u)) <= eta(lambda u), to within
+    1e-9 max(1, |worst margin|), at lambda in {0.1, 0.25, 0.5, 0.75, 0.9}
+    and u = 0 and 181 log-spaced points in [1e-6, 1e3]."""
+    u_grid = np.concatenate([[0.0], np.geomspace(1e-6, 1e3, 181)])
     worst = -math.inf
     at = (math.nan, math.nan)
-    for lam in lambda_grid:
+    for lam in (0.1, 0.25, 0.5, 0.75, 0.9):
         c = pair.c_lambda(lam)
         lhs = pair.phi(c * slope(u_grid))
         rhs = pair.eta(lam * u_grid)
@@ -253,7 +251,7 @@ def check_H(pair: PhiPair, slope: SlopeFunction,
             worst = float(margin[i])
             at = (float(lam), float(u_grid[i]))
     scale = max(1.0, abs(worst))
-    return ConditionHReport(worst <= slack * scale, worst, at)
+    return ConditionHReport(worst <= 1e-9 * scale, worst, at)
 
 
 @dataclass(frozen=True)
@@ -282,7 +280,7 @@ def _lipschitz_rhs(kernel: NonlinearKernel, scheme: SamplingScheme,
 
 def _lipschitz_at(kernel: NonlinearKernel, scheme: SamplingScheme,
                   pair: PhiPair, f: Signal, g: Signal, w: float, rhs: float,
-                  lam: float, rel_slack: float = 1e-3) -> ModularLipschitzReport:
+                  lam: float) -> ModularLipschitzReport:
     """The left-hand side I_phi[c (K_w f - K_w g)], c = C_lambda / M_0, at
     one w, checked against ``rhs`` from _lipschitz_rhs."""
     m0 = moments.moment_value(kernel.profile, scheme, 0.0)
@@ -291,18 +289,17 @@ def _lipschitz_at(kernel: NonlinearKernel, scheme: SamplingScheme,
     kg = eval_on_log_grid(g, w, kernel, scheme)
     lhs = modular_error(pair.phi, kg, kf, c).value
     return ModularLipschitzReport(lhs, rhs, lam, c,
-                                  lhs <= rhs * (1.0 + rel_slack) + 1e-15)
+                                  lhs <= rhs * (1.0 + 1e-3) + 1e-15)
 
 
 def modular_lipschitz_check(kernel: NonlinearKernel, scheme: SamplingScheme,
                             pair: PhiPair, f: Signal, g: Signal, w: float,
-                            lam: float = 0.5,
-                            rel_slack: float = 1e-3) -> ModularLipschitzReport:
+                            lam: float = 0.5) -> ModularLipschitzReport:
     """The modular inequality between operator outputs:
     I_phi[c (K_w f - K_w g)] <= (||L||_1 / (delta M_0)) I_eta[lam (f - g)]
     with c = C_lambda / M_0, both sides by quadrature."""
     rhs = _lipschitz_rhs(kernel, scheme, pair, f, g, lam)
-    return _lipschitz_at(kernel, scheme, pair, f, g, w, rhs, lam, rel_slack)
+    return _lipschitz_at(kernel, scheme, pair, f, g, w, rhs, lam)
 
 
 # ---------------------------------------------------------------------------
@@ -346,27 +343,24 @@ def _shift_grid(r: float, delta: float, t_points: int, n_points: int):
     return unit / m, shifts
 
 
-def log_smoothness(phi: PhiFunction, f: Signal, lam: float, delta: float,
-                   t_points: int = 17, n_points: int = 8192) -> float:
+def log_smoothness(phi: PhiFunction, f: Signal, lam: float,
+                   delta: float) -> float:
     """sup over dilations |ln t| <= delta of I_phi[lam (f(. t) - f(.))],
-    over the t_points shifts h of linspace(-delta, delta, t_points) of the
-    log variable.
+    over the 17 shifts h of linspace(-delta, delta, 17) of the log
+    variable.
 
     f is evaluated once, on a uniform grid whose step divides every shift
-    (_shift_grid) and is no coarser than 2(r + delta)/(n_points - 1), r the
-    log support radius (8 without a support); each f(. + h) is then a
-    slice of that array and each integral over [-(r + delta), r + delta],
-    outside which the integrand vanishes, a trapezoid row sum.  With the
-    default 17 shifts, when delta/8 is below the base step the grid step is
-    delta/8 and the grid has about 16(r + delta)/delta points: more than
-    the 18 n_points evaluations of one grid per shift only for
-    delta < 2.2e-4 at r = 2 and n_points = 8192."""
+    (_shift_grid) and is no coarser than 2(r + delta)/8191, r the log
+    support radius (8 without a support); each f(. + h) is then a slice of
+    that array and each integral over [-(r + delta), r + delta], outside
+    which the integrand vanishes, a trapezoid row sum.  When delta/8 is
+    below that base step the grid step is delta/8 and the grid has about
+    16(r + delta)/delta points: more than the 18 x 8192 evaluations of one
+    8192-point grid per shift only for delta < 2.2e-4 at r = 2."""
     if delta <= 0:
         raise ValidationError("log_smoothness needs delta > 0")
-    if t_points < 2 or n_points < 2:
-        raise ValidationError("log_smoothness needs t_points, n_points >= 2")
     r = (f.log_support_radius if f.log_support_radius is not None else 8.0)
-    step, shifts = _shift_grid(r, delta, t_points, n_points)
+    step, shifts = _shift_grid(r, delta, 17, 8192)
     half = math.ceil((r + delta) / step)  # grid points v = i step, |i| <= half
     reach = half + int(shifts[-1])
     fv = f.log_evaluate(step * np.arange(-reach, reach + 1))
@@ -380,7 +374,7 @@ def log_smoothness(phi: PhiFunction, f: Signal, lam: float, delta: float,
 
 
 def smoothness_curve(phi: PhiFunction, f: Signal, lam: float,
-                     deltas: Sequence[float], **kwargs) -> SmoothnessCurve:
+                     deltas: Sequence[float]) -> SmoothnessCurve:
     ds = sorted((float(d) for d in deltas), reverse=True)
-    values = tuple(log_smoothness(phi, f, lam, d, **kwargs) for d in ds)
+    values = tuple(log_smoothness(phi, f, lam, d) for d in ds)
     return SmoothnessCurve(tuple(ds), values, lam)

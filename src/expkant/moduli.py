@@ -8,7 +8,6 @@ grid never decreases the value.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 

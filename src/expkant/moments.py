@@ -526,13 +526,12 @@ def check_chi4(kernel: NonlinearKernel, scheme: SamplingScheme, j: int,
 
 
 def check_chi4_star(kernel: NonlinearKernel, scheme: SamplingScheme,
-                    w_list: Sequence[float],
-                    u_grid: Optional[np.ndarray] = None) -> ConditionReport:
-    """Condition (chi4*): sup over u != 0 of |(1/u) sum_k chi(., u) - 1|."""
+                    w_list: Sequence[float]) -> ConditionReport:
+    """Condition (chi4*): sup over u != 0 of |(1/u) sum_k chi(., u) - 1|,
+    on 101 log-spaced |u| in [1e-8, 1e3] of each sign."""
     w_arr = np.asarray(sorted(w_list), dtype=float)
     m0_lo, m0_hi = partition_bounds(kernel.profile, scheme)
-    if u_grid is None:
-        u_grid = _signed_logspace(1e-8, 1e3, 101)
+    u_grid = _signed_logspace(1e-8, 1e3, 101)
     alpha = kernel.response.deviation_rate
     vals = np.array([_sup_functional(kernel, m0_lo, m0_hi, w, u_grid, True)
                      for w in w_arr])

@@ -23,10 +23,10 @@ class RateFit:
                 "r_squared": self.r_squared, "points_used": self.points_used}
 
 
-def fit_loglog(w: Sequence[float], values: Sequence[float],
-               tail_fraction: float = 2.0 / 3.0) -> Optional[RateFit]:
-    """Least squares on (ln w, ln value) over the largest tail_fraction of
-    the w's, discarding pre-asymptotic points and exact-zero values.
+def fit_loglog(w: Sequence[float],
+               values: Sequence[float]) -> Optional[RateFit]:
+    """Least squares on (ln w, ln value) over the largest two thirds of the
+    w's, discarding pre-asymptotic points and exact-zero values.
 
     Returns None when fewer than 3 usable points remain (the "exact" case).
     """
@@ -38,7 +38,7 @@ def fit_loglog(w: Sequence[float], values: Sequence[float],
     w, values = w[keep], values[keep]
     if w.size < 3:
         return None
-    n_tail = max(3, int(np.ceil(tail_fraction * w.size)))
+    n_tail = max(3, int(np.ceil(2.0 / 3.0 * w.size)))
     w, values = w[-n_tail:], values[-n_tail:]
     if w.size < 3:
         return None

@@ -11,6 +11,7 @@ from expkant import (experiments, mellin, modular, moments, operator,
                      signals)
 from expkant.core import (NonlinearKernel, SamplingScheme,
                           make_builtin_profile, make_response)
+from expkant.ratefit import fit_loglog
 
 UNIT = SamplingScheme.uniform()
 BSPLINE = make_builtin_profile("bspline", 2)
@@ -64,7 +65,7 @@ class TestAcceptance:
                 worst = max(worst, abs(val - math.log(x) - 0.5 / w))
             errors.append(operator.sup_error(f, float(w), grid,
                                              identity_kernel(), UNIT))
-        fit = experiments.fit_rate(list(zip(w_arr, errors)))
+        fit = fit_loglog(w_arr, errors)
         ok = worst < 1e-8 and abs(fit.slope + 1.0) <= 0.02
         verdict(2, "interior error equals 1/(2w), rate -1 +/- 0.02", ok,
                 f"deviation {worst:.2e}, slope {fit.slope:.4f}")
@@ -160,8 +161,7 @@ class TestAcceptance:
             f = signals.random_bump(seed)
             g = signals.random_bump(seed + 1000)
             for w in (8.0, 32.0):
-                rep = modular.modular_lipschitz_check(k, UNIT, pair, f, g, w,
-                                                      rel_slack=1e-3)
+                rep = modular.modular_lipschitz_check(k, UNIT, pair, f, g, w)
                 violations += not rep.passed
         verdict(9, "modular inequality on 10 random pairs, w in {8, 32}",
                 violations == 0, f"{violations} violations")

@@ -15,6 +15,7 @@ import pytest
 import expkant
 from expkant import cli, experiments, moments
 from expkant.core import ValidationError, make_builtin_profile
+from expkant.ratefit import fit_loglog
 
 
 def base_config(**overrides):
@@ -71,19 +72,62 @@ class TestConfigValidation:
             experiments.run(cfg)
 
 
+# experiment: (required keys, optional keys), besides the required
+# "experiment" and the optional "output" of every config
+SCHEMA = {
+    "converge_uniform": ({"kernel", "signal", "w_list"}, {"scheme", "grid"}),
+    "converge_pointwise": ({"kernel", "signal", "w_list", "x"}, {"scheme"}),
+    "quantitative_3_2": ({"kernel", "signal", "w_list", "beta"},
+                         {"scheme", "grid", "j", "slack"}),
+    "voronovskaja": ({"kernel", "signal", "w_list", "x", "r"},
+                     {"scheme", "slack"}),
+    "modular_convergence": ({"kernel", "signal", "w_list"},
+                            {"scheme", "phi", "lambda", "threshold",
+                             "n_points"}),
+    "modular_inequality": ({"kernel", "w_list"},
+                           {"scheme", "pair", "seeds", "lambda"}),
+    "quantitative_5_1": ({"kernel", "signal", "w_list", "gamma"},
+                         {"scheme", "pair", "lambda0", "lambda", "slack",
+                          "n_points"}),
+    "audit_kernel": ({"kernel", "w_list"},
+                     {"scheme", "j", "beta", "r", "gamma", "e31_gamma",
+                      "pair"}),
+    "moments": ({"profile", "betas"}, {"scheme"}),
+}
+
+
+def test_schema_names_every_experiment():
+    with pytest.raises(ValidationError) as info:
+        experiments.validate_config({"experiment": "nope"})
+    assert f"(one of {sorted(SCHEMA)})" in str(info.value)
+
+
+@pytest.mark.parametrize("name", sorted(SCHEMA))
+def test_config_schema(name):
+    # key checks only: validate_config reads no value but "experiment"
+    required, optional = SCHEMA[name]
+    minimal = {"experiment": name, **dict.fromkeys(required)}
+    assert experiments.validate_config(minimal) == name
+    full = {**minimal, **dict.fromkeys(optional), "output": {}}
+    assert experiments.validate_config(full) == name
+    for key in sorted(required):
+        cfg = {k: v for k, v in full.items() if k != key}
+        with pytest.raises(ValidationError,
+                           match=rf"missing keys in config: \['{key}'\]"):
+            experiments.validate_config(cfg)
+    with pytest.raises(ValidationError, match="unknown keys in config"):
+        experiments.validate_config({**full, "extra": 1})
+
+
 class TestRateFit:
     def test_exact_power_law(self):
         w = np.array([4.0, 8.0, 16.0, 32.0])
-        fit = experiments.fit_rate(list(zip(w, 3.0 * w ** -2)))
+        fit = fit_loglog(w, 3.0 * w ** -2)
         assert fit.slope == pytest.approx(-2.0, abs=1e-12)
         assert math.exp(fit.intercept) == pytest.approx(3.0, rel=1e-10)
 
     def test_all_zero_is_none(self):
-        assert experiments.fit_rate([(4.0, 0.0), (8.0, 0.0)]) is None
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValidationError):
-            experiments.fit_rate([])
+        assert fit_loglog([4.0, 8.0], [0.0, 0.0]) is None
 
 
 class TestReports:
@@ -239,6 +283,25 @@ class TestReportFiles:
         assert len(doc["rows"]) == 4
         assert doc["passed"] is True
 
+    def test_written_report_is_strict_json(self, tmp_path):
+        # the divergent Fejer moment is null in the file, its flag says
+        # why, and the report in memory keeps the float
+        json_path = tmp_path / "moments.json"
+        report = experiments.run({
+            "experiment": "moments", "profile": {"name": "mellin_fejer"},
+            "betas": [0, 1], "output": {"json": str(json_path)}})
+        assert math.isinf(report["rows"][1]["value"])
+        doc = json.loads(json_path.read_text(),
+                         parse_constant=reject_constant)
+        assert doc["rows"] == [
+            {"beta": 0.0, "value": report["rows"][0]["value"],
+             "diverged": False},
+            {"beta": 1.0, "value": None, "diverged": True}]
+
+
+def reject_constant(name):
+    raise ValueError(f"{name} is not RFC 8259 JSON")
+
 
 def _pool_configs(seed):
     """Every pool config of the four benchmark workloads at the seed, from
@@ -347,6 +410,22 @@ class TestCli:
         doc = json.loads(proc.stdout)
         assert doc["value"] == pytest.approx(1.0, abs=1e-10)
         assert doc["diverged"] is False
+
+    def test_moments_divergent_value_is_null(self):
+        proc = run_cli(["moments", "--profile", "mellin_fejer", "--beta",
+                        "1"])
+        assert proc.returncode == cli.EXIT_PASS, proc.stderr
+        doc = json.loads(proc.stdout, parse_constant=reject_constant)
+        assert doc["value"] is None
+        assert doc["diverged"] is True
+
+    def test_run_bad_bspline_order_exit_3(self, tmp_path):
+        cfg = base_config(kernel={"profile": {"name": "bspline", "n": "x"}})
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        proc = run_cli(["run", str(cfg_path)])
+        assert proc.returncode == cli.EXIT_VALIDATION
+        assert "Traceback" not in proc.stderr
 
     def test_moments_bad_profile_exit_3(self):
         assert run_cli(["moments", "--profile", "nope", "--beta",
