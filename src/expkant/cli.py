@@ -34,8 +34,14 @@ def _load_config(path: str) -> dict:
 def _parse_profile(text: str):
     """NAME or NAME:N, as the config profile {"name": NAME, "n": N}."""
     name, _, arg = text.partition(":")
-    return experiments.build_profile({"name": name, "n": arg} if arg
-                                     else {"name": name})
+    if not arg:
+        return experiments.build_profile({"name": name})
+    try:
+        n = int(arg)
+    except ValueError:
+        raise ValidationError(
+            f"profile order must be an integer (got {arg!r})") from None
+    return experiments.build_profile({"name": name, "n": n})
 
 
 def _parse_scheme(text: str) -> SamplingScheme:

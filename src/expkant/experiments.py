@@ -5,7 +5,9 @@ pass/fail verdict, or audits kernel admissibility conditions.
 Each experiment is one row of ``_EXPERIMENTS``: its runner and its
 required and optional config keys, read by both ``validate_config`` and
 ``run``.  Configs are single JSON documents; unknown keys are rejected at
-every level so a run is reproducible from its config alone.  CSV tables
+every level so a run is reproducible from its config alone, and every
+value is read through a typed reader (_number, _integer, _flag, _text,
+_listed) that raises ValidationError naming the key path.  CSV tables
 carry a header row, '.' decimals and 17 significant digits; JSON report
 files are strict RFC 8259 JSON, with each non-finite float written as null.
 """
@@ -15,6 +17,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 from typing import Optional, Sequence
 
 import numpy as np
@@ -40,6 +43,41 @@ def _require_dict(value, where: str) -> dict:
     return value
 
 
+def _number(value, where: str) -> float:
+    """A number: an int or a float, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValidationError(f"{where} must be a number (got {value!r})")
+    return float(value)
+
+
+def _integer(value, where: str) -> int:
+    """An integer: an int, or a float of integral value; not a bool."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValidationError(f"{where} must be an integer (got {value!r})")
+    return int(value)
+
+
+def _flag(value, where: str) -> bool:
+    if not isinstance(value, bool):
+        raise ValidationError(f"{where} must be true or false (got {value!r})")
+    return value
+
+
+def _text(value, where: str) -> str:
+    if not isinstance(value, str):
+        raise ValidationError(f"{where} must be a string (got {value!r})")
+    return value
+
+
+def _listed(value, where: str, read) -> list:
+    """A list, each element read by read(element, where[i])."""
+    if not isinstance(value, (list, tuple)):
+        raise ValidationError(f"{where} must be a list (got {value!r})")
+    return [read(v, f"{where}[{i}]") for i, v in enumerate(value)]
+
+
 def _check_keys(spec: dict, allowed: set, required: set, where: str) -> None:
     unknown = set(spec) - allowed
     if unknown:
@@ -55,53 +93,57 @@ def build_scheme(spec: Optional[dict]) -> SamplingScheme:
     if spec is None:
         return SamplingScheme.uniform()
     spec = _require_dict(spec, "scheme")
-    kind = spec.get("kind", "uniform")
+    kind = _text(spec.get("kind", "uniform"), "scheme.kind")
     if kind == "uniform":
         _check_keys(spec, {"kind", "step", "offset"}, set(), "scheme")
-        return SamplingScheme.uniform(spec.get("step", 1.0),
-                                      spec.get("offset", 0.0))
+        return SamplingScheme.uniform(
+            _number(spec.get("step", 1.0), "scheme.step"),
+            _number(spec.get("offset", 0.0), "scheme.offset"))
     if kind == "tabulated":
         _check_keys(spec, {"kind", "base", "period"}, {"base", "period"},
                     "scheme")
-        return SamplingScheme.tabulated(spec["base"], spec["period"])
+        return SamplingScheme.tabulated(
+            _listed(spec["base"], "scheme.base", _number),
+            _number(spec["period"], "scheme.period"))
     raise ValidationError(f"unknown scheme kind {kind!r}")
 
 
-def build_profile(spec: dict) -> KernelProfile:
+def build_profile(spec: dict, where: str = "profile") -> KernelProfile:
     """A built-in profile; only the B-spline takes an order "n" (default 2)."""
-    spec = _require_dict(spec, "profile")
+    spec = _require_dict(spec, where)
     bspline = spec.get("name") == "bspline"
     _check_keys(spec, {"name", "n"} if bspline else {"name"}, {"name"},
-                "profile")
+                where)
+    name = _text(spec["name"], f"{where}.name")
     if not bspline:
-        return make_builtin_profile(spec["name"])
-    try:
-        n = int(spec.get("n", 2))
-    except (TypeError, ValueError):
-        raise ValidationError(
-            f"bspline order must be an integer (got {spec['n']!r})") from None
-    return make_builtin_profile("bspline", n)
+        return make_builtin_profile(name)
+    return make_builtin_profile(name, _integer(spec.get("n", 2), f"{where}.n"))
 
 
 def build_kernel(spec: dict) -> NonlinearKernel:
     spec = _require_dict(spec, "kernel")
     _check_keys(spec, {"profile", "response"}, {"profile"}, "kernel")
-    profile = build_profile(spec["profile"])
+    profile = build_profile(spec["profile"], "kernel.profile")
     rspec = _require_dict(spec.get("response", {"name": "identity"}),
                           "kernel.response")
     _check_keys(rspec, {"name", "alpha", "r"}, {"name"}, "kernel.response")
-    response = make_response(rspec["name"], alpha=rspec.get("alpha", 1.0),
-                             r=rspec.get("r", 1.0))
+    response = make_response(
+        _text(rspec["name"], "kernel.response.name"),
+        alpha=_number(rspec.get("alpha", 1.0), "kernel.response.alpha"),
+        r=_number(rspec.get("r", 1.0), "kernel.response.r"))
     return NonlinearKernel(profile, response)
 
 
 def build_signal(spec: dict) -> Signal:
+    """A built-in signal; every parameter is a number but random_bump's
+    integer "seed"."""
     spec = _require_dict(spec, "signal")
     if "name" not in spec:
         raise ValidationError("signal spec needs a 'name'")
-    params = {k: v for k, v in spec.items() if k != "name"}
+    params = {k: (_integer if k == "seed" else _number)(v, f"signal.{k}")
+              for k, v in spec.items() if k != "name"}
     try:
-        return make_signal(spec["name"], **params)
+        return make_signal(_text(spec["name"], "signal.name"), **params)
     except TypeError as exc:
         raise ValidationError(f"bad signal parameters: {exc}") from None
 
@@ -111,8 +153,11 @@ def build_phi(spec: Optional[dict]):
         return make_phi("power", 2.0)
     spec = _require_dict(spec, "phi")
     _check_keys(spec, {"name", "p", "allow_exponential"}, {"name"}, "phi")
-    return make_phi(spec["name"], p=spec.get("p", 2.0),
-                    allow_exponential=spec.get("allow_exponential", False))
+    return make_phi(_text(spec["name"], "phi.name"),
+                    p=_number(spec.get("p", 2.0), "phi.p"),
+                    allow_exponential=_flag(
+                        spec.get("allow_exponential", False),
+                        "phi.allow_exponential"))
 
 
 def build_pair(spec: Optional[dict], slope) -> PhiPair:
@@ -120,7 +165,7 @@ def build_pair(spec: Optional[dict], slope) -> PhiPair:
     (so the growth condition holds by construction)."""
     spec = _require_dict({} if spec is None else spec, "pair")
     _check_keys(spec, {"p"}, set(), "pair")
-    return modular.matched_pair(spec.get("p", 2.0), slope)
+    return modular.matched_pair(_number(spec.get("p", 2.0), "pair.p"), slope)
 
 
 def build_grid(spec: Optional[dict], f: Signal) -> np.ndarray:
@@ -134,11 +179,11 @@ def build_grid(spec: Optional[dict], f: Signal) -> np.ndarray:
         return np.exp(np.linspace(-half, half, 21))
     spec = _require_dict(spec, "grid")
     _check_keys(spec, {"lo", "hi", "points", "log"}, {"lo", "hi"}, "grid")
-    lo, hi = float(spec["lo"]), float(spec["hi"])
-    n = int(spec.get("points", 21))
+    lo, hi = _number(spec["lo"], "grid.lo"), _number(spec["hi"], "grid.hi")
+    n = _integer(spec.get("points", 21), "grid.points")
     if not (0.0 < lo < hi) or n < 1:
         raise ValidationError("grid needs 0 < lo < hi and points >= 1")
-    if spec.get("log", True):
+    if _flag(spec.get("log", True), "grid.log"):
         return np.geomspace(lo, hi, n)
     return np.linspace(lo, hi, n)
 
@@ -149,7 +194,7 @@ def _setup(cfg: dict) -> tuple:
     kernel = build_kernel(cfg["kernel"])
     scheme = build_scheme(cfg.get("scheme"))
     f = build_signal(cfg["signal"]) if "signal" in cfg else None
-    w = np.asarray(cfg["w_list"], dtype=float)
+    w = np.array(_listed(cfg["w_list"], "w_list", _number))
     if w.size < 4 or np.any(np.diff(w) <= 0) or w[0] <= 0:
         raise ValidationError(
             "w_list must be strictly increasing, positive, length >= 4")
@@ -159,7 +204,7 @@ def _setup(cfg: dict) -> tuple:
 def validate_config(cfg: dict) -> str:
     cfg = _require_dict(cfg, "config")
     name = cfg.get("experiment")
-    if name not in _EXPERIMENTS:
+    if not isinstance(name, str) or name not in _EXPERIMENTS:
         raise ValidationError(
             f"unknown experiment {name!r} "
             f"(one of {sorted(_EXPERIMENTS)})")
@@ -169,6 +214,8 @@ def validate_config(cfg: dict) -> str:
     if "output" in cfg:
         out = _require_dict(cfg["output"], "output")
         _check_keys(out, {"csv", "json"}, set(), "output")
+        for key, path in out.items():
+            _text(path, f"output.{key}")
     return name
 
 
@@ -234,7 +281,7 @@ def _run_converge_uniform(cfg: dict) -> dict:
 
 def _run_converge_pointwise(cfg: dict) -> dict:
     kernel, scheme, f, w_arr = _setup(cfg)
-    x = float(cfg["x"])
+    x = _number(cfg["x"], "x")
     if x <= 0:
         raise ValidationError("converge_pointwise needs x > 0")
     fx = float(f(np.array([x]))[0])
@@ -248,9 +295,9 @@ def _run_quantitative_3_2(cfg: dict) -> dict:
     RHS, in the beta >= 1 and 0 < beta < 1 variants."""
     kernel, scheme, f, w_arr = _setup(cfg)
     grid = build_grid(cfg.get("grid"), f)
-    beta = float(cfg["beta"])
-    j = int(cfg.get("j", 2))
-    slack = float(cfg.get("slack", 1e-6))
+    beta = _number(cfg["beta"], "beta")
+    j = _integer(cfg.get("j", 2), "j")
+    slack = _number(cfg.get("slack", 1e-6), "slack")
     if beta <= 0:
         raise ValidationError("quantitative_3_2 needs beta > 0")
     if f.sup_norm is None:
@@ -306,8 +353,8 @@ def _run_quantitative_3_2(cfg: dict) -> dict:
 def _run_voronovskaja(cfg: dict) -> dict:
     kernel, scheme, f, w_arr = _setup(cfg)
     rep = mellin.voronovskaja_experiment(
-        f, float(cfg["x"]), float(cfg["r"]), kernel, scheme, w_arr,
-        slack=float(cfg.get("slack", 0.05)))
+        f, _number(cfg["x"], "x"), _number(cfg["r"], "r"), kernel, scheme,
+        w_arr, slack=_number(cfg.get("slack", 0.05), "slack"))
     return {
         "rows": [{"w": float(w), "lhs": float(v)}
                  for w, v in zip(rep.w_values, rep.lhs_values)],
@@ -323,9 +370,9 @@ def _run_modular_convergence(cfg: dict) -> dict:
         raise ValidationError(
             "modular_convergence needs a compactly supported signal")
     phi = build_phi(cfg.get("phi"))
-    lam = float(cfg.get("lambda", 1.0))
-    threshold = float(cfg.get("threshold", 1e-5))
-    n_points = int(cfg.get("n_points", 8192))
+    lam = _number(cfg.get("lambda", 1.0), "lambda")
+    threshold = _number(cfg.get("threshold", 1e-5), "threshold")
+    n_points = _integer(cfg.get("n_points", 8192), "n_points")
 
     errors = np.array([
         modular.modular_error(
@@ -349,19 +396,19 @@ def _run_modular_convergence(cfg: dict) -> dict:
 def _run_modular_inequality(cfg: dict) -> dict:
     kernel, scheme, _, w_arr = _setup(cfg)
     pair = build_pair(cfg.get("pair"), kernel.slope)
-    lam = float(cfg.get("lambda", 0.5))
-    seeds = cfg.get("seeds", list(range(10)))
+    lam = _number(cfg.get("lambda", 0.5), "lambda")
+    seeds = _listed(cfg.get("seeds", list(range(10))), "seeds", _integer)
     if not seeds:
         raise ValidationError("modular_inequality needs at least one seed")
     rows = []
     for seed in seeds:
-        f = make_signal("random_bump", seed=int(seed))
-        g = make_signal("random_bump", seed=int(seed) + 1000)
+        f = make_signal("random_bump", seed=seed)
+        g = make_signal("random_bump", seed=seed + 1000)
         rhs = modular._lipschitz_rhs(kernel, scheme, pair, f, g, lam)
         for w in w_arr:
             rep = modular._lipschitz_at(kernel, scheme, pair, f, g,
                                         float(w), rhs, lam)
-            rows.append({"seed": int(seed), "w": float(w),
+            rows.append({"seed": seed, "w": float(w),
                          "lhs": rep.lhs, "rhs": rep.rhs,
                          "passed": rep.passed})
     passed = all(r["passed"] for r in rows)
@@ -396,15 +443,15 @@ def _run_quantitative_5_1(cfg: dict) -> dict:
         raise ValidationError(
             "quantitative_5_1 needs a compactly supported signal")
     pair = build_pair(cfg.get("pair"), kernel.slope)
-    gamma = float(cfg["gamma"])
+    gamma = _number(cfg["gamma"], "gamma")
     if not (0.0 < gamma < 1.0):
         raise ValidationError("quantitative_5_1 needs gamma in (0, 1)")
-    lam0 = float(cfg.get("lambda0", 1.0))
-    lam = float(cfg.get("lambda", 0.9 * min(1.0, lam0 / 2.0)))
+    lam0 = _number(cfg.get("lambda0", 1.0), "lambda0")
+    lam = _number(cfg.get("lambda", 0.9 * min(1.0, lam0 / 2.0)), "lambda")
     if not (0.0 < lam < min(1.0, lam0 / 2.0)):
         raise ValidationError("need 0 < lambda < min(1, lambda0/2)")
-    slack = float(cfg.get("slack", 0.05))
-    n_points = int(cfg.get("n_points", 8192))
+    slack = _number(cfg.get("slack", 0.05), "slack")
+    n_points = _integer(cfg.get("n_points", 8192), "n_points")
 
     h_rep = modular.check_H(pair, kernel.slope)
     if not h_rep.passed:
@@ -489,12 +536,13 @@ def _l1_quadrature(profile: KernelProfile):
 
 def _run_audit_kernel(cfg: dict) -> dict:
     kernel, scheme, _, w_arr = _setup(cfg)
-    j = int(cfg.get("j", 2))
+    j = _integer(cfg.get("j", 2), "j")
     profile = kernel.profile
-    beta = float(cfg.get("beta", 2.0 if profile.is_compact else 0.5))
-    r = float(cfg.get("r", 0.5))
-    gamma = float(cfg.get("gamma", 1.0))
-    e31_gamma = float(cfg.get("e31_gamma", 0.5))
+    beta = _number(cfg.get("beta", 2.0 if profile.is_compact else 0.5),
+                   "beta")
+    r = _number(cfg.get("r", 0.5), "r")
+    gamma = _number(cfg.get("gamma", 1.0), "gamma")
+    e31_gamma = _number(cfg.get("e31_gamma", 0.5), "e31_gamma")
 
     checks: dict = {}
     # summability: the zero moment must be finite
@@ -547,13 +595,13 @@ def _run_audit_kernel(cfg: dict) -> dict:
 def _run_moments(cfg: dict) -> dict:
     profile = build_profile(cfg["profile"])
     scheme = build_scheme(cfg.get("scheme"))
-    betas = cfg.get("betas")
+    betas = _listed(cfg["betas"], "betas", _number)
     if not betas:
         raise ValidationError("moments experiment needs a non-empty betas list")
     rows = []
     for beta in betas:
-        rep = moments.discrete_moment(profile, scheme, float(beta))
-        rows.append({"beta": float(beta), "value": rep.value,
+        rep = moments.discrete_moment(profile, scheme, beta)
+        rows.append({"beta": beta, "value": rep.value,
                      "diverged": rep.diverged})
     return {
         "rows": rows,

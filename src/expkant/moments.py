@@ -5,9 +5,10 @@ The moment sup is taken over the phase variable y = w ln x,
     M_beta(L) = sup_y sum_k L(e^{y - t_k}) |y - t_k|^beta,
 which is periodic in y with the scheme's phase period and independent of w.
 It is taken on a grid of phases and refined around the best one by
-brackets of a few dozen phases per profile sum; tail audits over many
-phases take one profile sum per w, cut to the nodes beyond the tail's
-half width.
+brackets of a few dozen phases per profile sum, which at beta = 0 refine
+the least sum too, so one cached sweep gives both ends of m0.  Every phase
+sum is one profile sum over all phases (_phase_sums), cut to the nodes
+beyond the tail's half width.
 
 A profile is compact or of the Mellin-Fejer form (1 - cos v)/(pi v^2).
 A compact profile sums every node within its support.  The Fejer profile
@@ -23,7 +24,7 @@ import logging
 import math
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -31,7 +32,7 @@ import numpy as np
 from . import backend
 from .core import (KernelProfile, NonlinearKernel, SamplingScheme,
                    ValidationError, gauss_panels)
-from .ratefit import RateFit, fit_loglog
+from .ratefit import fit_loglog
 
 EXACT_SUP = 1e-12
 
@@ -45,11 +46,10 @@ _LATTICE_REACH = 512.0
 _PARTS_SPAN = 24.0
 _PARTS_ORDER = 6
 
-# Phases on one period of the partition sums m0 behind the (chi4) audits.
-_PARTITION_PHASES = 512
-
-# Bracket refinement of a phase sup: calls after the probe grid, and
-# phases per call (spacing 1/16 of the bracket's half width).
+# Bracket refinement of a phase sup: phases of the probe grid on one
+# period, calls after it, and phases per call (spacing 1/16 of the
+# bracket's half width).
+_PROBE_PHASES = 2048
 _REFINE_CALLS = 8
 _REFINE_POINTS = 33
 
@@ -70,7 +70,9 @@ class MomentReport:
     inside which every node is summed directly and ``remainder`` the tail
     bound added to ``value`` at the phase that attains the sup (both None
     when the moment is flagged divergent up front).  ``exact`` marks a
-    value known in closed form at every phase (no window, remainder 0)."""
+    value known in closed form at every phase (no window, remainder 0).
+    ``least`` is, at beta = 0 only, the least lower bound of the partition
+    sum over the sampled phases (``value`` when exact)."""
 
     beta: float
     value: float
@@ -79,12 +81,10 @@ class MomentReport:
     half_width: Optional[float] = None
     remainder: Optional[float] = None
     exact: bool = False
+    least: Optional[float] = None
 
     def to_dict(self) -> dict:
-        return {"beta": self.beta, "value": self.value,
-                "probe_grid": self.probe_grid, "diverged": self.diverged,
-                "half_width": self.half_width, "remainder": self.remainder,
-                "exact": self.exact}
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -213,11 +213,12 @@ def _first_beyond(b: float, period: float, ys: np.ndarray,
 
 def _lattice_tails(profile: KernelProfile, scheme: SamplingScheme,
                    ys: np.ndarray, cut: Optional[float],
-                   beta: float) -> tuple:
+                   beta: float, lower: bool = False) -> tuple:
     """(direct, bound) per phase y_i, whose sum bounds from above
         sum over |t_k - y_i| > cut of L(e^{y_i - t_k}) |y_i - t_k|^beta
     (over every node when cut is None) for a profile with fejer_tails
-    and 0 <= beta < 1.
+    and 0 <= beta < 1; with lower, (direct, bound, least), direct + least
+    a lower bound of the same sum.
 
     On each side of y_i, the nodes of a residue class b + qP lie at
     distances u_j = u_0 + jP.  The first D = _lattice_terms(P) are summed
@@ -237,7 +238,9 @@ def _lattice_tails(profile: KernelProfile, scheme: SamplingScheme,
         Z - C_K + E_K + round-off,   2Z,   Z + g_0/|sin(P/2)|,
     with C_K = Re(e^{i u_D} sum_{k<K} ...), E_K = |Delta^K g_0| /
     (|1 - z|^K |sin(P/2)|) and the round-off allowance 64 + 4 (u_D + |y|
-    + |b|) ulp of g_0 times the scale of _parts_matrix.  One debug line per
+    + |b|) ulp of g_0 times the scale of _parts_matrix.  The lower bound
+    is (1/pi) max(0, Z_lo - C_K - E_K - round-off, Z_lo - g_0/|sin(P/2)|),
+    Z_lo = P^(beta-2) (zeta less its error bound).  One debug line per
     call records the tails on which summation by parts loses."""
     offsets, period = _residue_classes(scheme)
     ys = np.asarray(ys, dtype=float)
@@ -248,7 +251,7 @@ def _lattice_tails(profile: KernelProfile, scheme: SamplingScheme,
     sine = abs(math.sin(0.5 * period))
     rest = 1.0 / ((2.0 * sine) ** _PARTS_ORDER * sine)  # E_K / |Delta^K g_0|
     ulps = 64.0 + 4.0 * np.abs(np.concatenate([ys, ys]))
-    direct, bound = np.zeros(ys.size), np.zeros(ys.size)
+    direct, bound, least = (np.zeros(ys.size) for _ in range(3))
     lost = forced = 0
     for b in offsets:
         q = _first_beyond(b, period, ys, 0.0 if cut is None else cut)
@@ -264,23 +267,28 @@ def _lattice_tails(profile: KernelProfile, scheme: SamplingScheme,
         re, im, last = (g @ parts).T
         zeta, zeta_err = hurwitz_zeta(2.0 - beta, far / period)
         z = period ** (beta - 2.0) * (zeta + zeta_err)
+        z_lo = period ** (beta - 2.0) * (zeta - zeta_err)
         roundoff = (np.finfo(float).eps * scale * g[:, 0]
                     * (ulps + 4.0 * (far + abs(b))))
-        summed = (z - np.cos(far) * re + np.sin(far) * im
-                  + np.abs(last) * rest + roundoff)
+        c_re, s_im, e_k = (np.cos(far) * re, np.sin(far) * im,
+                           np.abs(last) * rest)
+        summed = z - c_re + s_im + e_k + roundoff
         dirichlet = z + g[:, 0] / sine
         plain = np.minimum(2.0 * z, dirichlet)
         losing = summed > plain
         lost += int(np.count_nonzero(losing))
         forced += int(np.count_nonzero(losing & (2.0 * z < dirichlet)))
         tail = np.minimum(summed, plain) / math.pi
+        floor = np.maximum(0.0, np.maximum(z_lo - c_re + s_im - e_k - roundoff,
+                                           z_lo - g[:, 0] / sine)) / math.pi
         direct += near[:ys.size] + near[ys.size:]
         bound += tail[:ys.size] + tail[ys.size:]
+        least += floor[:ys.size] + floor[ys.size:]
     if lost:
         _log.debug("lattice tails: summation by parts loses on %d of %d tails "
                    "at P = %g; |sin(P/2)| = %.3g forces the 2Z bound on %d",
                    lost, 2 * ys.size * len(offsets), period, sine, forced)
-    return direct, bound
+    return (direct, bound, least) if lower else (direct, bound)
 
 
 def integral_tail(profile: KernelProfile, v0: float) -> float:
@@ -297,7 +305,35 @@ def integral_tail(profile: KernelProfile, v0: float) -> float:
             + 4.0 / math.pi / v0 ** 3)
 
 
-def _refined_sup(fun, ys: np.ndarray, h: float) -> tuple:
+def _phase_sums(profile: KernelProfile, scheme: SamplingScheme,
+                ys: np.ndarray, beta: float,
+                cut: Optional[float] = None) -> tuple:
+    """(upper, lower, remainder, half_width) for the phase sums
+        sum over |t_k - y| > cut of L(e^{y - t_k}) |y - t_k|^beta
+    (over every node when cut is None) at every phase y of ys: per-phase
+    bounds, the part of the upper one that bounds the nodes not summed
+    (_lattice_tails; 0 for a compact profile, whose sums are exact) and
+    the half width around each phase inside which nodes are summed
+    directly (None when no node counts)."""
+    if profile.fejer_tails:
+        direct, bound, least = _lattice_tails(profile, scheme, ys, cut, beta,
+                                              lower=True)
+        period = scheme.phase_period
+        return (direct + bound, direct + least, bound,
+                (cut or 0.0) + _lattice_terms(period) * period)
+    zeros = np.zeros(ys.size)
+    if cut is not None and cut >= profile.support_radius:
+        return zeros, zeros, zeros, None
+    outer = profile.support_radius + scheme.upper_gap
+    span = float(ys.max() - ys.min())
+    t = _window_nodes(scheme, float(ys.min()) + 0.5 * span, outer + 0.5 * span)
+    sums = backend.profile_sum(profile, ys, t, beta=beta,
+                               cut=None if cut is None else (cut, outer))
+    return sums, sums, zeros, outer
+
+
+def _refined_sup(fun, ys: np.ndarray, h: float,
+                 least: Optional[int] = None) -> tuple:
     """The sup over the phase of fun on the grid ys of spacing h, refined
     around the best phase.
 
@@ -306,25 +342,37 @@ def _refined_sup(fun, ys: np.ndarray, h: float) -> tuple:
     Each of _REFINE_CALLS calls evaluates _REFINE_POINTS phases over +-1
     spacing of the best phase so far, so the spacing shrinks 16-fold per
     call and ends at h 16^-8 for grid spacing h, narrower than the bracket
-    2 h 0.618^40 that 40 golden-section steps leave."""
-    best = None
+    2 h 0.618^40 that 40 golden-section steps leave.  With least = i the
+    same calls also refine the least value of entry i, each over the
+    phases of both brackets, and the result is the pair (entries at the
+    best phase, entries at the least)."""
+    best = low = None
     for _ in range(_REFINE_CALLS + 1):
         out = fun(ys)
         i = int(np.argmax(out[0]))
         if best is None or out[0][i] > best[0]:
-            best, center = tuple(float(a[i]) for a in out), float(ys[i])
-        ys = np.linspace(center - h, center + h, _REFINE_POINTS)
-        h = float(ys[1] - ys[0])
-    return best
+            best, top = tuple(float(a[i]) for a in out), float(ys[i])
+        if least is not None:
+            i = int(np.argmin(out[least]))
+            if low is None or out[least][i] < low[least]:
+                low, bottom = tuple(float(a[i]) for a in out), float(ys[i])
+        brackets = [np.linspace(c - h, c + h, _REFINE_POINTS)
+                    for c in ((top,) if least is None else (top, bottom))]
+        ys = np.concatenate(brackets)
+        h = float(brackets[0][1] - brackets[0][0])
+    return best if least is None else (best, low)
 
 
 def discrete_moment(profile: KernelProfile, scheme: SamplingScheme,
-                    beta: float, probe_points: int = 2048) -> MomentReport:
+                    beta: float) -> MomentReport:
     """Log-discrete absolute moment of order beta (w-independent in the
-    phase variable).
+    phase variable), the sup of _phase_sums over _PROBE_PHASES phases of
+    one period, refined (_refined_sup); a compact profile adds a grid of
+    twice the density.  At beta = 0 the same calls refine the least lower
+    bound too (``least``), which partition_bounds reads.  Both ends are
+    sampled, not certified.
 
-    A compact profile sums every node within its support.  The Fejer
-    profile's moments of order beta >= 1 are flagged divergent
+    The Fejer profile's moments of order beta >= 1 are flagged divergent
     immediately: its weighted terms decay like |v|^(beta - 2), which is
     not summable.  Its partition sum (beta = 0) is exact on phase periods
     up to 2 pi; every other moment of it adds the closed-form lattice
@@ -333,42 +381,35 @@ def discrete_moment(profile: KernelProfile, scheme: SamplingScheme,
     if beta < 0:
         raise ValidationError("discrete_moment needs beta >= 0")
     period = scheme.phase_period
-    if beta == 0.0:
-        m0 = _exact_partition(profile, scheme)
-        if m0 is not None:
-            return MomentReport(beta, m0, "exact at every phase (Poisson "
-                                "summation)", False, None, 0.0, True)
-    desc = f"{probe_points} phase points on one period [0, {period:g})"
+    m0 = _exact_partition(profile, scheme) if beta == 0.0 else None
+    if m0 is not None:
+        return MomentReport(beta, m0, "exact at every phase (Poisson "
+                            "summation)", False, None, 0.0, True, m0)
+    desc = f"{_PROBE_PHASES} phase points on one period [0, {period:g})"
     if profile.fejer_tails and beta >= 1.0:
         _log.debug("discrete_moment: %s beta=%g flagged divergent, the "
                    "Fejer terms decay like |v|^(beta - 2)", profile.name, beta)
         return MomentReport(beta, math.inf, desc, True)
-    refined = (f"{desc}, the best refined by {_REFINE_CALLS} brackets of "
-               f"{_REFINE_POINTS} phases")
-    ys = np.linspace(0.0, period, probe_points, endpoint=False)
+    desc += (f", the best{' and the least' if beta == 0.0 else ''} refined "
+             f"by {_REFINE_CALLS} brackets of {_REFINE_POINTS} phases")
 
+    def sums(ys):
+        return _phase_sums(profile, scheme, ys, beta)[:3]
+
+    ys = np.linspace(0.0, period, _PROBE_PHASES, endpoint=False)
+    h = period / _PROBE_PHASES
+    best, low = (_refined_sup(sums, ys, h, least=1) if beta == 0.0
+                 else (_refined_sup(sums, ys, h), (None, None)))
+    value, least, half = best[0], low[1], _lattice_terms(period) * period
     if profile.is_compact:
-        half = profile.support_radius + scheme.upper_gap
-
-        def sup_on(ys):
-            t = _window_nodes(scheme, 0.5 * (ys[0] + ys[-1]),
-                              half + 0.5 * (ys[-1] - ys[0]) + scheme.upper_gap)
-            return (backend.profile_sum(profile, ys, t, beta=beta),)
-
-        value, = _refined_sup(sup_on, ys, period / probe_points)
         # and a grid of twice the density, for a peak the first one missed
-        ys2 = np.linspace(0.0, period, 2 * probe_points, endpoint=False)
-        value = max(value, float(sup_on(ys2)[0].max()))
-        return MomentReport(beta, value, f"{refined}, and {2 * probe_points} "
-                            "phase points", False, half, 0.0)
-
-    def lattice_sup(ys):
-        direct, bound = _lattice_tails(profile, scheme, ys, None, beta)
-        return direct + bound, bound
-
-    value, remainder = _refined_sup(lattice_sup, ys, period / probe_points)
-    return MomentReport(beta, value, refined, False,
-                        _lattice_terms(period) * period, remainder)
+        upper, lower, _ = sums(np.linspace(0.0, period, 2 * _PROBE_PHASES,
+                                           endpoint=False))
+        value = max(value, float(upper.max()))
+        least = None if least is None else min(least, float(lower.min()))
+        desc += f", and {2 * _PROBE_PHASES} phase points"
+        half = profile.support_radius + scheme.upper_gap
+    return MomentReport(beta, value, desc, False, half, best[2], least=least)
 
 
 _MOMENT_CACHE_SIZE = 256
@@ -376,49 +417,34 @@ _MOMENT_CACHE: OrderedDict = OrderedDict()
 _MOMENT_LOCK = threading.Lock()
 
 
-def moment_value(profile: KernelProfile, scheme: SamplingScheme,
-                 beta: float) -> float:
-    """Cached moment lookup; inf when the moment diverges.
+def _moment_report(profile: KernelProfile, scheme: SamplingScheme,
+                   beta: float) -> MomentReport:
+    """Cached discrete_moment.
 
-    The cache is one LRU of _MOMENT_CACHE_SIZE entries shared by all
+    The cache is one LRU of _MOMENT_CACHE_SIZE reports shared by all
     threads.  Profiles compare by identity, so the key holds the profile
     itself: an id() could be reused once the profile is gone.  A moment is
     computed outside the lock; when two threads compute the same one, both
-    get the value stored first."""
+    get the report stored first."""
     key = (profile, scheme.cache_key, beta)
     with _MOMENT_LOCK:
         if key in _MOMENT_CACHE:
             _MOMENT_CACHE.move_to_end(key)
             return _MOMENT_CACHE[key]
     rep = discrete_moment(profile, scheme, beta)
-    value = math.inf if rep.diverged else rep.value
     with _MOMENT_LOCK:
-        value = _MOMENT_CACHE.setdefault(key, value)
+        rep = _MOMENT_CACHE.setdefault(key, rep)
         _MOMENT_CACHE.move_to_end(key)
         while len(_MOMENT_CACHE) > _MOMENT_CACHE_SIZE:
             _MOMENT_CACHE.popitem(last=False)
-    return value
+    return rep
 
 
-def _cut_tails(profile: KernelProfile, scheme: SamplingScheme,
-               ys: np.ndarray, h: float, beta: float) -> tuple:
-    """(totals, remainder, half_width) for the cut tails
-        sum over |t_k - y| > h of L(e^{y - t_k}) |y - t_k|^beta
-    at every phase y of ys: per-phase upper bounds, the part of each that
-    bounds the nodes not summed, and the half width around each phase
-    inside which nodes are summed directly (None when no node counts)."""
-    if profile.fejer_tails:
-        direct, bound = _lattice_tails(profile, scheme, ys, h, beta)
-        return (direct + bound, bound,
-                h + _lattice_terms(scheme.phase_period) * scheme.phase_period)
-    if h >= profile.support_radius:
-        return np.zeros(ys.size), np.zeros(ys.size), None
-    outer = profile.support_radius + scheme.upper_gap
-    # one sum over every phase: the nodes with h < |y - t_k| <= outer
-    span = float(ys.max() - ys.min())
-    t = _window_nodes(scheme, float(ys.min()) + 0.5 * span, outer + 0.5 * span)
-    return (backend.profile_sum(profile, ys, t, beta=beta, cut=(h, outer)),
-            np.zeros(ys.size), outer)
+def moment_value(profile: KernelProfile, scheme: SamplingScheme,
+                 beta: float) -> float:
+    """Cached moment lookup (_moment_report); inf when it diverges."""
+    rep = _moment_report(profile, scheme, beta)
+    return math.inf if rep.diverged else rep.value
 
 
 def tail_sum(profile: KernelProfile, scheme: SamplingScheme, gamma: float,
@@ -428,9 +454,8 @@ def tail_sum(profile: KernelProfile, scheme: SamplingScheme, gamma: float,
     lattice tail for the Fejer form)."""
     if gamma <= 0 or w <= 0 or x <= 0:
         raise ValidationError("tail_sum needs gamma, w, x > 0")
-    totals, _, _ = _cut_tails(profile, scheme, np.array([w * math.log(x)]),
-                              gamma * w, 0.0)
-    return float(totals[0])
+    return float(_phase_sums(profile, scheme, np.array([w * math.log(x)]),
+                             0.0, gamma * w)[0][0])
 
 
 # ---------------------------------------------------------------------------
@@ -438,27 +463,14 @@ def tail_sum(profile: KernelProfile, scheme: SamplingScheme, gamma: float,
 
 
 def partition_bounds(profile: KernelProfile, scheme: SamplingScheme) -> tuple:
-    """(min, max) of m0(y) = sum_k L(e^{y - t_k}) over _PARTITION_PHASES
-    phases of one period.
-
-    A compact profile sums every node in reach, so both are the sampled
-    values.  For the Fejer form both are the exact value on phase periods
-    up to 2 pi; beyond, each phase takes the lattice tails at beta = 0
-    (_lattice_tails, no cut): the min is the least partial sum of the
-    nodes summed directly, below m0 at its phase, and the max the most of
-    that sum plus the closed-form tail bound, above m0 at its phase."""
-    m0 = _exact_partition(profile, scheme)
-    if m0 is not None:
-        return m0, m0
-    period = scheme.phase_period
-    ys = np.linspace(0.0, period, _PARTITION_PHASES, endpoint=False)
-    if profile.fejer_tails:
-        direct, bound = _lattice_tails(profile, scheme, ys, None, 0.0)
-        return float(direct.min()), float((direct + bound).max())
-    half = profile.support_radius + period + scheme.upper_gap
-    t = _window_nodes(scheme, 0.5 * period, half)
-    m0 = backend.profile_sum(profile, ys, t)
-    return float(m0.min()), float(m0.max())
+    """(min, max) of m0(y) = sum_k L(e^{y - t_k}) over the phase: the
+    least and the sup of the cached beta = 0 sweep (_moment_report), both
+    refined and both sampled, not certified.  For the Fejer form both are
+    the exact value on phase periods up to 2 pi; beyond, they are the
+    direct sums plus the tail's lower and upper bounds, below and above m0
+    at their phases."""
+    rep = _moment_report(profile, scheme, 0.0)
+    return rep.least, rep.value
 
 
 def _signed_logspace(lo: float, hi: float, n: int) -> np.ndarray:
@@ -466,27 +478,27 @@ def _signed_logspace(lo: float, hi: float, n: int) -> np.ndarray:
     return np.concatenate([-g[::-1], g])
 
 
-def _chi4_passed(sups: np.ndarray, fit: Optional[RateFit],
-                 alpha: Optional[float]) -> bool:
-    if np.all(sups < EXACT_SUP):
-        return True
-    if alpha is None or fit is None:
-        return False
-    return fit.slope <= -alpha + 0.1
+def _chi4_report(condition: str, params: dict, w_arr: np.ndarray,
+                 vals: np.ndarray, m0_range: tuple) -> ConditionReport:
+    """A (chi4) report: it passes when every sup is below EXACT_SUP, or
+    when the fitted decay is no slower than the declared alpha less 0.1."""
+    alpha = params["alpha_declared"]
+    fit = fit_loglog(w_arr, vals)
+    passed = bool(np.all(vals < EXACT_SUP)) or (
+        alpha is not None and fit is not None and fit.slope <= -alpha + 0.1)
+    return ConditionReport(
+        condition=condition, params=params, w_values=tuple(w_arr),
+        sup_values=tuple(vals),
+        fitted_rate=None if fit is None else fit.slope, passed=passed,
+        extra={"m0_range": list(m0_range)})
 
 
 def _sup_functional(kernel: NonlinearKernel, m0_lo: float, m0_hi: float,
                     w: float, u: np.ndarray, relative: bool) -> float:
     """sup over u and m0 in [m0_lo, m0_hi] of |g_w(u) m0 - u| (absolute) or
     |g_w(u) m0 / u - 1| (relative).  Linear in m0, so endpoints suffice."""
-    g = kernel.response(w, u)
-    best = 0.0
-    for m0 in (m0_lo, m0_hi):
-        d = g * m0 - u
-        if relative:
-            d = d / u
-        best = max(best, float(np.max(np.abs(d))))
-    return best
+    d = np.outer((m0_lo, m0_hi), kernel.response(w, u)) - u
+    return float(np.max(np.abs(d / u if relative else d)))
 
 
 def chi4_functionals(kernel: NonlinearKernel, scheme: SamplingScheme, j: int,
@@ -510,19 +522,12 @@ def check_chi4(kernel: NonlinearKernel, scheme: SamplingScheme, j: int,
                w_list: Sequence[float]):
     """The small-u and large-u functionals of condition (chi4); returns a
     pair of ConditionReports (S first, T second)."""
-    w_arr, s_vals, t_vals, (m0_lo, m0_hi) = chi4_functionals(
-        kernel, scheme, j, w_list)
+    w_arr, s_vals, t_vals, m0_range = chi4_functionals(kernel, scheme, j,
+                                                       w_list)
     alpha = kernel.response.deviation_rate
-    reports = []
-    for name, vals in (("chi4_S", s_vals), ("chi4_T", t_vals)):
-        fit = fit_loglog(w_arr, vals)
-        reports.append(ConditionReport(
-            condition=name, params={"j": j, "alpha_declared": alpha},
-            w_values=tuple(w_arr), sup_values=tuple(vals),
-            fitted_rate=None if fit is None else fit.slope,
-            passed=_chi4_passed(vals, fit, alpha),
-            extra={"m0_range": [m0_lo, m0_hi]}))
-    return reports[0], reports[1]
+    return tuple(_chi4_report(name, {"j": j, "alpha_declared": alpha}, w_arr,
+                              vals, m0_range)
+                 for name, vals in (("chi4_S", s_vals), ("chi4_T", t_vals)))
 
 
 def check_chi4_star(kernel: NonlinearKernel, scheme: SamplingScheme,
@@ -530,18 +535,13 @@ def check_chi4_star(kernel: NonlinearKernel, scheme: SamplingScheme,
     """Condition (chi4*): sup over u != 0 of |(1/u) sum_k chi(., u) - 1|,
     on 101 log-spaced |u| in [1e-8, 1e3] of each sign."""
     w_arr = np.asarray(sorted(w_list), dtype=float)
-    m0_lo, m0_hi = partition_bounds(kernel.profile, scheme)
+    m0_range = partition_bounds(kernel.profile, scheme)
     u_grid = _signed_logspace(1e-8, 1e3, 101)
-    alpha = kernel.response.deviation_rate
-    vals = np.array([_sup_functional(kernel, m0_lo, m0_hi, w, u_grid, True)
+    vals = np.array([_sup_functional(kernel, *m0_range, w, u_grid, True)
                      for w in w_arr])
-    fit = fit_loglog(w_arr, vals)
-    return ConditionReport(
-        condition="chi4_star", params={"alpha_declared": alpha},
-        w_values=tuple(w_arr), sup_values=tuple(vals),
-        fitted_rate=None if fit is None else fit.slope,
-        passed=_chi4_passed(vals, fit, alpha),
-        extra={"m0_range": [m0_lo, m0_hi]})
+    return _chi4_report(
+        "chi4_star", {"alpha_declared": kernel.response.deviation_rate},
+        w_arr, vals, m0_range)
 
 
 def check_L3(profile: KernelProfile, scheme: SamplingScheme, r: float,
@@ -569,7 +569,7 @@ def check_L3(profile: KernelProfile, scheme: SamplingScheme, r: float,
     ys = np.linspace(0.0, period, phase_points, endpoint=False)
     vals, half_widths, remainders = [], [], []
     for w in w_arr:
-        totals, rem, half = _cut_tails(profile, scheme, ys, gamma * w, r)
+        totals, _, rem, half = _phase_sums(profile, scheme, ys, r, gamma * w)
         i = int(np.argmax(totals))
         vals.append(float(totals[i]))
         half_widths.append(half)

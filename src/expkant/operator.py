@@ -11,7 +11,7 @@ compact profile or a compactly supported signal is summed exactly, and the
 heavy-tailed Mellin-Fejer profile on a bounded signal keeps
 MAX_RETAINED_TERMS nodes around each point and reports a bound on the
 terms beyond them: the closed-form lattice tail at the evaluated phases
-(moments._cut_tails), which falls like 1/half.
+(moments._phase_sums), which falls like 1/half.
 """
 
 from __future__ import annotations
@@ -174,12 +174,16 @@ def _retained_half_width(f: Signal, w: float, kernel: NonlinearKernel,
       every Steklov mean vanishes (chi2), bound 0;
     - the heavy-tailed Mellin-Fejer profile on a bounded signal:
       MAX_RETAINED_TERMS nodes' worth, half = MAX_RETAINED_TERMS *
-      lower_gap / 2.  Every dropped term is at most psi(2 ||f||_inf) times
-      its profile value, so the bound is psi(2 ||f||_inf) times the
-      lattice tail beyond half in closed form (moments._cut_tails with
-      beta = 0, maxed over ys), which falls like 1/half.  The tail is cut
-      one lower gap inside the window, so that a node at the window's edge
-      counts whichever side of it round-off puts the node."""
+      lower_gap / 2.  Every dropped term is its profile value times
+      g_w(m_k), a mean m_k with |m_k| <= ||f||_inf, so the bound is
+      sup over |u| <= ||f||_inf of |g_w(u)| times the lattice tail beyond
+      half in closed form (moments._phase_sums with beta = 0, maxed over
+      ys), which falls like 1/half.  That sup is at most psi(||f||_inf)
+      under (chi2) and (chi3), and max |g_w(+-||f||_inf)| for a monotone
+      response; the larger of the two is taken, so either suffices.  The
+      tail is cut one lower gap inside the window, so that a node at the
+      window's edge counts whichever side of it round-off puts the
+      node."""
     if f.sup_norm is None and f.support is None:
         raise EvaluationError(
             f"signal {f.name!r} declares neither a sup norm nor a support")
@@ -191,10 +195,12 @@ def _retained_half_width(f: Signal, w: float, kernel: NonlinearKernel,
     if support is not None:
         return math.inf, support, 0.0
     half = MAX_RETAINED_TERMS * scheme.lower_gap / 2.0
-    slope = float(kernel.slope(2.0 * f.sup_norm))
-    tails, _, _ = moments._cut_tails(profile, scheme, ys,
-                                     half - scheme.lower_gap, 0.0)
-    return half, None, slope * float(np.max(tails))
+    norm = f.sup_norm
+    scale = max(float(kernel.slope(norm)), float(np.max(np.abs(
+        kernel.response(w, np.array([-norm, norm]))))))
+    tails = moments._phase_sums(profile, scheme, ys, 0.0,
+                                half - scheme.lower_gap)[0]
+    return half, None, scale * float(np.max(tails))
 
 
 def _runs(ys: np.ndarray, half: float, support, scheme: SamplingScheme):

@@ -427,6 +427,33 @@ class TestCli:
         assert proc.returncode == cli.EXIT_VALIDATION
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("overrides", [
+        {"experiment": "moments", "profile": {"name": "bspline"},
+         "betas": 5},
+        {"w_list": ["a", 2, 3, 4]},
+        {"grid": {"lo": "x", "hi": 2}},
+        {"signal": {"name": "constant", "c": "q"}},
+        {"kernel": {"profile": {"name": "bspline", "n": 2},
+                    "response": {"name": "soft", "alpha": "z"}}},
+        {"scheme": {"step": "1"}},
+        {"experiment": "modular_inequality", "seeds": [1.5, "a"]},
+        {"experiment": "modular_inequality", "seeds": [1.5]},
+        {"experiment": "converge_pointwise", "x": True},
+    ], ids=["betas", "w_list", "grid", "signal", "response", "scheme",
+            "seeds", "seed-fraction", "x-bool"])
+    def test_run_wrong_value_type_exit_3(self, tmp_path, overrides):
+        cfg = base_config(**overrides)
+        if cfg["experiment"] == "moments":
+            cfg = {k: cfg[k] for k in ("experiment", "profile", "betas")}
+        elif cfg["experiment"] == "modular_inequality":
+            del cfg["signal"]
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        proc = run_cli(["run", str(cfg_path)])
+        assert proc.returncode == cli.EXIT_VALIDATION, proc.stderr
+        assert proc.stderr.startswith("error:")
+        assert "Traceback" not in proc.stderr
+
     def test_moments_bad_profile_exit_3(self):
         assert run_cli(["moments", "--profile", "nope", "--beta",
                         "1"]).returncode == cli.EXIT_VALIDATION

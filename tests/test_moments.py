@@ -130,11 +130,11 @@ class TestDiscreteMoment:
         assert not rep.diverged
         assert rep.value == moments.moment_value(BSPLINE, UNIT, 1.0)
 
-    def test_refinement_stability(self):
-        coarse = moments.discrete_moment(BSPLINE, UNIT, 0.5,
-                                         probe_points=256).value
-        fine = moments.discrete_moment(BSPLINE, UNIT, 0.5,
-                                       probe_points=4096).value
+    def test_refinement_stability(self, monkeypatch):
+        monkeypatch.setattr(moments, "_PROBE_PHASES", 256)
+        coarse = moments.discrete_moment(BSPLINE, UNIT, 0.5).value
+        monkeypatch.setattr(moments, "_PROBE_PHASES", 4096)
+        fine = moments.discrete_moment(BSPLINE, UNIT, 0.5).value
         assert abs(fine - coarse) <= 0.01 * fine
         assert fine >= coarse - 1e-12  # sup estimates grow under refinement
 
@@ -148,7 +148,7 @@ class TestDiscreteMoment:
         with pytest.raises(ValidationError):
             moments.discrete_moment(BSPLINE, UNIT, -1.0)
 
-    def test_report_records_window_and_remainder(self):
+    def test_report_records_window_and_remainder(self, monkeypatch):
         rep = moments.discrete_moment(BSPLINE, UNIT, 1.0).to_dict()
         assert rep["half_width"] == BSPLINE.support_radius + UNIT.upper_gap
         assert rep["remainder"] == 0.0
@@ -157,7 +157,8 @@ class TestDiscreteMoment:
         # Fejer: lattice tails beyond _lattice_terms nodes per side, no more
         # than the 512 log units summed before summation by parts; the
         # remainder is the tail bound at the phase that attains the sup
-        rep = moments.discrete_moment(FEJER, UNIT, 0.5, probe_points=64)
+        monkeypatch.setattr(moments, "_PROBE_PHASES", 64)
+        rep = moments.discrete_moment(FEJER, UNIT, 0.5)
         ys = np.linspace(0.0, 1.0, 64, endpoint=False)
         direct, bound = moments._lattice_tails(FEJER, UNIT, ys, None, 0.5)
         assert rep.half_width == moments._lattice_terms(1.0) <= 512.0
@@ -179,13 +180,13 @@ class TestDiscreteMoment:
         assert rep["exact"] and rep["value"] == 0.5
         assert rep["remainder"] == 0.0 and rep["half_width"] is None
         rep = moments.discrete_moment(FEJER, SamplingScheme.uniform(7.0),
-                                      0.0, probe_points=64)
+                                      0.0)
         assert not rep.exact and rep.remainder > 0.0
 
     @pytest.mark.parametrize("profile", [FEJER], ids=["decay-power"])
     def test_divergence_writes_a_debug_line(self, profile, caplog):
         with caplog.at_level(logging.DEBUG, logger="expkant.moments"):
-            rep = moments.discrete_moment(profile, UNIT, 1.0, probe_points=16)
+            rep = moments.discrete_moment(profile, UNIT, 1.0)
         assert rep.diverged
         lines = [r.getMessage() for r in caplog.records]
         assert len(lines) == 1 and "flagged divergent" in lines[0]
@@ -196,14 +197,15 @@ class TestDiscreteMoment:
         SamplingScheme.tabulated((0.0, 0.3, 1.1), 1.7)],
         ids=["unit", "shifted", "tabulated"])
     @pytest.mark.parametrize("beta", [0.0, 0.5])
-    def test_fejer_moment_covers_the_whole_window(self, scheme, beta):
+    def test_fejer_moment_covers_the_whole_window(self, scheme, beta,
+                                                  monkeypatch):
         # the Fejer closed-form tails: an upper bound above the sup of the
         # whole 4096-wide window's sum (exact m0 for beta = 0), and no
         # looser than that sum plus the decay envelope beyond it
         probe = 64
+        monkeypatch.setattr(moments, "_PROBE_PHASES", probe)
         sup, envelope = envelope_moment(scheme, beta, probe)
-        fejer = moments.discrete_moment(FEJER, scheme, beta,
-                                        probe_points=probe)
+        fejer = moments.discrete_moment(FEJER, scheme, beta)
         assert sup <= fejer.value * (1.0 + 1e-12)
         assert fejer.value < envelope
         assert fejer.exact == (beta == 0.0)
@@ -552,19 +554,78 @@ class TestPartition:
         ids=["7", "9.5", "13", "tabulated"])
     def test_fejer_bounds_beyond_2pi_bracket_a_direct_sum(self, scheme):
         # past P = 2 pi more frequencies than the zero one survive, so m0
-        # varies with the phase; at each sampled phase the nodes summed
-        # directly stay below a +-3e5-node reference sum, and adding the
-        # closed-form tail bound lifts them above it
+        # varies with the phase; at each of 512 phases the nodes summed
+        # directly plus the tail's lower bound stay below a +-3e5-node
+        # reference sum plus its own omitted tail, (2/pi) per class and
+        # side times 1/D^2 + 1/(P D) for the nearest omitted node at D,
+        # and adding the closed-form tail bound lifts them above the
+        # reference
         period = scheme.phase_period
-        ys = np.linspace(0.0, period, moments._PARTITION_PHASES,
-                         endpoint=False)
+        ys = np.linspace(0.0, period, 512, endpoint=False)
         ref = backend.profile_sum(FEJER, ys, scheme.nodes(-300_000, 300_000))
-        direct, bound = moments._lattice_tails(FEJER, scheme, ys, None, 0.0)
+        classes = len(scheme.base or (0,))
+        ref_tail = sum(classes * 2.0 / math.pi * (1.0 / d ** 2
+                                                  + 1.0 / (period * d))
+                       for d in (scheme.nodes(300_001, 300_001)[0] - ys,
+                                 ys - scheme.nodes(-300_001, -300_001)[0]))
+        direct, bound, least = moments._lattice_tails(FEJER, scheme, ys,
+                                                      None, 0.0, lower=True)
         assert np.all(direct <= ref * (1.0 + 1e-12))
+        assert np.all(direct + least <= ref + ref_tail)
         assert np.all(ref <= direct + bound)
+        # the refined sweep reaches past both ends of the sampled phases
         lo, hi = moments.partition_bounds(FEJER, scheme)
-        assert (lo, hi) == (float(direct.min()), float((direct + bound).max()))
-        assert lo <= float(ref.min()) and float(ref.max()) <= hi
+        assert lo <= float(np.min(direct + least)) * (1.0 + 1e-12)
+        assert float(np.max(direct + bound)) <= hi * (1.0 + 1e-12)
+        assert lo <= float((ref + ref_tail).min())
+        assert float(ref.max()) <= hi
+        # the direct sums alone sat 8.9e-5 to 1.9e-3 below the reference;
+        # what is left is the sampling of the phase (up to 7.9e-7 at 9.5)
+        assert lo >= float(ref.min()) - 1e-5
+
+
+    @staticmethod
+    def drawn_bspline_schemes():
+        """12 seeded (n, scheme) pairs, n = 2..4, uniform and tabulated."""
+        for seed in range(12):
+            rng = np.random.default_rng(seed)
+            if seed % 2:
+                period = float(rng.uniform(1.0, 3.0))
+                base = np.sort(rng.uniform(0.0, period, 3))
+                scheme = SamplingScheme.tabulated(tuple(base.tolist()), period)
+            else:
+                scheme = SamplingScheme.uniform(float(rng.uniform(0.5, 2.0)),
+                                                float(rng.uniform(-1.0, 1.0)))
+            yield 2 + seed % 3, scheme
+
+    def test_bspline_bounds_contain_a_dense_scan(self):
+        # both ends refined by the beta = 0 sweep: the 512-phase scan the
+        # bounds once took missed a 50,001-phase scan on all 12 schemes,
+        # by up to 7.3e-6
+        for n, scheme in self.drawn_bspline_schemes():
+            profile = make_builtin_profile("bspline", n)
+            period = scheme.phase_period
+            ys = np.linspace(0.0, period, 50_001)
+            t = moments._window_nodes(scheme, 0.5 * period,
+                                      profile.support_radius + period
+                                      + scheme.upper_gap)
+            scan = backend.profile_sum(profile, ys, t)
+            lo, hi = moments.partition_bounds(profile, scheme)
+            assert lo <= float(scan.min()) + 1e-12, (n, scheme)
+            assert float(scan.max()) <= hi + 1e-12, (n, scheme)
+
+    @pytest.mark.parametrize("profile, scheme", [
+        (BSPLINE, SamplingScheme.tabulated((0.0, 0.37, 1.1), 2.3)),
+        (FEJER, SamplingScheme.uniform(7.0, 0.3))], ids=["bspline", "fejer"])
+    def test_bounds_read_the_cached_sweep(self, profile, scheme, monkeypatch):
+        monkeypatch.setattr(moments, "_MOMENT_CACHE", OrderedDict())
+        m0 = moments.moment_value(profile, scheme, 0.0)
+        calls = []
+        orig = backend.profile_sum
+        monkeypatch.setattr(backend, "profile_sum",
+                            lambda *a, **k: calls.append(a) or orig(*a, **k))
+        lo, hi = moments.partition_bounds(profile, scheme)
+        assert calls == [] and lo < hi == m0
 
 
 class TestChi4:

@@ -817,6 +817,25 @@ class TestKantorovich:
             # the tail is positive: the truncated sum stays below c m0
             assert value <= c * m0 * (1.0 + 1e-12)
 
+    @pytest.mark.parametrize("response, w", [("identity", 4.0),
+                                             ("soft", 0.25)])
+    def test_truncation_bound_is_sharp(self, response, w):
+        # Fejer x constant(c): every dropped term is g_w(c) times its
+        # profile value, so the truncated sum misses g_w(c) m0 by g_w(c)
+        # times the lattice tail, and the bound, sup |g_w| over [-c, c]
+        # times the tail's closed-form bound, lies just above that.  For
+        # soft(1) at w = 0.25, |g_w(c)| = 3.29 exceeds psi(c) = 1.5: w^-1 > 1
+        # breaks (chi3), and the monotone response's own values bound it
+        c = 0.75
+        kernel = fejer_kernel(response, alpha=1.0)
+        g = float(kernel.response(w, np.array([c]))[0])
+        for scheme, x, _, _ in self.TRUNCATION_CASES:
+            m0 = len(scheme.base or (0,)) / scheme.phase_period
+            value, bound = operator.eval_kantorovich(
+                signals.constant(c), w, x, kernel, scheme)
+            error = g * m0 - value
+            assert 0.0 < error <= bound <= 1.01 * error
+
     @pytest.mark.parametrize("step", [1.0, 2.5])
     @pytest.mark.parametrize("w", [4.0, 32.0])
     def test_fejer_sin_log_within_bound_of_wider_window(self, monkeypatch,
