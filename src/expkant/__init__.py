@@ -11,14 +11,13 @@ from .core import (EvaluationError, ExpKantError, KernelProfile,
                    make_response)
 from .mellin import mellin_derivative, voronovskaja_experiment
 from .modular import (check_H, log_smoothness, make_phi, modular_error,
-                      modular_lipschitz_check, modular_value, power_pair,
-                      smoothness_curve)
-from .moduli import holder_fit, log_modulus, modulus_curve
+                      modular_lipschitz_check, power_pair, smoothness_curve)
+from .moduli import holder_fit, log_modulus
 from .moments import (check_chi4, check_chi4_star, check_e3_1, check_L3,
                       discrete_moment, moment_value, partition_bounds,
                       tail_sum)
 from .operator import (QuadratureSpec, eval_generalized, eval_kantorovich,
-                       eval_on_log_grid, mean_value, sup_error)
+                       eval_on_log_grid, sup_error)
 from .ratefit import RateFit, fit_loglog
 from .signals import make_signal
 
@@ -33,9 +32,8 @@ __all__ = [
     "difference_signal", "discrete_moment", "eval_generalized",
     "eval_kantorovich", "eval_on_log_grid", "fit_loglog", "holder_fit",
     "log_modulus", "log_smoothness", "make_builtin_profile", "make_phi",
-    "make_response", "make_signal", "mean_value", "mellin_derivative",
-    "modular_error", "modular_lipschitz_check", "modular_value",
-    "modulus_curve",
-    "moment_value", "partition_bounds", "power_pair", "smoothness_curve",
-    "sup_error", "tail_sum", "voronovskaja_experiment",
+    "make_response", "make_signal", "mellin_derivative",
+    "modular_error", "modular_lipschitz_check", "moment_value",
+    "partition_bounds", "power_pair", "smoothness_curve", "sup_error",
+    "tail_sum", "voronovskaja_experiment",
 ]

@@ -4,7 +4,7 @@
 
 with c_j = coeffs_j (operator series) or |y_i - t_j|**beta (moments).
 
-Built-in profile kinds (KernelProfile.fast_kind):
+Built-in profile kinds (KernelProfile.kind; _kind is their one table):
     0 -- central B-spline of degree n (convolution of n+1 unit indicators,
          support [-(n+1)/2, (n+1)/2] in the log variable), evaluated piece
          by piece: n Horner steps from a cached table of its polynomial
@@ -190,12 +190,14 @@ def fejer_values(v):
 
 
 def _kind(kind, n):
-    """(values, support radius) of a built-in profile kind."""
+    """(name, values, support radius) of a built-in profile kind: the
+    B-spline of degree n or the Fejer profile (n unused); both have unit
+    L1 norm along the log axis."""
     if kind == KIND_BSPLINE:
-        return (lambda v: bspline_values(v, n)), 0.5 * (n + 1)
+        return f"bspline({n})", (lambda v: bspline_values(v, n)), 0.5 * (n + 1)
     if kind == KIND_FEJER:
-        return fejer_values, None
-    raise ValueError(f"unknown profile kind {kind}")
+        return "mellin_fejer", fejer_values, None
+    raise ValueError(f"unknown profile kind {kind!r}")
 
 
 def _reach(t, y, reach):
@@ -336,14 +338,14 @@ def phase_weighted_sum(y, t, beta, kind, n, *, cut=None):
     ``beta = 0`` reduces to the plain partition sum.  With ``cut`` =
     (inner, outer) only nodes with inner < |y_i - t_j| <= outer count.
     """
-    values, radius = _kind(kind, n)
+    _, values, radius = _kind(kind, n)
     return _sum(values, radius, y, t, None, beta, cut)
 
 
 def weighted_series_sum(y, t, coeffs, kind, n):
     """For each phase ``y_i`` return ``sum_j L(y_i - t_j) * coeffs_j``
     over the ascending node window ``t``."""
-    values, radius = _kind(kind, n)
+    _, values, radius = _kind(kind, n)
     return _sum(values, radius, y, t, coeffs, 0.0)
 
 
@@ -354,19 +356,13 @@ def profile_sum(profile, y, t, coeffs=None, beta=0.0, *, cut=None):
     cut = (inner, outer) counts only the nodes with
     inner < |y_i - t_j| <= outer.
 
-    Built-in profiles go through weighted_series_sum / phase_weighted_sum;
-    any other profile is evaluated through its log_values and banded by
-    its support_radius when it has one."""
+    The profile's kind and order go to weighted_series_sum (coeffs) or
+    phase_weighted_sum (moments)."""
     if coeffs is not None and (beta != 0.0 or cut is not None):
         raise ValueError("profile_sum takes coeffs or beta and cut, not both")
-    if profile.fast_kind is not None:
-        if coeffs is not None:
-            return weighted_series_sum(y, t, coeffs, profile.fast_kind,
-                                       profile.fast_order)
-        # wrappers of the kind functions may take positional arguments
-        # only, so the cut is passed on only when there is one
-        kw = {} if cut is None else {"cut": cut}
-        return phase_weighted_sum(y, t, beta, profile.fast_kind,
-                                  profile.fast_order, **kw)
-    return _sum(profile.log_values, profile.support_radius, y, t, coeffs,
-                beta, cut)
+    if coeffs is not None:
+        return weighted_series_sum(y, t, coeffs, profile.kind, profile.order)
+    # wrappers of the kind functions may take positional arguments only, so
+    # the cut is passed on only when there is one
+    kw = {} if cut is None else {"cut": cut}
+    return phase_weighted_sum(y, t, beta, profile.kind, profile.order, **kw)

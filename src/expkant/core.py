@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -178,28 +178,30 @@ class KernelProfile:
     """The nonnegative factor L of a factorized kernel, viewed in the log
     variable: log_values(v) = L(e^v).
 
-    A profile is of one of two families: compact, supported in
-    |v| <= support_radius, or the Mellin-Fejer form, whose closed-form
-    tails and partition sums the moments module uses (fejer_tails).
-    Declaring neither or both raises ValidationError."""
+    A profile is one of backend's built-in kinds and an order:
+    backend.KIND_BSPLINE, the B-spline of degree ``order``, compact in
+    |v| <= support_radius, or backend.KIND_FEJER, the Mellin-Fejer form
+    (order unused), whose closed-form tails and partition sums the moments
+    module uses.  name, log_values, support_radius, is_compact and
+    l1_log_norm are derived once, from backend._kind.  Profiles compare
+    by identity, so the moment cache keys on the object."""
 
-    name: str
-    log_values: Callable[[np.ndarray], np.ndarray]
-    l1_log_norm: float
-    support_radius: Optional[float] = None       # compact support in |v|
-    fejer_tails: bool = False                    # L(e^v) = (1 - cos v)/(pi v^2)
-    fast_kind: Optional[int] = None              # backend dispatch for builtins
-    fast_order: int = 0
+    kind: int
+    order: int = 0
+    name: str = field(init=False)
+    log_values: Callable = field(init=False, repr=False)
+    support_radius: Optional[float] = field(init=False)
+    is_compact: bool = field(init=False, repr=False)
+    l1_log_norm: float = field(init=False, repr=False)
 
     def __post_init__(self):
-        if (self.support_radius is None) != self.fejer_tails:
-            raise ValidationError(
-                f"profile {self.name!r} needs either a support radius or the "
-                "Mellin-Fejer form, not neither or both")
-
-    @property
-    def is_compact(self) -> bool:
-        return self.support_radius is not None
+        try:
+            name, values, radius = backend._kind(self.kind, self.order)
+        except ValueError as exc:
+            raise ValidationError(str(exc)) from None
+        # the instance is frozen: its derived fields are set here, once
+        vars(self).update(name=name, log_values=values, support_radius=radius,
+                          is_compact=radius is not None, l1_log_norm=1.0)
 
 
 def make_builtin_profile(name: str, n: int = 2) -> KernelProfile:
@@ -217,22 +219,9 @@ def make_builtin_profile(name: str, n: int = 2) -> KernelProfile:
     if name == "bspline":
         if n < 2:
             raise ValidationError("bspline profile needs order n >= 2")
-        return KernelProfile(
-            name=f"bspline({n})",
-            log_values=lambda v, _n=n: backend.bspline_values(v, _n),
-            l1_log_norm=1.0,
-            support_radius=0.5 * (n + 1),
-            fast_kind=backend.KIND_BSPLINE,
-            fast_order=n,
-        )
+        return KernelProfile(backend.KIND_BSPLINE, n)
     if name == "mellin_fejer":
-        return KernelProfile(
-            name="mellin_fejer",
-            log_values=backend.fejer_values,
-            l1_log_norm=1.0,
-            fejer_tails=True,
-            fast_kind=backend.KIND_FEJER,
-        )
+        return KernelProfile(backend.KIND_FEJER)
     raise ValidationError(f"unknown profile name {name!r}")
 
 
@@ -242,7 +231,6 @@ class SlopeFunction:
 
     name: str
     evaluate: Callable[[np.ndarray], np.ndarray]
-    concave: bool = True
     growth_exponent: Optional[float] = None      # psi(u) = O(u^q) as u -> 0+
 
     def __call__(self, u):
@@ -254,30 +242,36 @@ class ResponseFamily:
     """The family g_w with g_w(0) = 0 and g_w(u) -> u uniformly as w grows.
 
     deviation_rate is the alpha with sup_u |g_w(u) - u| = O(w^-alpha);
-    None marks the exact identity family.
+    None marks the exact identity family.  slope_range = (w_min, gap_max)
+    is where the slope holds: |g_w(u) - g_w(v)| <= psi(|u - v|) for every
+    w >= w_min and every gap |u - v| <= gap_max.  Below w_min some gap
+    breaks it, and at w_min so does some gap beyond a finite gap_max.
     """
 
     name: str
     evaluate: Callable[[float, np.ndarray], np.ndarray]
     lipschitz_slope: SlopeFunction
     deviation_rate: Optional[float] = None
+    slope_range: tuple = (0.0, math.inf)
 
     def __call__(self, w: float, u):
         return self.evaluate(w, np.asarray(u, dtype=float))
 
 
 def identity_slope() -> SlopeFunction:
-    return SlopeFunction("u", lambda u: u, concave=True, growth_exponent=1.0)
+    return SlopeFunction("u", lambda u: u, growth_exponent=1.0)
 
 
 def make_response(name: str, alpha: float = 1.0, r: float = 1.0) -> ResponseFamily:
     """Built-in response families.
 
     identity: g_w(u) = u (the linear case).
-    soft(alpha): g_w(u) = u + w^-alpha * tanh(u); slope psi(u) = 2u.
+    soft(alpha): g_w(u) = u + w^-alpha * tanh(u), Lipschitz constant
+    1 + w^-alpha; slope psi(u) = 2u for w >= 1.
     soft_power(alpha, r): g_w(u) = u + w^-alpha * sign(u) * min(|u|^r, 1),
-    with dominating slope psi(u) = 2 u^r for arguments below 1; used for
-    runs that need psi(u) = u^r with r < 1.
+    for runs that need psi(u) = u^r with r < 1.  At a gap d = |u - v| it
+    moves by at most d + w^-alpha 2^(1-r) d^r (u = -v = d/2), at most
+    psi(d) = 2 d^r for d <= 1 exactly when w >= 2^((1-r)/alpha).
     """
     if name == "identity":
         return ResponseFamily("identity", lambda w, u: u, identity_slope())
@@ -287,8 +281,9 @@ def make_response(name: str, alpha: float = 1.0, r: float = 1.0) -> ResponseFami
         return ResponseFamily(
             f"soft({alpha:g})",
             lambda w, u, _a=alpha: u + w ** (-_a) * np.tanh(u),
-            SlopeFunction("2u", lambda u: 2.0 * u, concave=True, growth_exponent=1.0),
+            SlopeFunction("2u", lambda u: 2.0 * u, growth_exponent=1.0),
             deviation_rate=float(alpha),
+            slope_range=(1.0, math.inf),
         )
     if name == "soft_power":
         if alpha <= 0 or not (0.0 < r <= 1.0):
@@ -301,8 +296,10 @@ def make_response(name: str, alpha: float = 1.0, r: float = 1.0) -> ResponseFami
             f"soft_power({alpha:g},{r:g})",
             _eval,
             SlopeFunction(f"2u^{r:g}", lambda u, _r=r: 2.0 * u**_r,
-                          concave=True, growth_exponent=float(r)),
+                          growth_exponent=float(r)),
             deviation_rate=float(alpha),
+            slope_range=(2.0 ** ((1.0 - r) / alpha),
+                         1.0 if r < 1.0 else math.inf),
         )
     raise ValidationError(f"unknown response name {name!r}")
 
@@ -316,11 +313,10 @@ class NonlinearKernel:
 
     profile: KernelProfile
     response: ResponseFamily
-    slope: SlopeFunction = None  # defaults to the response's slope
 
-    def __post_init__(self):
-        if self.slope is None:
-            object.__setattr__(self, "slope", self.response.lipschitz_slope)
+    @property
+    def slope(self) -> SlopeFunction:
+        return self.response.lipschitz_slope
 
 
 # ---------------------------------------------------------------------------
@@ -455,7 +451,6 @@ class PhiFunction:
 
     name: str
     evaluate: Callable[[np.ndarray], np.ndarray]
-    convex: bool = True
 
     def __call__(self, u):
         return self.evaluate(np.asarray(u, dtype=float))

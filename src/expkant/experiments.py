@@ -201,6 +201,24 @@ def _setup(cfg: dict) -> tuple:
     return kernel, scheme, f, w
 
 
+def _check_slope_range(kernel: NonlinearKernel, w_arr: np.ndarray,
+                       gap: float = math.inf) -> None:
+    """Refuse a run that takes the slope psi where it need not bound the
+    response's Lipschitz modulus (ResponseFamily.slope_range): at a w below
+    the range or at gaps |u - v| up to ``gap`` beyond it.  A run whose
+    growth condition (H) takes psi at every gap passes gap = inf."""
+    response = kernel.response
+    w_min, gap_max = response.slope_range
+    psi = f"the slope psi = {kernel.slope.name} of response {response.name}"
+    if w_arr[0] < w_min:
+        raise ValidationError(f"w_list starts at {w_arr[0]:g}, but {psi} "
+                              f"holds only for w >= {w_min:.6g}")
+    if gap > gap_max:
+        raise ValidationError(
+            f"kernel.response: {psi} holds only for gaps up to {gap_max:g}, "
+            f"and this run takes it at gaps up to {gap:.6g}")
+
+
 def validate_config(cfg: dict) -> str:
     cfg = _require_dict(cfg, "config")
     name = cfg.get("experiment")
@@ -303,12 +321,16 @@ def _run_quantitative_3_2(cfg: dict) -> dict:
     if f.sup_norm is None:
         raise ValidationError("quantitative_3_2 needs a bounded signal")
 
+    case = 1 if beta >= 1.0 else 2
+    omegas = [moduli.log_modulus(f, 1.0 / w if case == 1 else w ** (-beta))
+              for w in w_arr]
+    _check_slope_range(kernel, w_arr, max(f.sup_norm, *omegas))
+
     profile = kernel.profile
     psi = kernel.slope
     delta = scheme.upper_gap
     m0 = moments.moment_value(profile, scheme, 0.0)
     m1 = moments.moment_value(profile, scheme, 1.0)
-    case = 1 if beta >= 1.0 else 2
     if case == 1:
         if not math.isfinite(m1):
             raise ValidationError(
@@ -327,9 +349,7 @@ def _run_quantitative_3_2(cfg: dict) -> dict:
     lhs = np.array([operator.sup_error(f, float(w), grid, kernel, scheme)
                     for w in w_arr])
     rows = []
-    for i, w in enumerate(w_arr):
-        d = 1.0 / w if case == 1 else w ** (-beta)
-        omega = moduli.log_modulus(f, d)
+    for i, (w, omega) in enumerate(zip(w_arr, omegas)):
         rhs = const * float(psi(omega)) + s_vals[i] + f.sup_norm * t_vals[i]
         if case == 2:
             rhs += 2.0 ** (beta + 1.0) * float(psi(f.sup_norm)) \
@@ -395,6 +415,7 @@ def _run_modular_convergence(cfg: dict) -> dict:
 
 def _run_modular_inequality(cfg: dict) -> dict:
     kernel, scheme, _, w_arr = _setup(cfg)
+    _check_slope_range(kernel, w_arr)
     pair = build_pair(cfg.get("pair"), kernel.slope)
     lam = _number(cfg.get("lambda", 0.5), "lambda")
     seeds = _listed(cfg.get("seeds", list(range(10))), "seeds", _integer)
@@ -420,17 +441,6 @@ def _run_modular_inequality(cfg: dict) -> dict:
     }
 
 
-def _tau_profile() -> KernelProfile:
-    """Indicator of [1, e] viewed as a profile; its zero moment enters the
-    first RHS factor of the quantitative modular estimate."""
-    return KernelProfile(
-        name="tau",
-        log_values=lambda v: ((v >= 0.0) & (v <= 1.0)).astype(float),
-        l1_log_norm=1.0,
-        support_radius=1.0,
-    )
-
-
 def _run_quantitative_5_1(cfg: dict) -> dict:
     """Quantitative modular estimate: I_phi[nu(K_w f - f)] against the
     four-term RHS built from the smoothness moduli, the tail-mass fit and
@@ -442,6 +452,7 @@ def _run_quantitative_5_1(cfg: dict) -> dict:
     if f.log_support_radius is None:
         raise ValidationError(
             "quantitative_5_1 needs a compactly supported signal")
+    _check_slope_range(kernel, w_arr)
     pair = build_pair(cfg.get("pair"), kernel.slope)
     gamma = _number(cfg["gamma"], "gamma")
     if not (0.0 < gamma < 1.0):
@@ -460,7 +471,10 @@ def _run_quantitative_5_1(cfg: dict) -> dict:
 
     profile = kernel.profile
     m0 = moments.moment_value(profile, scheme, 0.0)
-    m0_tau = moments.discrete_moment(_tau_profile(), scheme, 0.0).value
+    # the zero moment of tau, the indicator of [1, e]: the sup over y of the
+    # number of nodes in [y - 1, y], which on the unit scheme is 2, both
+    # ends holding a node at an integer phase
+    m0_tau = 2.0
     star = moments.check_chi4_star(kernel, scheme, w_arr)
     star_exact = all(v < moments.EXACT_SUP for v in star.sup_values)
     alpha = kernel.response.deviation_rate
@@ -519,21 +533,6 @@ def _run_quantitative_5_1(cfg: dict) -> dict:
         tail_condition=e31.to_dict())
 
 
-_L1_REACH = 400.0
-
-
-def _l1_quadrature(profile: KernelProfile):
-    """(value, error, converged) of the L1 log norm: the adaptive Gauss
-    rule over the support, or over |v| <= _L1_REACH plus the closed tail
-    bound beyond it for a heavy-tailed profile."""
-    if profile.is_compact:
-        lo, hi = -profile.support_radius, profile.support_radius
-        return modular._adaptive_integral(profile.log_values, lo, hi)
-    val, err, converged = modular._adaptive_integral(
-        profile.log_values, -_L1_REACH, _L1_REACH, start_panels=1024)
-    return val + moments.integral_tail(profile, _L1_REACH), err, converged
-
-
 def _run_audit_kernel(cfg: dict) -> dict:
     kernel, scheme, _, w_arr = _setup(cfg)
     j = _integer(cfg.get("j", 2), "j")
@@ -566,14 +565,14 @@ def _run_audit_kernel(cfg: dict) -> dict:
     checks["chi4_S"] = s_rep.to_dict()
     checks["chi4_T"] = t_rep.to_dict()
     checks["chi4_star"] = moments.check_chi4_star(kernel, scheme, w_arr).to_dict()
-    l1, l1_err, l1_converged = _l1_quadrature(profile)
-    checks["L1"] = {"quadrature": l1, "quadrature_error": l1_err,
-                    "converged": l1_converged,
-                    "declared": profile.l1_log_norm,
+    # the fixed panel rule of the tail integral at 0, panels ending on every
+    # knot and the Fejer tail beyond moments._TAIL_REACH in closed form
+    l1 = moments._log_tail_integral(profile, 0.0)
+    checks["L1"] = {"quadrature": l1, "declared": profile.l1_log_norm,
                     "tail_bound": (0.0 if profile.is_compact else
-                                   moments.integral_tail(profile, _L1_REACH)),
-                    "passed": (l1_converged
-                               and abs(l1 - profile.l1_log_norm) < 1e-6)}
+                                   moments.integral_tail(
+                                       profile, moments._TAIL_REACH)),
+                    "passed": abs(l1 - profile.l1_log_norm) < 1e-6}
     mrep = moments.discrete_moment(profile, scheme, beta)
     checks["L2"] = {**mrep.to_dict(), "passed": not mrep.diverged}
     checks["L3"] = moments.check_L3(profile, scheme, r, gamma, w_arr).to_dict()

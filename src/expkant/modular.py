@@ -34,7 +34,7 @@ def phi_power(p: float) -> PhiFunction:
     """u^p; the Mellin-Lebesgue case for p >= 1."""
     if p < 1:
         raise ValidationError("phi_power needs p >= 1 for convexity")
-    return PhiFunction(f"u^{p:g}", lambda u: np.abs(u) ** p, convex=True)
+    return PhiFunction(f"u^{p:g}", lambda u: np.abs(u) ** p)
 
 
 def phi_power_log(p: float) -> PhiFunction:
@@ -49,12 +49,12 @@ def phi_power_log(p: float) -> PhiFunction:
         out[pos] = u[pos] ** p * (1.0 + np.abs(np.log(u[pos])))
         return out
 
-    return PhiFunction(f"u^{p:g}(1+|ln u|)", f, convex=False)
+    return PhiFunction(f"u^{p:g}(1+|ln u|)", f)
 
 
 def phi_exponential() -> PhiFunction:
     """e^u - 1; can overflow on operator-error tails, hence opt-in."""
-    return PhiFunction("e^u-1", lambda u: np.expm1(np.abs(u)), convex=True)
+    return PhiFunction("e^u-1", lambda u: np.expm1(np.abs(u)))
 
 
 def make_phi(name: str, p: float = 2.0,
@@ -118,19 +118,19 @@ def _panel_integrate(fun: Callable[[np.ndarray], np.ndarray], lo: float,
     return float(np.sum(fun(v) * wts))
 
 
-def _adaptive_integral(fun, lo: float, hi: float, rel_tol: float = 1e-8,
-                       start_panels: int = 64, max_doublings: int = 6):
-    """(value, error, converged): Gauss panels doubled until two successive
-    values agree to rel_tol * max(1, |value|).  When max_doublings runs out
-    the last value is returned with converged False and a debug line."""
-    prev = _panel_integrate(fun, lo, hi, start_panels)
-    panels = start_panels
+def _adaptive_integral(fun, lo: float, hi: float):
+    """(value, error, converged): 64 Gauss panels, doubled until two
+    successive values agree to 1e-8 * max(1, |value|).  When 6 doublings
+    run out the last value is returned with converged False and a debug
+    line."""
+    prev = _panel_integrate(fun, lo, hi, 64)
+    panels = 64
     err = math.inf
-    for _ in range(max_doublings):
+    for _ in range(6):
         panels *= 2
         cur = _panel_integrate(fun, lo, hi, panels)
         err = abs(cur - prev)
-        if err <= rel_tol * max(1.0, abs(cur)):
+        if err <= 1e-8 * max(1.0, abs(cur)):
             return cur, err, True
         prev = cur
     _log.debug("_adaptive_integral: unconverged on [%g, %g] at %d panels; "
@@ -166,10 +166,6 @@ def modular(phi: PhiFunction, f: Signal, lam: float,
             + _panel_integrate(integrand, -60.0, -30.0, 256))
     diverged = tail > max(1e-8 * max(1.0, value), 1e-12)
     return ModularValue(lam, value + tail, max(err, tail), diverged, converged)
-
-
-# package-level alias: `modular` would shadow this submodule there
-modular_value = modular
 
 LogEvaluable = Union[Signal, GridFunction]
 

@@ -8,8 +8,7 @@ grid never decreases the value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -17,24 +16,6 @@ from .core import Signal, ValidationError
 from .ratefit import fit_loglog
 
 ZERO_MODULUS = 1e-14
-
-
-@dataclass(frozen=True)
-class ModulusCurve:
-    deltas: tuple
-    values: tuple
-
-    @property
-    def is_zero(self) -> bool:
-        return all(v < ZERO_MODULUS for v in self.values)
-
-    @property
-    def fitted_order(self) -> Optional[float]:
-        return holder_fit(self)
-
-    def to_dict(self) -> dict:
-        return {"deltas": list(self.deltas), "values": list(self.values),
-                "fitted_order": self.fitted_order, "is_zero": self.is_zero}
 
 
 def _search_window(f: Signal, delta: float) -> tuple:
@@ -76,24 +57,10 @@ def log_modulus(f: Signal, delta: float, window: Optional[tuple] = None,
     return max(float(rows[bj]), float(diff2.max()))
 
 
-def subadditivity_check(f: Signal, delta: float, lam: float,
-                        slack: float = 1e-6) -> bool:
-    """omega(f, lam*delta) <= (1 + lam) * omega(f, delta), on estimates."""
-    lhs = log_modulus(f, lam * delta)
-    rhs = (1.0 + lam) * log_modulus(f, delta)
-    return lhs <= rhs + slack
-
-
-def modulus_curve(f: Signal, deltas: Sequence[float], **kwargs) -> ModulusCurve:
-    ds = sorted((float(d) for d in deltas), reverse=True)
-    values = tuple(log_modulus(f, d, **kwargs) for d in ds)
-    return ModulusCurve(tuple(ds), values)
-
-
 def holder_fit(curve) -> Optional[float]:
-    """Log-Holder order: log-log slope of a modulus or smoothness curve
-    (deltas, values, is_zero), clipped to (0, 1].  None marks the
-    zero-modulus case."""
+    """Log-Holder order: log-log slope of a curve of moduli at deltas
+    (deltas, values, is_zero; modular.SmoothnessCurve), clipped to (0, 1].
+    None marks the zero-modulus case."""
     if curve.is_zero:
         return None
     fit = fit_loglog(1.0 / np.asarray(curve.deltas), np.asarray(curve.values))

@@ -61,6 +61,10 @@ _BERNOULLI_OVER_FACTORIAL = tuple(
 # zeta(s, q) sums its first terms directly until q + n >= _ZETA_SHIFT.
 _ZETA_SHIFT = 16.0
 
+# Log units out to which a Fejer tail integral takes Gauss panels, with
+# integral_tail's closed-form bound beyond.
+_TAIL_REACH = 400.0
+
 _log = logging.getLogger(__name__)
 
 
@@ -163,7 +167,7 @@ def _exact_partition(profile: KernelProfile,
     left and m0 == (number of classes) * l1_log_norm / P at every phase
     (Butzer & Jansche, JFAA 1997).  None for a compact profile and for
     P > 2 pi."""
-    if not profile.fejer_tails:
+    if profile.is_compact:
         return None
     offsets, period = _residue_classes(scheme)
     if period > 2.0 * math.pi:
@@ -216,7 +220,7 @@ def _lattice_tails(profile: KernelProfile, scheme: SamplingScheme,
                    beta: float, lower: bool = False) -> tuple:
     """(direct, bound) per phase y_i, whose sum bounds from above
         sum over |t_k - y_i| > cut of L(e^{y_i - t_k}) |y_i - t_k|^beta
-    (over every node when cut is None) for a profile with fejer_tails
+    (over every node when cut is None) for the Mellin-Fejer profile
     and 0 <= beta < 1; with lower, (direct, bound, least), direct + least
     a lower bound of the same sum.
 
@@ -315,7 +319,7 @@ def _phase_sums(profile: KernelProfile, scheme: SamplingScheme,
     (_lattice_tails; 0 for a compact profile, whose sums are exact) and
     the half width around each phase inside which nodes are summed
     directly (None when no node counts)."""
-    if profile.fejer_tails:
+    if not profile.is_compact:
         direct, bound, least = _lattice_tails(profile, scheme, ys, cut, beta,
                                               lower=True)
         period = scheme.phase_period
@@ -386,7 +390,7 @@ def discrete_moment(profile: KernelProfile, scheme: SamplingScheme,
         return MomentReport(beta, m0, "exact at every phase (Poisson "
                             "summation)", False, None, 0.0, True, m0)
     desc = f"{_PROBE_PHASES} phase points on one period [0, {period:g})"
-    if profile.fejer_tails and beta >= 1.0:
+    if not profile.is_compact and beta >= 1.0:
         _log.debug("discrete_moment: %s beta=%g flagged divergent, the "
                    "Fejer terms decay like |v|^(beta - 2)", profile.name, beta)
         return MomentReport(beta, math.inf, desc, True)
@@ -558,7 +562,7 @@ def check_L3(profile: KernelProfile, scheme: SamplingScheme, r: float,
         raise ValidationError("check_L3 needs r in (0,1] and gamma > 0")
     w_arr = np.asarray(sorted(w_list), dtype=float)
     params = {"r": r, "gamma": gamma}
-    if profile.fejer_tails and r >= 1.0:
+    if not profile.is_compact and r >= 1.0:
         none = [None] * w_arr.size
         return ConditionReport(
             condition="L3", params=params, w_values=tuple(w_arr),
@@ -596,13 +600,14 @@ def check_L3(profile: KernelProfile, scheme: SamplingScheme, r: float,
 
 def _log_tail_integral(profile: KernelProfile, threshold: float) -> float:
     """integral over |v| > threshold of L(e^v) dv (two-sided), as an upper
-    bound beyond the integrated panels.
+    bound beyond the integrated panels; at threshold 0 the L1 log norm.
 
     Panels are at most 0.5 wide, narrow enough to resolve the Fejer
-    form's oscillation, and reach max(400, 2 threshold), beyond which
-    integral_tail bounds the rest.  A compact profile's panels end on the
-    points -R + j/2, which hold every knot of the B-splines and of the tau
-    indicator, so that each panel integrates one polynomial piece."""
+    form's oscillation, and reach max(_TAIL_REACH, 2 threshold), beyond
+    which integral_tail bounds the rest.  A compact profile's panels end
+    on the points -R + j/2, which hold every knot -R + j of the B-spline
+    of support radius R, so that each panel integrates one polynomial
+    piece, exactly but for round-off up to degree 15."""
     if profile.is_compact:
         hi = profile.support_radius
         if threshold >= hi:
@@ -610,7 +615,7 @@ def _log_tail_integral(profile: KernelProfile, threshold: float) -> float:
         knots = np.arange(-hi, hi, 0.5)
         edges = np.concatenate(([threshold], knots[knots > threshold], [hi]))
     else:
-        hi = max(400.0, 2.0 * threshold)
+        hi = max(_TAIL_REACH, 2.0 * threshold)
         n_panels = max(8, int(math.ceil((hi - threshold) / 0.5)))
         edges = np.linspace(threshold, hi, n_panels + 1)
     v, wts = gauss_panels(edges[:-1], edges[1:], 8)

@@ -148,13 +148,6 @@ def mean_values(f: Signal, k_lo: int, k_hi: int, w: float,
     raise EvaluationError(message)
 
 
-def mean_value(f: Signal, k: int, w: float, scheme: SamplingScheme,
-               quad: QuadratureSpec = QuadratureSpec()) -> float:
-    if w <= 0:
-        raise ValidationError("mean_value needs w > 0")
-    return float(mean_values(f, k, k, w, scheme, quad)[0])
-
-
 # ---------------------------------------------------------------------------
 # the evaluation plan
 
@@ -278,10 +271,9 @@ def _series(f: Signal, w: float, ys: np.ndarray, kernel: NonlinearKernel,
     t = [scheme.nodes(k_lo, k_hi) for k_lo, k_hi in runs]
     t = t[0] if len(t) == 1 else np.concatenate(t)
     profile = kernel.profile
-    if (profile.fast_kind == backend.KIND_BSPLINE and scheme.kind == "uniform"
+    if (profile.kind == backend.KIND_BSPLINE and scheme.kind == "uniform"
             and scheme.step == 1.0):
-        return (backend.bspline_lattice_sum(ys, t, g, profile.fast_order),
-                bound)
+        return backend.bspline_lattice_sum(ys, t, g, profile.order), bound
     return backend.profile_sum(profile, ys, t, g), bound
 
 

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from expkant import core, signals
+from expkant import backend, core, moments, signals
 from expkant.core import (KernelProfile, NonlinearKernel, SamplingScheme,
                           ValidationError, make_builtin_profile, make_response)
 
@@ -108,27 +108,38 @@ class TestProfiles:
         big = np.array([10.0, 100.0, -40.0])
         assert np.all(p.log_values(big) <= 2.0 / (math.pi * big ** 2) + 1e-15)
 
-    def test_profile_family_is_declared_once(self):
-        # compact (a support radius) or the Mellin-Fejer form, not neither
-        # and not both
-        values = make_builtin_profile("mellin_fejer").log_values
-        with pytest.raises(ValidationError, match="neither or both"):
-            KernelProfile(name="bare", log_values=values, l1_log_norm=1.0)
-        with pytest.raises(ValidationError, match="neither or both"):
-            KernelProfile(name="both", log_values=values, l1_log_norm=1.0,
-                          support_radius=1.5, fejer_tails=True)
-        assert KernelProfile(name="box", log_values=values, l1_log_norm=1.0,
-                             support_radius=0.5).is_compact
-        assert not KernelProfile(name="fejer", log_values=values,
-                                 l1_log_norm=1.0, fejer_tails=True).is_compact
+    @pytest.mark.parametrize("name, n", [("bspline", 2), ("bspline", 3),
+                                         ("bspline", 4), ("bspline", 5),
+                                         ("mellin_fejer", 2)])
+    def test_attributes_come_from_the_kind_table(self, name, n):
+        p = make_builtin_profile(name, n)
+        label, values, radius = backend._kind(p.kind, p.order)
+        assert (p.kind, p.order) == ((backend.KIND_BSPLINE, n)
+                                     if name == "bspline"
+                                     else (backend.KIND_FEJER, 0))
+        assert p.name == label == (f"bspline({n})" if name == "bspline"
+                                   else "mellin_fejer")
+        assert p.support_radius == radius
+        assert p.is_compact is (radius is not None)
+        assert p.l1_log_norm == 1.0
+        v = np.linspace(-9.0, 9.0, 1001)
+        assert np.array_equal(p.log_values(v), values(v))
+        # derived once, at construction
+        assert p.log_values is p.log_values
+
+    def test_profiles_compare_by_identity(self):
+        a = make_builtin_profile("bspline", 3)
+        assert a == a and a != make_builtin_profile("bspline", 3)
+
+    def test_unknown_kind_fails_at_construction(self):
+        with pytest.raises(ValidationError, match="unknown profile kind"):
+            KernelProfile(7, 2)
 
     def test_fejer_l1_norm_quadrature(self):
-        from expkant.experiments import _l1_quadrature
         p = make_builtin_profile("mellin_fejer")
-        # upper bound: quadrature plus the closed-form Fejer tail bound
-        got, err, converged = _l1_quadrature(p)
+        # upper bound: Gauss panels to 400 plus the closed-form tail bound
+        got = moments._log_tail_integral(p, 0.0)
         assert 1.0 - 1e-9 <= got <= 1.0 + 5e-3
-        assert converged and err <= 1e-8
 
     def test_errors(self):
         with pytest.raises(ValidationError):
@@ -165,6 +176,11 @@ class TestResponses:
         mid = psi((a + b) / 2)
         assert np.all(mid >= (psi(a) + psi(b)) / 2 - 1e-12)
 
+    def test_kernel_slope_is_the_response_slope(self):
+        response = make_response("soft", alpha=2.0)
+        k = NonlinearKernel(make_builtin_profile("bspline", 2), response)
+        assert k.slope is response.lipschitz_slope
+
     def test_kernel_vanishes_at_zero(self):
         k = NonlinearKernel(make_builtin_profile("bspline", 2),
                             make_response("soft", alpha=2.0))
@@ -177,6 +193,62 @@ class TestResponses:
             make_response("soft_power", alpha=1.0, r=1.5)
         with pytest.raises(ValidationError):
             make_response("nope")
+
+
+def slope_margin(response, w, gaps):
+    """max of |g_w(u) - g_w(v)| - psi(|u - v|) over the pairs u = -v = d/2
+    (the worst for these odd responses) and u = c, v = c + d with c on a
+    grid of [-3, 3], for each gap d in gaps."""
+    d = np.asarray(gaps, dtype=float)
+    c = np.linspace(-3.0, 3.0, 61)[:, None]
+    u = np.concatenate([0.5 * d[None, :], c + 0.0 * d])
+    v = np.concatenate([-0.5 * d[None, :], c + d])
+    moved = np.abs(response(w, u) - response(w, v))
+    return float(np.max(moved - response.lipschitz_slope(np.abs(u - v))))
+
+
+class TestSlopeRanges:
+    """psi bounds the response's Lipschitz modulus on its slope_range and
+    not beyond either end."""
+
+    GAPS = np.concatenate([np.geomspace(1e-4, 1.0, 400), [1.0]])
+
+    def test_identity_holds_everywhere(self):
+        r = make_response("identity")
+        assert r.slope_range == (0.0, math.inf)
+        assert slope_margin(r, 1e-6, np.geomspace(1e-4, 1e3, 200)) <= 0.0
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+    def test_soft_from_w_1(self, alpha):
+        r = make_response("soft", alpha=alpha)
+        assert r.slope_range == (1.0, math.inf)
+        gaps = np.geomspace(1e-4, 1e3, 400)
+        assert slope_margin(r, 1.0, gaps) <= 1e-12
+        assert slope_margin(r, 1.0 - 1e-3, gaps) > 0.0
+
+    @pytest.mark.parametrize("alpha, r", [(1.0, 0.5), (2.0, 0.25),
+                                          (0.5, 0.75), (1.5, 1.0)])
+    def test_soft_power_at_its_threshold(self, alpha, r):
+        resp = make_response("soft_power", alpha=alpha, r=r)
+        w_min, gap_max = resp.slope_range
+        assert w_min == 2.0 ** ((1.0 - r) / alpha)
+        assert gap_max == (1.0 if r < 1.0 else math.inf)
+        gaps = self.GAPS if r < 1.0 else np.geomspace(1e-4, 1e3, 400)
+        assert slope_margin(resp, w_min, gaps) <= 1e-12
+        assert slope_margin(resp, w_min * (1.0 - 1e-3), gaps) > 0.0
+        if r < 1.0:
+            # at the least w, a gap just past 1 breaks psi
+            assert slope_margin(resp, w_min, [1.01]) > 0.0
+
+    def test_soft_power_gap_bound(self):
+        # alpha = 1, r = 1/2: the margin at gap 1 crosses 0 at w = sqrt 2,
+        # and a gap of 9 breaks psi by 3 at any w
+        resp = make_response("soft_power", alpha=1.0, r=0.5)
+        assert slope_margin(resp, 1.0, [1.0]) == pytest.approx(
+            math.sqrt(2.0) - 1.0)
+        assert slope_margin(resp, 1.40, [1.0]) > 0.0
+        assert slope_margin(resp, 1.415, [1.0]) < 0.0
+        assert slope_margin(resp, 1e6, [9.0]) == pytest.approx(3.0, abs=1e-5)
 
 
 class TestSignals:

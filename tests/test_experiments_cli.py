@@ -14,8 +14,11 @@ import pytest
 
 import expkant
 from expkant import cli, experiments, moments
-from expkant.core import ValidationError, make_builtin_profile
+from expkant.core import SamplingScheme, ValidationError, make_builtin_profile
 from expkant.ratefit import fit_loglog
+
+
+UNIT = SamplingScheme.uniform()
 
 
 def base_config(**overrides):
@@ -170,31 +173,31 @@ class TestReports:
             assert checks[name]["passed"], name
         assert checks["chi4_S"]["extra"]["m0_range"] == [1.0, 1.0]
         assert 0.0 <= checks["L1"]["quadrature"] - 1.0 < 1e-7
-        assert checks["L1"]["converged"]
-        assert 0.0 <= checks["L1"]["quadrature_error"] <= 1e-8
+        assert checks["L1"]["declared"] == 1.0
         assert checks["L1"]["tail_bound"] == moments.integral_tail(
             make_builtin_profile("mellin_fejer"), 400.0)
 
     def test_bspline_audit_l1_records_quadrature_error(self):
-        checks = experiments.run({
-            "experiment": "audit_kernel",
-            "kernel": {"profile": {"name": "bspline", "n": 2}},
-            "w_list": [4, 8, 16, 32]})["checks"]
-        assert checks["L1"]["converged"] is True
-        assert 0.0 <= checks["L1"]["quadrature_error"] <= 1e-8
-        assert checks["L1"]["passed"]
+        # panels that end on every knot integrate each polynomial piece
+        # exactly: the norm reads 1 with no error left to record
+        for n in (2, 4):
+            checks = experiments.run({
+                "experiment": "audit_kernel",
+                "kernel": {"profile": {"name": "bspline", "n": n}},
+                "w_list": [4, 8, 16, 32]})["checks"]
+            assert checks["L1"]["quadrature"] == 1.0
+            assert checks["L1"]["declared"] == 1.0
+            assert checks["L1"]["tail_bound"] == 0.0
+            assert checks["L1"]["passed"]
 
-    def test_audit_l1_fails_when_quadrature_unconverged(self, monkeypatch):
-        # the declared value, but from a quadrature that ran out of
-        # doublings: the check must not pass on it
-        monkeypatch.setattr(experiments.modular, "_adaptive_integral",
-                            lambda *a, **k: (1.0, 0.5, False))
+    def test_audit_l1_fails_off_the_declared_norm(self, monkeypatch):
+        monkeypatch.setattr(moments, "_log_tail_integral",
+                            lambda *a: 1.0 + 2e-6)
         checks = experiments.run({
             "experiment": "audit_kernel",
             "kernel": {"profile": {"name": "bspline", "n": 2}},
             "w_list": [4, 8, 16, 32]})["checks"]
-        assert checks["L1"]["quadrature"] == 1.0
-        assert checks["L1"]["converged"] is False
+        assert checks["L1"]["quadrature"] == 1.0 + 2e-6
         assert not checks["L1"]["passed"]
 
     def test_fejer_runs_import_no_scipy(self):
@@ -245,6 +248,19 @@ class TestReports:
         rhs = [r["rhs"] for r in report["rows"]]
         rhs2 = [r["rhs"] for r in doubled["rows"]]
         assert rhs2[0] > rhs[0] and rhs2[1:] == rhs[1:]
+
+    def test_m0_tau_counts_the_nodes_of_a_unit_window(self):
+        # tau, the indicator of [1, e]: its zero moment is the most nodes
+        # of the unit scheme in [y - 1, y] over 2048 phases of a period
+        t = UNIT.nodes(-3, 3)
+        y = np.linspace(0.0, 1.0, 2048, endpoint=False)[:, None]
+        count = np.max(np.sum((y - 1.0 <= t) & (t <= y), axis=1))
+        report = experiments.run({
+            "experiment": "quantitative_5_1",
+            "kernel": {"profile": {"name": "bspline", "n": 2}},
+            "signal": {"name": "cc_bump"}, "w_list": [4, 8, 16, 32],
+            "gamma": 0.5})
+        assert report["constants"]["m0_tau"] == count == 2.0
 
     def test_report_echoes_config_without_output(self):
         cfg = base_config()
@@ -453,6 +469,55 @@ class TestCli:
         assert proc.returncode == cli.EXIT_VALIDATION, proc.stderr
         assert proc.stderr.startswith("error:")
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("cfg, key", [
+        ({"experiment": "quantitative_3_2", "signal": {"name": "cc_bump"},
+          "beta": 1.0}, "w_list"),
+        ({"experiment": "modular_inequality", "seeds": [0]}, "w_list"),
+        ({"experiment": "quantitative_5_1", "signal": {"name": "cc_bump"},
+          "gamma": 0.5}, "w_list"),
+        ({"experiment": "quantitative_3_2",
+          "signal": {"name": "cc_bump", "height": 2.0}, "beta": 1.0,
+          "response": 0.5}, "kernel.response"),
+        ({"experiment": "modular_inequality", "seeds": [0],
+          "response": 0.5}, "kernel.response"),
+        ({"experiment": "quantitative_5_1", "signal": {"name": "cc_bump"},
+          "gamma": 0.5, "response": 0.5}, "kernel.response"),
+    ], ids=["3_2-w", "inequality-w", "5_1-w", "3_2-norm", "inequality-gap",
+            "5_1-gap"])
+    def test_psi_runner_outside_the_slope_range_exit_3(self, tmp_path, cfg,
+                                                        key):
+        # soft(1) holds from w = 1 on: the ladder starts just below it;
+        # soft_power(1, 1/2) holds from w = sqrt 2 for gaps up to 1: the
+        # ladder starts there, and the run takes psi at a wider gap
+        cfg = dict(cfg)
+        r = cfg.pop("response", None)
+        response = ({"name": "soft", "alpha": 1.0} if r is None else
+                    {"name": "soft_power", "alpha": 1.0, "r": r})
+        w0 = 1.0 - 1e-9 if r is None else math.sqrt(2.0)
+        cfg.update(kernel={"profile": {"name": "bspline", "n": 2},
+                           "response": response},
+                   w_list=[w0, 4.0, 8.0, 16.0])
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        proc = run_cli(["run", str(cfg_path)])
+        assert proc.returncode == cli.EXIT_VALIDATION, proc.stderr
+        assert key in proc.stderr and "psi" in proc.stderr
+
+    def test_soft_power_runs_inside_its_range(self):
+        # holder_bump: ||f|| = 1 and omega <= 1, from the least w on
+        report = experiments.run({
+            "experiment": "quantitative_3_2",
+            "kernel": {"profile": {"name": "bspline", "n": 2},
+                       "response": {"name": "soft_power", "alpha": 1.0,
+                                    "r": 0.5}},
+            "signal": {"name": "holder_bump", "nu": 0.5},
+            "w_list": [math.sqrt(2.0), 4.0, 8.0, 16.0], "beta": 0.5,
+            "grid": {"lo": 0.5, "hi": 2.0, "points": 5}})
+        assert report["rows"][0]["w"] == math.sqrt(2.0)
+        with pytest.raises(ValidationError, match="w_list"):
+            experiments.run({**report["config"],
+                             "w_list": [1.414, 4.0, 8.0, 16.0]})
 
     def test_moments_bad_profile_exit_3(self):
         assert run_cli(["moments", "--profile", "nope", "--beta",

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from expkant import backend, moments
-from expkant.core import (KernelProfile, NonlinearKernel, SamplingScheme,
+from expkant.core import (NonlinearKernel, SamplingScheme,
                           ValidationError, gauss_panels, make_builtin_profile,
                           make_response)
 
@@ -404,21 +404,21 @@ class TestMomentCache:
         monkeypatch.setattr(moments, "_MOMENT_CACHE", OrderedDict())
 
     @staticmethod
-    def box(i):
-        return KernelProfile(
-            name=f"box{i}", log_values=lambda v: (np.abs(v) <= 0.5) * 1.0,
-            l1_log_norm=1.0, support_radius=0.5)
+    def fresh():
+        # profiles compare by identity: each fresh one is a new cache key
+        return make_builtin_profile("bspline", 2)
 
     def test_size_stays_within_bound(self, monkeypatch):
         monkeypatch.setattr(moments, "_MOMENT_CACHE_SIZE", 4)
-        for i in range(6):
-            box = self.box(i)
+        profiles = [self.fresh() for _ in range(6)]
+        for profile in profiles:
             for beta in (0.0, 1.0):
-                moments.moment_value(box, UNIT, beta)
+                moments.moment_value(profile, UNIT, beta)
                 assert len(moments._MOMENT_CACHE) <= 4
         assert len(moments._MOMENT_CACHE) == 4
         # the most recent entries are the ones kept
-        assert [k[0].name for k in moments._MOMENT_CACHE] == ["box4"] * 2 + ["box5"] * 2
+        assert [k[0] for k in moments._MOMENT_CACHE] == \
+            [profiles[4]] * 2 + [profiles[5]] * 2
 
     def test_hit_computes_once_and_eviction_releases(self, monkeypatch):
         monkeypatch.setattr(moments, "_MOMENT_CACHE_SIZE", 1)
@@ -426,15 +426,15 @@ class TestMomentCache:
         orig = moments.discrete_moment
         monkeypatch.setattr(moments, "discrete_moment",
                             lambda *a: computed.append(a) or orig(*a))
-        box = self.box(0)
-        assert moments.moment_value(box, UNIT, 1.0) == \
-            moments.moment_value(box, UNIT, 1.0)
+        profile = self.fresh()
+        assert moments.moment_value(profile, UNIT, 1.0) == \
+            moments.moment_value(profile, UNIT, 1.0)
         assert len(computed) == 1
-        ref = weakref.ref(box)
-        del box
+        ref = weakref.ref(profile)
+        del profile
         computed.clear()
         assert ref() is not None  # the cache holds the profile it keys on
-        moments.moment_value(self.box(1), UNIT, 1.0)
+        moments.moment_value(self.fresh(), UNIT, 1.0)
         assert ref() is None
 
     def test_thread_pool_lookups_agree(self, monkeypatch):

@@ -38,26 +38,27 @@ class TestMeanValue:
     def test_constant(self):
         f = signals.constant(1.0)
         for k, w in ((0, 1.0), (3, 7.0), (-5, 2.5)):
-            assert operator.mean_value(f, k, w, UNIT) == pytest.approx(1.0)
+            assert operator.mean_values(f, k, k, w, UNIT)[0] == \
+                pytest.approx(1.0)
 
     def test_log_closed_form(self):
         # mean of ln over [k/w, (k+1)/w] is (2k+1)/(2w)
         f = signals.clipped_log()
         for k, w in ((0, 1.0), (2, 8.0), (-3, 4.0), (5, 16.0)):
-            assert operator.mean_value(f, k, w, UNIT) == pytest.approx(
-                (2 * k + 1) / (2 * w), abs=1e-12)
+            assert operator.mean_values(f, k, k, w, UNIT)[0] == \
+                pytest.approx((2 * k + 1) / (2 * w), abs=1e-12)
 
     def test_exponential_closed_form(self):
         # mean of e^u over [0, 1] is e - 1
         f = signals.power_clipped(1.0)
-        assert operator.mean_value(f, 0, 1.0, UNIT) == pytest.approx(
+        assert operator.mean_values(f, 0, 0, 1.0, UNIT)[0] == pytest.approx(
             math.e - 1.0, abs=1e-10)
 
     def test_nonfinite_signal_named(self):
         bad = Signal("bad", lambda x: np.where(np.asarray(x) > 2.0,
                                                np.nan, 1.0), sup_norm=1.0)
         with pytest.raises(EvaluationError, match="k="):
-            operator.mean_value(bad, 3, 2.0, UNIT)
+            operator.mean_values(bad, 3, 3, 2.0, UNIT)
 
 
 def _global_doubling_means(f, k_lo, k_hi, w, quad):
@@ -291,7 +292,7 @@ class TestClosedFormMeans:
 
         for k in _cells_near(scheme, w, (0.0, -radius, radius, far * radius)):
             a, b = scheme.node(k) / w, scheme.node(k + 1) / w
-            got = operator.mean_value(f, k, w, scheme)
+            got = operator.mean_values(f, k, k, w, scheme)[0]
             ref, err = _quad_mean(core, a, b, (-radius, radius), cusp=0.0)
             assert abs(got - ref) <= _roundoff_bound(g(a), g(b), a, b, got) + err
 
@@ -317,7 +318,7 @@ class TestClosedFormMeans:
         points = (-clip, clip, clip + beyond, -clip - beyond)
         for k in _cells_near(scheme, w, points):
             a, b = scheme.node(k) / w, scheme.node(k + 1) / w
-            got = operator.mean_value(f, k, w, scheme)
+            got = operator.mean_values(f, k, k, w, scheme)[0]
             ref, err = _quad_mean(core, a, b, (-clip, clip))
             assert abs(got - ref) <= _roundoff_bound(h(a), h(b), a, b, got) + err
 
@@ -356,7 +357,7 @@ class TestClosedFormMeans:
         # mpmath quadrature split at the cusp
         f = signals.holder_bump(0.4956, 2.5)
         scheme = SamplingScheme.uniform(1.0, 0.3)
-        got = operator.mean_value(f, -1, 256.0, scheme)
+        got = operator.mean_values(f, -1, -1, 256.0, scheme)[0]
         assert abs(got - 0.97955780393738898552) <= 2.0 * EPS
 
     def test_no_signal_evaluation(self, monkeypatch):
@@ -411,7 +412,7 @@ class TestClosedFormMeans:
         scheme = _drawn_scheme(data)
         for k in _cells_near(scheme, w, (0.0, far)):
             a, b = scheme.node(k) / w, scheme.node(k + 1) / w
-            got = operator.mean_value(f, k, w, scheme)
+            got = operator.mean_values(f, k, k, w, scheme)[0]
             d = b - a
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", IntegrationWarning)
@@ -591,7 +592,7 @@ class TestBumpMeans:
         parts = [(0.0, radius, height)]
         for k in _cells_near(scheme, w, (0.0, -radius, radius, far * radius)):
             a, b = scheme.node(k) / w, scheme.node(k + 1) / w
-            got = operator.mean_value(f, k, w, scheme)
+            got = operator.mean_values(f, k, k, w, scheme)[0]
             # the mean is linear in h: the unit bump's reference scaled by
             # h, which a subnormal h does not make underflow inside quad
             ref, err = _quad_mean(core, a, b, (-radius, radius))
@@ -614,7 +615,7 @@ class TestBumpMeans:
         points = [c for c, _, _ in parts] + edges
         for k in _cells_near(scheme, w, points, count=2):
             a, b = scheme.node(k) / w, scheme.node(k + 1) / w
-            got = operator.mean_value(f, k, w, scheme)
+            got = operator.mean_values(f, k, k, w, scheme)[0]
             ref, err = _quad_mean(core, a, b, edges)
             assert abs(got - ref) <= _bump_bound(parts, a, b, got) + err
 

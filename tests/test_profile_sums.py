@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from expkant import backend
-from expkant.core import KernelProfile, SamplingScheme, make_builtin_profile
+from expkant.core import SamplingScheme, make_builtin_profile
 
 ATOL = 1e-13
 
@@ -31,13 +31,6 @@ def banded(profile, y, t):
     return backend._band(profile.support_radius,
                          np.atleast_1d(np.asarray(y, dtype=float)),
                          np.asarray(t, dtype=float)) is not None
-
-
-def tau_profile():
-    return KernelProfile(
-        name="tau",
-        log_values=lambda v: ((v >= 0.0) & (v <= 1.0)).astype(float),
-        l1_log_norm=1.0, support_radius=1.0)
 
 
 UNIT = SamplingScheme.uniform(1.0)
@@ -120,23 +113,6 @@ def test_windows_fall_on_both_sides_of_the_size_test():
     assert paths == [False, True, False, True]
 
 
-@pytest.mark.parametrize("k", [(-2, 3), (-200, 200)])
-def test_tau_band_is_closed(k):
-    # nodes at exactly v = y - t = 0 and v = 1 carry weight 1
-    profile = tau_profile()
-    t = UNIT.nodes(*k)
-    y = np.concatenate([t, t + 1.0, t + 0.5, t - 1e-9, t + 1.0 + 1e-9])
-    assert banded(profile, y, t) == (t.size > 8)  # 2 * (2R / step + 2)
-    got = backend.profile_sum(profile, y, t)
-    np.testing.assert_allclose(got, dense(profile, y, t), rtol=0, atol=ATOL)
-    inner = slice(1, t.size - 1)
-    assert np.all(got[:t.size][inner] == 2.0)              # v = 0 and v = 1
-    assert np.all(got[t.size:2 * t.size][inner] == 2.0)    # v = 1 and v = 0
-    coeffs = RNG.standard_normal(t.size)
-    np.testing.assert_allclose(backend.profile_sum(profile, y, t, coeffs),
-                               dense(profile, y, t, coeffs), rtol=0, atol=ATOL)
-
-
 FEJER = make_builtin_profile("mellin_fejer")
 # Fejer windows: the four above and nodes near |t| = 1e6
 FEJER_WINDOWS = WINDOWS + [(SamplingScheme.uniform(1.0, 1e6), -300, 300)]
@@ -187,8 +163,8 @@ def test_fejer_blocks_and_single_phases():
 
 
 @pytest.mark.parametrize("profile", [make_builtin_profile("bspline", 3),
-                                     make_builtin_profile("mellin_fejer"),
-                                     tau_profile()], ids=lambda p: p.name)
+                                     make_builtin_profile("mellin_fejer")],
+                         ids=lambda p: p.name)
 def test_empty_window(profile):
     y = np.linspace(-2.0, 2.0, 5)
     assert np.all(backend.profile_sum(profile, y, np.empty(0)) == 0.0)
@@ -207,7 +183,6 @@ def test_builtin_sums_go_through_the_kind_functions(monkeypatch):
     t = UNIT.nodes(-20, 20)
     backend.profile_sum(profile, [0.3], t, np.ones(t.size))
     backend.profile_sum(profile, [0.3], t, beta=1.0)
-    backend.profile_sum(tau_profile(), [0.3], t)
     assert calls == ["weighted_series_sum", "phase_weighted_sum"]
 
 
@@ -271,8 +246,8 @@ def cut_reference(profile, y, t, cut, beta=0.0):
 
 
 @pytest.mark.parametrize("profile", [make_builtin_profile("bspline", 3),
-                                     make_builtin_profile("mellin_fejer"),
-                                     tau_profile()], ids=lambda p: p.name)
+                                     make_builtin_profile("mellin_fejer")],
+                         ids=lambda p: p.name)
 @pytest.mark.parametrize("window", WINDOWS, ids=["unit-few", "unit-long",
                                                   "tab-few", "tab-long"])
 def test_cut_keeps_the_annulus(profile, window):
