@@ -167,6 +167,7 @@ def modular(phi: PhiFunction, f: Signal, lam: float,
     diverged = tail > max(1e-8 * max(1.0, value), 1e-12)
     return ModularValue(lam, value + tail, max(err, tail), diverged, converged)
 
+
 LogEvaluable = Union[Signal, GridFunction]
 
 
