@@ -470,34 +470,32 @@ class TestCli:
         assert proc.stderr.startswith("error:")
         assert "Traceback" not in proc.stderr
 
-    @pytest.mark.parametrize("cfg, key", [
+    @pytest.mark.parametrize("cfg, r, key", [
         ({"experiment": "quantitative_3_2", "signal": {"name": "cc_bump"},
-          "beta": 1.0}, "w_list"),
-        ({"experiment": "modular_inequality", "seeds": [0]}, "w_list"),
+          "beta": 1.0}, None, "w_list"),
+        ({"experiment": "modular_inequality", "seeds": [0]}, None, "w_list"),
         ({"experiment": "quantitative_5_1", "signal": {"name": "cc_bump"},
-          "gamma": 0.5}, "w_list"),
+          "gamma": 0.5}, None, "w_list"),
         ({"experiment": "quantitative_3_2",
-          "signal": {"name": "cc_bump", "height": 2.0}, "beta": 1.0,
-          "response": 0.5}, "kernel.response"),
-        ({"experiment": "modular_inequality", "seeds": [0],
-          "response": 0.5}, "kernel.response"),
+          "signal": {"name": "cc_bump", "height": 2.0}, "beta": 1.0}, 0.5,
+         "kernel.response"),
+        ({"experiment": "modular_inequality", "seeds": [0]}, 0.5,
+         "kernel.response"),
         ({"experiment": "quantitative_5_1", "signal": {"name": "cc_bump"},
-          "gamma": 0.5, "response": 0.5}, "kernel.response"),
+          "gamma": 0.5}, 0.5, "kernel.response"),
     ], ids=["3_2-w", "inequality-w", "5_1-w", "3_2-norm", "inequality-gap",
             "5_1-gap"])
     def test_psi_runner_outside_the_slope_range_exit_3(self, tmp_path, cfg,
-                                                        key):
-        # soft(1) holds from w = 1 on: the ladder starts just below it;
-        # soft_power(1, 1/2) holds from w = sqrt 2 for gaps up to 1: the
-        # ladder starts there, and the run takes psi at a wider gap
-        cfg = dict(cfg)
-        r = cfg.pop("response", None)
+                                                        r, key):
+        # soft(1) (r None) holds from w = 1 on: the ladder starts just below
+        # it; soft_power(1, r = 1/2) holds from w = sqrt 2 for gaps up to 1:
+        # the ladder starts there, and the run takes psi at a wider gap
         response = ({"name": "soft", "alpha": 1.0} if r is None else
                     {"name": "soft_power", "alpha": 1.0, "r": r})
         w0 = 1.0 - 1e-9 if r is None else math.sqrt(2.0)
-        cfg.update(kernel={"profile": {"name": "bspline", "n": 2},
-                           "response": response},
-                   w_list=[w0, 4.0, 8.0, 16.0])
+        cfg = {**cfg, "kernel": {"profile": {"name": "bspline", "n": 2},
+                                 "response": response},
+               "w_list": [w0, 4.0, 8.0, 16.0]}
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))
         proc = run_cli(["run", str(cfg_path)])
