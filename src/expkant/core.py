@@ -347,6 +347,10 @@ class Signal:
     mean, a product of sines, is off by at most
     ``eps (|a| + |b|) / 2 + 4 eps``.  These are the bounds their tests
     check.
+
+    ``spread`` optionally declares a bound on sup f - inf f, the widest gap
+    between two values (and so between two cell means); an undeclared
+    spread is read as 2 ``sup_norm``.
     """
 
     name: str
@@ -357,6 +361,7 @@ class Signal:
     mellin_derivative: Optional[Callable] = None  # theta f = x f'(x)
     log_core: Optional[Callable[[np.ndarray], np.ndarray]] = None
     log_mean: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
+    spread: Optional[float] = None               # >= sup f - inf f
 
     def __post_init__(self):
         if self.evaluate is None:
@@ -400,6 +405,7 @@ class Signal:
             evaluate=(None if base.log_core is not None else
                       lambda x: base.evaluate(np.asarray(x, dtype=float) * factor)),
             sup_norm=self.sup_norm,
+            spread=self.spread,
             support=(math.exp(self.log_support_radius + shift)
                      if self.support is not None else None),
             holder=self.holder,
@@ -416,9 +422,11 @@ class Signal:
 
 def difference_signal(f: Signal, g: Signal) -> Signal:
     """f - g; a log core and a cell mean when both operands declare one."""
-    sup = None
+    sup = spread = None
     if f.sup_norm is not None and g.sup_norm is not None:
         sup = f.sup_norm + g.sup_norm
+    if f.spread is not None and g.spread is not None:
+        spread = f.spread + g.spread
     support = None
     if f.support is not None and g.support is not None:
         support = max(f.support, g.support)
@@ -435,6 +443,7 @@ def difference_signal(f: Signal, g: Signal) -> Signal:
                   lambda x: f.evaluate(np.asarray(x, dtype=float))
                   - g.evaluate(np.asarray(x, dtype=float))),
         sup_norm=sup,
+        spread=spread,
         support=support,
         log_core=log_core,
         log_mean=log_mean,

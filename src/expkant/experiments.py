@@ -324,7 +324,10 @@ def _run_quantitative_3_2(cfg: dict) -> dict:
     case = 1 if beta >= 1.0 else 2
     omegas = [moduli.log_modulus(f, 1.0 / w if case == 1 else w ** (-beta))
               for w in w_arr]
-    _check_slope_range(kernel, w_arr, max(f.sup_norm, *omegas))
+    # psi is taken at ||f||, at each omega, and at gaps between two values
+    # of f, up to its spread (2 ||f|| when the signal declares none)
+    spread = 2.0 * f.sup_norm if f.spread is None else f.spread
+    _check_slope_range(kernel, w_arr, max(f.sup_norm, spread, *omegas))
 
     profile = kernel.profile
     psi = kernel.slope

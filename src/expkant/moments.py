@@ -20,12 +20,13 @@ cosine part.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 import threading
 from collections import OrderedDict
 from dataclasses import asdict, dataclass, field
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -45,6 +46,8 @@ EXACT_SUP = 1e-12
 _LATTICE_REACH = 512.0
 _PARTS_SPAN = 24.0
 _PARTS_ORDER = 6
+# Phase periods whose lattice-tail plan (_lattice_plan) stays cached.
+_PLAN_CACHE_SIZE = 64
 
 # Bracket refinement of a phase sup: phases of the probe grid on one
 # period, calls after it, and phases per call (spacing 1/16 of the
@@ -64,6 +67,8 @@ _ZETA_SHIFT = 16.0
 # Log units out to which a Fejer tail integral takes Gauss panels, with
 # integral_tail's closed-form bound beyond.
 _TAIL_REACH = 400.0
+
+_EPS = float(np.finfo(float).eps)
 
 _log = logging.getLogger(__name__)
 
@@ -130,7 +135,8 @@ def hurwitz_zeta(s: float, q) -> tuple:
                      + sum_{j=1}^{M} B_2j/(2j)! (s)_{2j-1} a^(-s-2j+1) + R,
     |R| <= |B_2M|/(2M)! (s)_2M a^(1-s-2M)/(s+2M-1), with (s)_k the rising
     factorial (Johansson, Numer. Algorithms 2015, arXiv:1309.2877).  The
-    bound adds 64 ulp of the value for round-off."""
+    bound adds 64 ulp of the value for round-off.  Each Bernoulli term
+    divides the last power by a^2, formed once per call."""
     q = np.asarray(q, dtype=float)
     n = np.maximum(0.0, np.ceil(_ZETA_SHIFT - q))
     value = np.zeros(q.shape)
@@ -139,15 +145,16 @@ def hurwitz_zeta(s: float, q) -> tuple:
     a = q + n
     value += a ** (1.0 - s) / (s - 1.0) + 0.5 * a ** -s
     rising, power = s, a ** (-s - 1.0)    # (s)_{2j-1} and a^(-s-2j+1)
+    square = a * a
     for j, coeff in enumerate(_BERNOULLI_OVER_FACTORIAL, start=1):
         value += coeff * rising * power
         last = rising * (s + 2 * j - 1)   # (s)_2j
         rising = last * (s + 2 * j)
-        power = power / (a * a)
+        power = power / square
     m = len(_BERNOULLI_OVER_FACTORIAL)
     remainder = (abs(_BERNOULLI_OVER_FACTORIAL[-1]) * last
                  * a ** (1.0 - s - 2 * m) / (s + 2 * m - 1.0))
-    return value, remainder + 64.0 * np.finfo(float).eps * value
+    return value, remainder + 64.0 * _EPS * value
 
 
 def _residue_classes(scheme: SamplingScheme) -> tuple:
@@ -205,6 +212,37 @@ def _parts_matrix(period: float) -> tuple:
     return matrix, float(np.sum(2.0 ** k * np.abs(ratio)))
 
 
+class _LatticePlan(NamedTuple):
+    """What a lattice tail of phase period P needs that does not depend on
+    the phases: the depth D = _lattice_terms(P), the direct lattice
+    -(D-1)P..0, the steps 0..K P of the differences, _parts_matrix(P),
+    |sin(P/2)| and E_K / |Delta^K g_0| = 1/(|1 - z|^K |sin(P/2)|)."""
+
+    depth: int
+    lattice: np.ndarray
+    steps: np.ndarray
+    parts: np.ndarray
+    scale: float
+    sine: float
+    rest: float
+
+
+@functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
+def _lattice_plan(period: float) -> _LatticePlan:
+    """The _LatticePlan of phase period P, built once per period and kept
+    for the last _PLAN_CACHE_SIZE periods; its arrays are read-only, so
+    threads share them."""
+    depth = _lattice_terms(period)
+    lattice = -period * np.arange(depth)[::-1]
+    steps = period * np.arange(_PARTS_ORDER + 1)
+    parts, scale = _parts_matrix(period)
+    for a in (lattice, steps, parts):
+        a.setflags(write=False)
+    sine = abs(math.sin(0.5 * period))
+    return _LatticePlan(depth, lattice, steps, parts, scale, sine,
+                        1.0 / ((2.0 * sine) ** _PARTS_ORDER * sine))
+
+
 def _first_beyond(b: float, period: float, ys: np.ndarray,
                   cut: float) -> np.ndarray:
     """Per phase y, the first q with (b + q P) - y > cut, decided on the
@@ -222,7 +260,7 @@ def _lattice_tails(profile: KernelProfile, scheme: SamplingScheme,
         sum over |t_k - y_i| > cut of L(e^{y_i - t_k}) |y_i - t_k|^beta
     (over every node when cut is None) for the Mellin-Fejer profile
     and 0 <= beta < 1; with lower, (direct, bound, least), direct + least
-    a lower bound of the same sum.
+    a lower bound of the same sum.  Only a call with lower forms least.
 
     On each side of y_i, the nodes of a residue class b + qP lie at
     distances u_j = u_0 + jP.  The first D = _lattice_terms(P) are summed
@@ -244,18 +282,19 @@ def _lattice_tails(profile: KernelProfile, scheme: SamplingScheme,
     (|1 - z|^K |sin(P/2)|) and the round-off allowance 64 + 4 (u_D + |y|
     + |b|) ulp of g_0 times the scale of _parts_matrix.  The lower bound
     is (1/pi) max(0, Z_lo - C_K - E_K - round-off, Z_lo - g_0/|sin(P/2)|),
-    Z_lo = P^(beta-2) (zeta less its error bound).  One debug line per
-    call records the tails on which summation by parts loses."""
+    Z_lo = P^(beta-2) (zeta less its error bound).  The direct lattice,
+    the differences' steps and the summation-by-parts matrix come from the
+    period's cached plan (_lattice_plan), so a call builds none of them.
+    One debug line per call records the tails on which summation by parts
+    loses."""
     offsets, period = _residue_classes(scheme)
     ys = np.asarray(ys, dtype=float)
-    depth = _lattice_terms(period)
-    lattice = -period * np.arange(depth)[::-1]
-    steps = period * np.arange(_PARTS_ORDER + 1)
-    parts, scale = _parts_matrix(period)
-    sine = abs(math.sin(0.5 * period))
-    rest = 1.0 / ((2.0 * sine) ** _PARTS_ORDER * sine)  # E_K / |Delta^K g_0|
+    plan = _lattice_plan(period)
+    sine = plan.sine
+    step_power = period ** (beta - 2.0)
     ulps = 64.0 + 4.0 * np.abs(np.concatenate([ys, ys]))
-    direct, bound, least = (np.zeros(ys.size) for _ in range(3))
+    direct, bound = np.zeros(ys.size), np.zeros(ys.size)
+    least = np.zeros(ys.size) if lower else None
     lost = forced = 0
     for b in offsets:
         q = _first_beyond(b, period, ys, 0.0 if cut is None else cut)
@@ -265,17 +304,16 @@ def _lattice_tails(profile: KernelProfile, scheme: SamplingScheme,
         else:
             left = -b + _first_beyond(-b, period, -ys, cut) * period + ys
         u = np.concatenate([right, left])
-        near = backend.profile_sum(profile, u, lattice, beta=beta)
-        far = u + depth * period
-        g = (far[:, None] + steps) ** (beta - 2.0)
-        re, im, last = (g @ parts).T
+        near = backend.profile_sum(profile, u, plan.lattice, beta=beta)
+        far = u + plan.depth * period
+        g = (far[:, None] + plan.steps) ** (beta - 2.0)
+        re, im, last = (g @ plan.parts).T
         zeta, zeta_err = hurwitz_zeta(2.0 - beta, far / period)
-        z = period ** (beta - 2.0) * (zeta + zeta_err)
-        z_lo = period ** (beta - 2.0) * (zeta - zeta_err)
-        roundoff = (np.finfo(float).eps * scale * g[:, 0]
+        z = step_power * (zeta + zeta_err)
+        roundoff = (_EPS * plan.scale * g[:, 0]
                     * (ulps + 4.0 * (far + abs(b))))
         c_re, s_im, e_k = (np.cos(far) * re, np.sin(far) * im,
-                           np.abs(last) * rest)
+                           np.abs(last) * plan.rest)
         summed = z - c_re + s_im + e_k + roundoff
         dirichlet = z + g[:, 0] / sine
         plain = np.minimum(2.0 * z, dirichlet)
@@ -283,11 +321,14 @@ def _lattice_tails(profile: KernelProfile, scheme: SamplingScheme,
         lost += int(np.count_nonzero(losing))
         forced += int(np.count_nonzero(losing & (2.0 * z < dirichlet)))
         tail = np.minimum(summed, plain) / math.pi
-        floor = np.maximum(0.0, np.maximum(z_lo - c_re + s_im - e_k - roundoff,
-                                           z_lo - g[:, 0] / sine)) / math.pi
         direct += near[:ys.size] + near[ys.size:]
         bound += tail[:ys.size] + tail[ys.size:]
-        least += floor[:ys.size] + floor[ys.size:]
+        if lower:
+            z_lo = step_power * (zeta - zeta_err)
+            floor = np.maximum(0.0, np.maximum(
+                z_lo - c_re + s_im - e_k - roundoff,
+                z_lo - g[:, 0] / sine)) / math.pi
+            least += floor[:ys.size] + floor[ys.size:]
     if lost:
         _log.debug("lattice tails: summation by parts loses on %d of %d tails "
                    "at P = %g; |sin(P/2)| = %.3g forces the 2Z bound on %d",
@@ -310,30 +351,31 @@ def integral_tail(profile: KernelProfile, v0: float) -> float:
 
 
 def _phase_sums(profile: KernelProfile, scheme: SamplingScheme,
-                ys: np.ndarray, beta: float,
-                cut: Optional[float] = None) -> tuple:
+                ys: np.ndarray, beta: float, cut: Optional[float] = None,
+                lower: bool = False) -> tuple:
     """(upper, lower, remainder, half_width) for the phase sums
         sum over |t_k - y| > cut of L(e^{y - t_k}) |y - t_k|^beta
     (over every node when cut is None) at every phase y of ys: per-phase
-    bounds, the part of the upper one that bounds the nodes not summed
-    (_lattice_tails; 0 for a compact profile, whose sums are exact) and
-    the half width around each phase inside which nodes are summed
-    directly (None when no node counts)."""
+    bounds (the lower one only when asked for, None otherwise), the part
+    of the upper one that bounds the nodes not summed (_lattice_tails; 0
+    for a compact profile, whose sums are exact) and the half width around
+    each phase inside which nodes are summed directly (None when no node
+    counts)."""
     if not profile.is_compact:
-        direct, bound, least = _lattice_tails(profile, scheme, ys, cut, beta,
-                                              lower=True)
-        period = scheme.phase_period
-        return (direct + bound, direct + least, bound,
-                (cut or 0.0) + _lattice_terms(period) * period)
+        tails = _lattice_tails(profile, scheme, ys, cut, beta, lower)
+        direct, bound = tails[:2]
+        plan = _lattice_plan(scheme.phase_period)
+        return (direct + bound, direct + tails[2] if lower else None, bound,
+                (cut or 0.0) + plan.depth * scheme.phase_period)
     zeros = np.zeros(ys.size)
     if cut is not None and cut >= profile.support_radius:
-        return zeros, zeros, zeros, None
+        return zeros, zeros if lower else None, zeros, None
     outer = profile.support_radius + scheme.upper_gap
     span = float(ys.max() - ys.min())
     t = _window_nodes(scheme, float(ys.min()) + 0.5 * span, outer + 0.5 * span)
     sums = backend.profile_sum(profile, ys, t, beta=beta,
                                cut=None if cut is None else (cut, outer))
-    return sums, sums, zeros, outer
+    return sums, sums if lower else None, zeros, outer
 
 
 def _refined_sup(fun, ys: np.ndarray, h: float,
@@ -397,23 +439,31 @@ def discrete_moment(profile: KernelProfile, scheme: SamplingScheme,
     desc += (f", the best{' and the least' if beta == 0.0 else ''} refined "
              f"by {_REFINE_CALLS} brackets of {_REFINE_POINTS} phases")
 
+    # (upper, remainder) per phase, and the lower bound at beta = 0
+    lower = beta == 0.0
+
     def sums(ys):
-        return _phase_sums(profile, scheme, ys, beta)[:3]
+        upper, low, rem, _ = _phase_sums(profile, scheme, ys, beta,
+                                         lower=lower)
+        return (upper, rem, low) if lower else (upper, rem)
 
     ys = np.linspace(0.0, period, _PROBE_PHASES, endpoint=False)
     h = period / _PROBE_PHASES
-    best, low = (_refined_sup(sums, ys, h, least=1) if beta == 0.0
-                 else (_refined_sup(sums, ys, h), (None, None)))
-    value, least, half = best[0], low[1], _lattice_terms(period) * period
-    if profile.is_compact:
+    best, low = (_refined_sup(sums, ys, h, least=2) if lower
+                 else (_refined_sup(sums, ys, h), None))
+    value = best[0]
+    least = None if low is None else low[2]
+    if not profile.is_compact:
+        half = _lattice_plan(period).depth * period
+    else:
         # and a grid of twice the density, for a peak the first one missed
-        upper, lower, _ = sums(np.linspace(0.0, period, 2 * _PROBE_PHASES,
-                                           endpoint=False))
-        value = max(value, float(upper.max()))
-        least = None if least is None else min(least, float(lower.min()))
+        dense = sums(np.linspace(0.0, period, 2 * _PROBE_PHASES,
+                                 endpoint=False))
+        value = max(value, float(dense[0].max()))
+        least = None if least is None else min(least, float(dense[2].min()))
         desc += f", and {2 * _PROBE_PHASES} phase points"
         half = profile.support_radius + scheme.upper_gap
-    return MomentReport(beta, value, desc, False, half, best[2], least=least)
+    return MomentReport(beta, value, desc, False, half, best[1], least=least)
 
 
 _MOMENT_CACHE_SIZE = 256

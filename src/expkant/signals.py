@@ -2,7 +2,8 @@
 
 All are defined through their log-variable core g(v) = f(e^v); the
 metadata (sup norm, support, log-Holder order, Mellin derivative) is exact,
-so experiments can compare measured quantities against ground truth.
+so experiments can compare measured quantities against ground truth, and
+each declares a spread at or above sup f - inf f.
 
 Every built-in is log-native: it declares its core as Signal.log_core, so
 log_evaluate(v) evaluates g(v) directly, with no round trip through exp and
@@ -42,6 +43,7 @@ def constant(c: float) -> Signal:
         log_core=lambda v: np.full_like(v, c),
         log_mean=lambda a, b: np.full_like(a, c),
         sup_norm=abs(c),
+        spread=0.0,
         holder=(1.0, 0.0),
         mellin_derivative=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
     )
@@ -99,6 +101,7 @@ def clipped_log(clip: float = 6.0) -> Signal:
         log_core=lambda v: _saturate(v, clip),
         log_mean=lambda a, b: _saturate_mean(a, b, clip),
         sup_norm=clip + 1.0,
+        spread=2.0 * (clip + 1.0),
         holder=(1.0, 1.0),
         mellin_derivative=theta,
     )
@@ -119,6 +122,7 @@ def power_clipped(a: float, clip: float = 6.0) -> Signal:
         name=f"power_clipped({a:g},{clip:g})",
         log_core=core,
         sup_norm=math.exp(abs(a) * (clip + 1.0)),
+        spread=math.exp(abs(a) * (clip + 1.0)),
         mellin_derivative=theta,
     )
 
@@ -151,6 +155,7 @@ def sin_log() -> Signal:
         log_core=np.sin,
         log_mean=sin_log_mean,
         sup_norm=1.0,
+        spread=2.0,
         holder=(1.0, 1.0),
         mellin_derivative=lambda x: np.cos(np.log(np.asarray(x, dtype=float))),
     )
@@ -182,6 +187,7 @@ def holder_bump(nu: float, radius: float = 2.0) -> Signal:
         log_core=core,
         log_mean=lambda a, b: (antiderivative(b) - antiderivative(a)) / (b - a),
         sup_norm=1.0,
+        spread=1.0,
         support=math.exp(radius),
         holder=(nu, radius ** (-nu)),
         mellin_derivative=theta if nu == 1.0 else None,
@@ -327,6 +333,7 @@ def cc_bump(radius: float = 2.0, height: float = 1.0) -> Signal:
         log_core=core,
         log_mean=lambda a, b: _bump_mean(a, b, *parts),
         sup_norm=abs(height),
+        spread=abs(height),
         support=math.exp(radius),
         holder=(1.0, None),
         mellin_derivative=theta,
@@ -359,6 +366,7 @@ def random_bump(seed: int) -> Signal:
         log_core=core,
         log_mean=lambda a, b: _bump_mean(a, b, *parts),
         sup_norm=float(np.sum(np.abs(heights))),
+        spread=float(np.sum(np.abs(heights))),
         support=math.exp(r_log),
     )
 

@@ -260,10 +260,15 @@ class TestSignals:
         assert f.log_support_radius == pytest.approx(2.0)
 
     def test_sup_norm_bound(self):
-        for f in (signals.clipped_log(), signals.sin_log(),
-                  signals.cc_bump(), signals.random_bump(3)):
-            v = np.linspace(-12, 12, 4001)
-            assert np.all(np.abs(f.log_evaluate(v)) <= f.sup_norm + 1e-12)
+        # and the declared spread bounds sup f - inf f, within 2 ||f||
+        for f in (signals.constant(-0.75), signals.clipped_log(2.0),
+                  signals.power_clipped(-0.5, 2.0), signals.sin_log(),
+                  signals.holder_bump(0.5), signals.cc_bump(height=-2.0),
+                  signals.random_bump(3)):
+            values = f.log_evaluate(np.linspace(-12.0, 12.0, 100_001))
+            assert np.all(np.abs(values) <= f.sup_norm + 1e-12)
+            assert float(values.max() - values.min()) <= f.spread
+            assert f.spread <= 2.0 * f.sup_norm
 
     def test_dilate(self):
         f = signals.cc_bump(1.0)
@@ -271,6 +276,7 @@ class TestSignals:
         x = np.array([0.3, 1.0, 2.0])
         np.testing.assert_allclose(g(x), f(x * math.e))
         assert g.log_support_radius == pytest.approx(2.0)
+        assert g.spread == f.spread == 1.0
 
     def test_difference_signal(self):
         f, g = signals.cc_bump(1.0), signals.cc_bump(2.0, height=0.5)
@@ -278,6 +284,9 @@ class TestSignals:
         x = np.geomspace(0.2, 5.0, 11)
         np.testing.assert_allclose(d(x), f(x) - g(x))
         assert d.support == max(f.support, g.support)
+        assert d.spread == 1.5
+        bare = core.Signal("bare", log_core=np.sin, sup_norm=1.0)
+        assert core.difference_signal(f, bare).spread is None
 
     LOG_NATIVE = (signals.constant(2.5), signals.clipped_log(),
                   signals.clipped_log(3.3), signals.power_clipped(0.7),

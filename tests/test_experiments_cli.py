@@ -483,8 +483,12 @@ class TestCli:
          "kernel.response"),
         ({"experiment": "quantitative_5_1", "signal": {"name": "cc_bump"},
           "gamma": 0.5}, 0.5, "kernel.response"),
+        # ||f|| = 1 and omega <= 1, but the values +-1 are 2 apart: at
+        # w = sqrt 2, |g_w(1) - g_w(-1)| = 3.414 > psi(2) = 2.828
+        ({"experiment": "quantitative_3_2", "signal": {"name": "sin_log"},
+          "beta": 0.5}, 0.5, "gaps up to 2"),
     ], ids=["3_2-w", "inequality-w", "5_1-w", "3_2-norm", "inequality-gap",
-            "5_1-gap"])
+            "5_1-gap", "3_2-spread"])
     def test_psi_runner_outside_the_slope_range_exit_3(self, tmp_path, cfg,
                                                         r, key):
         # soft(1) (r None) holds from w = 1 on: the ladder starts just below

@@ -438,23 +438,44 @@ class TestMomentCache:
         assert ref() is None
 
     def test_thread_pool_lookups_agree(self, monkeypatch):
-        # more workers than keys the cache can hold, switching often
+        # more workers than keys the cache can hold, switching often; the
+        # Fejer sweeps on several periods build their lattice plans in the
+        # pool, from an empty plan cache
         monkeypatch.setattr(moments, "_MOMENT_CACHE_SIZE", 3)
-        betas = [0.0, 0.5, 1.0, 2.0] * 6
+        fejer = [SamplingScheme.uniform(4.0), SamplingScheme.uniform(4.45, 0.3),
+                 SamplingScheme.tabulated((0.0, 0.6, 1.5), 2.2),
+                 SamplingScheme.uniform(7.0)]
+        jobs = ([("bspline", UNIT, b) for b in [0.0, 0.5, 1.0, 2.0] * 6]
+                + [("mellin_fejer", s, b) for s in fejer * 2
+                   for b in (0.0, 0.5)])
+        moments._lattice_plan.cache_clear()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             with ThreadPoolExecutor(max_workers=6) as pool:
                 futures = [pool.submit(moments.moment_value,
-                                       make_builtin_profile("bspline", 3),
-                                       UNIT, b) for b in betas]
+                                       make_builtin_profile(name, 3),
+                                       scheme, b) for name, scheme, b in jobs]
                 vals = [f.result(timeout=120) for f in futures]
         finally:
             sys.setswitchinterval(interval)
-        for beta, val in zip(betas, vals):
+        for (name, scheme, beta), val in zip(jobs, vals):
             assert val == moments.discrete_moment(
-                make_builtin_profile("bspline", 3), UNIT, beta).value
+                make_builtin_profile(name, 3), scheme, beta).value
         assert len(moments._MOMENT_CACHE) == 3
+
+    def test_lattice_plans_are_bounded_and_read_only(self):
+        assert moments._lattice_plan.cache_info().maxsize == \
+            moments._PLAN_CACHE_SIZE < math.inf
+        for period in (1.0, 4.0, 2.0 * math.pi - 1e-3):
+            plan = moments._lattice_plan(period)
+            assert plan is moments._lattice_plan(period)
+            arrays = [a for a in plan if isinstance(a, np.ndarray)]
+            assert len(arrays) == 3
+            assert not any(a.flags.writeable for a in arrays)
+            assert plan.depth == moments._lattice_terms(period)
+            assert np.array_equal(plan.parts,
+                                  moments._parts_matrix(period)[0])
 
 
 class TestTailSum:

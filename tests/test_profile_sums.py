@@ -113,6 +113,27 @@ def test_windows_fall_on_both_sides_of_the_size_test():
     assert paths == [False, True, False, True]
 
 
+@pytest.mark.parametrize("window", [(UNIT, -40, 40), (TAB, -15, 15)],
+                         ids=["unit", "tab"])
+def test_banded_moment_sum_spans_several_blocks(window, monkeypatch):
+    # more phases than three _BAND_CHUNK blocks hold: every phase's sum
+    # matches the dense sum, and reads the same bits in one block
+    profile = make_builtin_profile("bspline", 3)
+    t = window[0].nodes(window[1], window[2])
+    y = RNG.uniform(t[0] - 2, t[-1] + 2, 20_000)
+    _, count = backend._band(profile.support_radius, y, t)
+    assert y.size * int(count.max()) > 3 * backend._BAND_CHUNK
+    cases = [{"beta": 0.0}, {"beta": 0.5}, {"beta": 0.5, "cut": (0.7, 3.0)}]
+    got = [backend.profile_sum(profile, y, t, **kw) for kw in cases]
+    for kw, sums in zip(cases, got):
+        ref = (cut_reference(profile, y, t, kw["cut"], kw["beta"])
+               if "cut" in kw else dense(profile, y, t, beta=kw["beta"]))
+        np.testing.assert_allclose(sums, ref, rtol=0, atol=ATOL)
+    monkeypatch.setattr(backend, "_BAND_CHUNK", 1 << 30)
+    for kw, sums in zip(cases, got):
+        assert np.array_equal(backend.profile_sum(profile, y, t, **kw), sums)
+
+
 FEJER = make_builtin_profile("mellin_fejer")
 # Fejer windows: the four above and nodes near |t| = 1e6
 FEJER_WINDOWS = WINDOWS + [(SamplingScheme.uniform(1.0, 1e6), -300, 300)]
