@@ -16,8 +16,8 @@ from .moduli import holder_fit, log_modulus
 from .moments import (check_chi4, check_chi4_star, check_e3_1, check_L3,
                       discrete_moment, moment_value, partition_bounds,
                       tail_sum)
-from .operator import (QuadratureSpec, eval_generalized, eval_kantorovich,
-                       eval_on_log_grid, sup_error)
+from .operator import (eval_generalized, eval_kantorovich, eval_on_log_grid,
+                       sup_error)
 from .ratefit import RateFit, fit_loglog
 from .signals import make_signal
 
@@ -25,8 +25,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "EvaluationError", "ExpKantError", "KernelProfile", "NonlinearKernel",
-    "PhiFunction", "PhiPair", "PreconditionError", "QuadratureSpec",
-    "RateFit", "ResponseFamily", "SamplingScheme", "Signal", "SlopeFunction",
+    "PhiFunction", "PhiPair", "PreconditionError", "RateFit",
+    "ResponseFamily", "SamplingScheme", "Signal", "SlopeFunction",
     "ValidationError", "backend", "check_H",
     "check_chi4", "check_chi4_star", "check_e3_1", "check_L3",
     "difference_signal", "discrete_moment", "eval_generalized",

@@ -334,10 +334,13 @@ class Signal:
     (``log_core(v) = f(e^v)``), or both.  A log-native signal, one with a
     ``log_core``, is evaluated at v without the round trip through exp and
     log, so it does not underflow for v < -745; its ``evaluate`` defaults to
-    ``log_core(ln x)``.  ``log_mean(a, b)`` optionally declares the cell mean
-    ``(1/(b - a)) * int_a^b f(e^v) dv`` from an antiderivative, elementwise
-    over arrays of cell edges a < b; ``operator.mean_values`` then takes it
-    for every Steklov mean instead of quadrature.  A mean computed as an
+    ``log_core(ln x)``.  ``log_mean(a, b)`` declares the cell mean
+    ``(1/(b - a)) * int_a^b f(e^v) dv``, elementwise over arrays of cell
+    edges a < b; ``operator.mean_values`` takes every Steklov mean from it,
+    and raises ValidationError for a signal that declares none (the sample
+    values of ``operator.eval_generalized`` need no means).  A user-built
+    signal with an antiderivative G declares
+    ``log_mean=lambda a, b: (G(b) - G(a)) / (b - a)``.  A mean computed as an
     antiderivative difference ``(G(b) - G(a)) / (b - a)`` is off by at most
     ``4 eps max(|G(a)|, |G(b)|) / (b - a) + eps |mean|`` (eps the double
     precision unit round-off) when G is exact.  The bumps' G = h R Phi(v/R)
@@ -345,7 +348,8 @@ class Signal:
     adds ``2 delta |h| R / (b - a)``, and a bump mean near the subnormal
     range adds the underflow ``2^-1073 / (b - a) + 2^-1074``.  sin_log's
     mean, a product of sines, is off by at most
-    ``eps (|a| + |b|) / 2 + 4 eps``.  These are the bounds their tests
+    ``eps (|a| + |b|) / 2 + 4 eps``, and power_clipped's series states its
+    bound in ``signals.power_clipped``.  These are the bounds their tests
     check.
 
     ``spread`` optionally declares a bound on sup f - inf f, the widest gap

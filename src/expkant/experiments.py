@@ -434,11 +434,12 @@ def _run_modular_inequality(cfg: dict) -> dict:
                                         float(w), rhs, lam)
             rows.append({"seed": seed, "w": float(w),
                          "lhs": rep.lhs, "rhs": rep.rhs,
+                         "rhs_converged": rep.rhs_converged,
                          "passed": rep.passed})
     passed = all(r["passed"] for r in rows)
     return {
         "rows": rows,
-        "columns": ["seed", "w", "lhs", "rhs", "passed"],
+        "columns": ["seed", "w", "lhs", "rhs", "rhs_converged", "passed"],
         "violations": sum(not r["passed"] for r in rows),
         "passed": bool(passed),
     }
@@ -499,8 +500,9 @@ def _run_quantitative_5_1(cfg: dict) -> dict:
     nu = c_lam / (3.0 * m0)
     if big_m > 0:
         nu = min(nu, lam0 / (3.0 * big_m))
-    i_eta_lam0 = modular.modular(pair.eta, f, lam0).value
-    i_phi_lam0 = modular.modular(pair.phi, f, lam0).value
+    i_eta = modular.modular(pair.eta, f, lam0)
+    i_phi = modular.modular(pair.phi, f, lam0)
+    i_eta_lam0, i_phi_lam0 = i_eta.value, i_phi.value
     if not (math.isfinite(i_eta_lam0) and math.isfinite(i_phi_lam0)):
         raise ValidationError("modulars of the signal diverge at lambda0")
 
@@ -532,7 +534,8 @@ def _run_quantitative_5_1(cfg: dict) -> dict:
         rows, w_arr, slack, 1e-15, parts,
         constants={"m0": m0, "m0_tau": m0_tau, "nu": nu, "lambda": lam,
                    "lambda0": lam0, "gamma": gamma, "gamma0": gamma0,
-                   "chi4_star_exact": star_exact},
+                   "chi4_star_exact": star_exact,
+                   "modulars_converged": i_eta.converged and i_phi.converged},
         tail_condition=e31.to_dict())
 
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import backend, moments
 from .core import (EvaluationError, NonlinearKernel, SamplingScheme, Signal,
-                   ValidationError, gauss_panels)
+                   ValidationError)
 
 MAX_RETAINED_TERMS = 20_000
 
@@ -35,117 +35,52 @@ _log = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Inner-integral rule: Gauss-Legendre nodes per cell, doubled until
-    successive values agree to `tolerance`, at most `max_doublings` times
-    (at least once, so that every mean is checked)."""
+    """A bare record the package does not read: the benchmark's tracer
+    (perfbench/tracer.py) builds one on every traced mean_values call.  It
+    goes, with the tracer's levels_* counters, in the next benchmark
+    change."""
 
     nodes: int = 8
-    tolerance: float = 1e-10
     max_doublings: int = 8
-
-    def __post_init__(self):
-        if self.nodes < 1:
-            raise ValidationError("quadrature needs nodes >= 1")
-        if self.max_doublings < 1:
-            raise ValidationError("quadrature needs max_doublings >= 1")
 
 
 # ---------------------------------------------------------------------------
 # Steklov means
 
 
-# (cell x node) values per block of mean_values: 8 MB per temporary.  Every
-# window the truncation rule retains fits one block (MAX_RETAINED_TERMS
-# cells span 160k values at 8 nodes); the blocks bound the memory of a
-# call over a wider index range, as a compactly supported signal at a
-# large w asks for.
+# cells per block of mean_values: 8 MB per temporary of the declared
+# means.  Every window the truncation rule retains fits one block; the
+# blocks bound the memory of a call over a wider index range, as a
+# compactly supported signal at a large w asks for.
 _CELL_BLOCK = 1 << 20
 
 
 def mean_values(f: Signal, k_lo: int, k_hi: int, w: float,
-                scheme: SamplingScheme,
-                quad: QuadratureSpec = QuadratureSpec()) -> np.ndarray:
+                scheme: SamplingScheme) -> np.ndarray:
     """Steklov means (w/Delta_k) * int_{t_k/w}^{t_{k+1}/w} f(e^u) du for
-    k in [k_lo, k_hi].
-
-    A signal that declares its cell means (Signal.log_mean; every built-in
-    but power_clipped) gives every mean from that declaration, in blocks of
-    _CELL_BLOCK cells, and quad is not used: no Gauss level and no
-    doubling.  The mean of a cell [a, b] is then off by the bound the
-    signal states: round-off only, at most 4 eps max(|G(a)|, |G(b)|)
-    / (b - a) + eps |mean| for an exact antiderivative G, plus
-    2 delta |h| R / (b - a) + 2^-1073 / (b - a) + 2^-1074 for the bumps,
-    whose G = h R Phi(v/R) is tabulated to within delta
-    (signals.BUMP_INTEGRAL_ERROR), the powers of 2 bounding underflow;
-    sin_log's product form is within eps (|a| + |b|)/2 + 4 eps
-    (signals.sin_log_mean).
-
-    Otherwise each cell's node count doubles until its own mean changes by
-    at most quad.tolerance * max(1, max_k |mean_k|); cells that met it are
-    not evaluated again.  When cells are still unconverged after
-    quad.max_doublings doublings, a debug log line and EvaluationError name
-    their count, the worst k and its last change.  Cells are evaluated in
-    order, in blocks of at most _CELL_BLOCK (cell x node) values.
-
-    Either way a non-finite value raises at the first block that holds
-    one, naming its cell."""
+    k in [k_lo, k_hi], from the cell means the signal declares
+    (Signal.log_mean; every built-in does, each within the round-off bound
+    that Signal states), in blocks of _CELL_BLOCK cells.  A signal that
+    declares none raises ValidationError, and a non-finite mean raises
+    EvaluationError at the first block that holds one, naming its cell."""
+    if f.log_mean is None:
+        raise ValidationError(
+            f"signal {f.name!r} declares no cell means (Signal.log_mean), "
+            f"which the Steklov means need")
     if k_hi < k_lo:
         return np.empty(0)
     t = scheme.nodes(k_lo, k_hi + 1)
     a, b = t[:-1] / w, t[1:] / w
-    if f.log_mean is not None:
-        vals = np.empty(a.size)
-        for start in range(0, a.size, _CELL_BLOCK):
-            cells = slice(start, start + _CELL_BLOCK)
-            vals[cells] = f.log_mean(a[cells], b[cells])
-            finite = np.isfinite(vals[cells])
-            if not finite.all():
-                raise EvaluationError(
-                    f"non-finite declared mean of the cell "
-                    f"k={k_lo + start + int(np.argmin(finite))}")
-        return vals
-    m = quad.nodes
-    vals = None
-    active = None  # rows still refined; None means every cell, ungathered
-    for _ in range(quad.max_doublings + 1):
-        lo, hi = (a, b) if active is None else (a[active], b[active])
-        parts = []
-        rows = max(1, _CELL_BLOCK // m)
-        for start in range(0, lo.size, rows):
-            cells = slice(start, start + rows)
-            u, wts = gauss_panels(lo[cells], hi[cells], m)
-            fv = f.log_evaluate(u)
-            finite = np.isfinite(fv).all(axis=1)
-            if not finite.all():
-                row = start + int(np.argmin(finite))
-                bad = k_lo + (row if active is None else int(active[row]))
-                raise EvaluationError(
-                    f"non-finite signal value inside the mean cell of k={bad}")
-            parts.append((fv * wts).sum(axis=1) / (hi[cells] - lo[cells]))
-        new = parts[0] if len(parts) == 1 else np.concatenate(parts)
-        if vals is None:
-            vals = new
-        else:
-            if active is None:
-                change = np.abs(new - vals)
-                vals = new
-            else:
-                change = np.abs(new - vals[active])
-                vals[active] = new
-            scale = max(1.0, float(np.max(np.abs(vals))))
-            keep = ~(change <= quad.tolerance * scale)  # NaN stays active
-            active = np.flatnonzero(keep) if active is None else active[keep]
-            change = change[keep]
-            if active.size == 0:
-                return vals
-        m *= 2
-    worst = int(np.argmax(change))
-    message = (f"mean_values: {active.size} of {vals.size} cells unconverged "
-               f"after {quad.max_doublings} doublings; worst "
-               f"k={k_lo + int(active[worst])} changed by "
-               f"{float(change[worst]):.3g}")
-    _log.debug(message)
-    raise EvaluationError(message)
+    vals = np.empty(a.size)
+    for start in range(0, a.size, _CELL_BLOCK):
+        cells = slice(start, start + _CELL_BLOCK)
+        vals[cells] = f.log_mean(a[cells], b[cells])
+        finite = np.isfinite(vals[cells])
+        if not finite.all():
+            raise EvaluationError(
+                f"non-finite declared mean of the cell "
+                f"k={k_lo + start + int(np.argmin(finite))}")
+    return vals
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,8 @@ each declares a spread at or above sup f - inf f.
 
 Every built-in is log-native: it declares its core as Signal.log_core, so
 log_evaluate(v) evaluates g(v) directly, with no round trip through exp and
-log, and evaluate(x) is g(ln x).  Six declare their Steklov cell means
-(Signal.log_mean), which operator.mean_values takes instead of quadrature:
+log, and evaluate(x) is g(ln x).  All seven declare their Steklov cell
+means (Signal.log_mean), the only source operator.mean_values has:
 
 * constant(c): exactly c;
 * clipped_log: exactly (a + b)/2 inside the clip, the antiderivative
@@ -21,10 +21,11 @@ log, and evaluate(x) is g(ln x).  Six declare their Steklov cell means
 * cc_bump and random_bump: from the one bump integral
   Phi(x) = int_{-1}^x exp(1 - 1/(1 - s^2)) ds (bump_integral), which has no
   elementary form and is tabulated as piecewise Chebyshev polynomials to
-  within BUMP_INTEGRAL_ERROR.
-
-power_clipped's saturated part has no elementary antiderivative, so its
-means stay on Gauss quadrature.
+  within BUMP_INTEGRAL_ERROR;
+* power_clipped: e^(a lo) expm1(a h)/(a h) inside the clip (h = hi - lo),
+  and beyond it, where the saturated part has no elementary
+  antiderivative, the entire series of the exponential integral
+  (_saturated_integral).
 """
 
 from __future__ import annotations
@@ -107,8 +108,54 @@ def clipped_log(clip: float = 6.0) -> Signal:
     )
 
 
+def _power_clipped_mean(lo, hi, a: float, clip: float) -> np.ndarray:
+    """Cell means of exp(a _saturate(v, clip)) over [lo, hi], elementwise:
+    the integrals over the cell's parts inside and beyond [-clip, clip],
+    over hi - lo.  Inside, a part [l, l + d] adds e^(a l) expm1(a d)/(a d) d
+    (the ratio 1 at a d = 0, so every mean is exactly 1 at a = 0).  Above
+    the clip, with s = e^(clip - v), the integrand is c e^(-a s),
+    c = e^(a(clip + 1)), and the exponential-integral series (DLMF 6.6.2)
+    makes a part [n, n + d] add c (d + sum_k x^k (1 - e^(-k d))/(k k!)),
+    x = -a e^(clip - n), whose log term is d exactly; the part below the
+    clip is the one above for -a over [-hi, -lo].  Horner's rule sums the
+    first K = 55 + ceil(2e|a|) terms: by k! >= (k/e)^k the rest add less
+    than eps/4 of d."""
+    lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float),
+                                 np.asarray(hi, dtype=float))
+    shape, lo, hi = lo.shape, lo.ravel(), hi.ravel()
+    l = np.clip(lo, -clip, clip)
+    d = np.clip(hi, -clip, clip) - l
+    ad = a * d
+    with np.errstate(invalid="ignore"):
+        total = np.exp(a * l) * np.where(ad == 0.0, 1.0, np.expm1(ad) / ad) * d
+    for sa, p, q in ((a, lo, hi), (-a, -hi, -lo)):
+        near = np.maximum(p, clip)
+        d = np.maximum(q, clip) - near
+        part = d > 0.0
+        if part.any():
+            x, d = -sa * np.exp(clip - near[part]), d[part]
+            series = np.zeros_like(d)
+            for k in range(55 + math.ceil(2.0 * math.e * abs(a)), 0, -1):
+                series -= np.expm1(-k * d) * (1 / (k * math.factorial(k)))
+                series *= x
+            total[part] += math.exp(sa * (clip + 1.0)) * (d + series)
+    return (total / (hi - lo)).reshape(shape)
+
+
 def power_clipped(a: float, clip: float = 6.0) -> Signal:
-    """x^a with the exponent's log saturated outside [-clip, clip]."""
+    """x^a with the exponent's log saturated outside [-clip, clip], with
+    closed-form cell means (_power_clipped_mean).  A mean over [lo, hi],
+    h = hi - lo, is off by at most eps ((3|a|(clip + 1) + 16) B
+    + sum_+- |c| (n - clip + 16) T1 / h), B = (d_in M + sum_+- |c| (d + T))
+    / h: M the larger of f at the edges (f is monotone in v), d_in the
+    length inside the clip, and per part beyond it, of length d and near
+    edge |v| = n, c = e^(+-a(clip + 1)), x = a e^(clip - n) and the
+    absolute sums T = sum_k |x|^k (1 - e^(-k d))/(k k!), T1 = sum_k |x|^k
+    (1 - e^(-k d))/k!.  The first term covers the rounded exponents a l
+    and a(clip + 1) and the few products and library ulps, the second the
+    k-th term's k roundings of x and of Horner's rule.  Where the series
+    alternates (a > 0 above the clip, a < 0 below) T exceeds its sum, and
+    the bound grows like e^(2|x|), |x| <= |a|."""
 
     def core(v):
         return np.exp(a * _saturate(v, clip))
@@ -121,6 +168,7 @@ def power_clipped(a: float, clip: float = 6.0) -> Signal:
     return Signal(
         name=f"power_clipped({a:g},{clip:g})",
         log_core=core,
+        log_mean=lambda lo, hi: _power_clipped_mean(lo, hi, a, clip),
         sup_norm=math.exp(abs(a) * (clip + 1.0)),
         spread=math.exp(abs(a) * (clip + 1.0)),
         mellin_derivative=theta,

@@ -374,8 +374,10 @@ class TestSignals:
         a, b = v[:-1], v[1:]
         np.testing.assert_array_equal(d.log_mean(a, b),
                                       f.log_mean(a, b) - g.log_mean(a, b))
-        # a signal without declared means: a core, no mean
-        e = core.difference_signal(f, signals.power_clipped(0.5))
+        # a user-built signal with a core but no declared means: a core, no
+        # mean
+        bare_cos = core.Signal("bare_cos", log_core=np.cos, sup_norm=1.0)
+        e = core.difference_signal(f, bare_cos)
         assert e.log_core is not None and e.log_mean is None
         # sin_log declares both
         s = core.difference_signal(f, signals.sin_log())
@@ -393,3 +395,12 @@ class TestSignals:
     def test_unknown_signal(self):
         with pytest.raises(ValidationError):
             signals.make_signal("nope")
+
+
+def test_cached_rule_read_only():
+    nodes, weights = core.gauss_legendre(8)
+    assert core.gauss_legendre(8)[0] is nodes
+    with pytest.raises(ValueError):
+        nodes[0] = 0.0
+    with pytest.raises(ValueError):
+        weights[0] = 0.0

@@ -249,6 +249,21 @@ class TestReports:
         rhs2 = [r["rhs"] for r in doubled["rows"]]
         assert rhs2[0] > rhs[0] and rhs2[1:] == rhs[1:]
 
+    @pytest.mark.parametrize("nu, converged", [(0.5, False), (1.0, True)],
+                             ids=["holder_half", "tent"])
+    def test_quantitative_5_1_records_modular_convergence(self, nu,
+                                                          converged):
+        # the modulars of a Holder-1/2 bump stop unconverged at the panel
+        # cap (0.66666665 against the exact 2/3 for phi = u^2); the report
+        # says so next to an unchanged verdict, and the tent's converge
+        report = experiments.run({
+            "experiment": "quantitative_5_1",
+            "kernel": {"profile": {"name": "bspline", "n": 2}},
+            "signal": {"name": "holder_bump", "nu": nu, "radius": 2.0},
+            "w_list": [4, 8, 16, 32], "gamma": 0.5})
+        assert report["constants"]["modulars_converged"] is converged
+        assert report["passed"]
+
     def test_m0_tau_counts_the_nodes_of_a_unit_window(self):
         # tau, the indicator of [1, e]: its zero moment is the most nodes
         # of the unit scheme in [y - 1, y] over 2048 phases of a period

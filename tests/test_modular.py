@@ -1,6 +1,7 @@
 """Modular functionals in the log measure, the growth-compatibility
 condition, and the modular Lipschitz inequality between operator outputs."""
 
+import dataclasses
 import logging
 import math
 
@@ -306,5 +307,20 @@ def test_modular_inequality_rhs_once_per_signal_pair(monkeypatch):
     for row in rep["rows"][:4]:
         direct = modular.modular_lipschitz_check(k, UNIT, pair,
                                                  f, g, row["w"])
-        assert (direct.lhs, direct.rhs, direct.passed) == (
-            row["lhs"], row["rhs"], row["passed"])
+        assert (direct.lhs, direct.rhs, direct.passed,
+                direct.rhs_converged) == (row["lhs"], row["rhs"],
+                                          row["passed"], row["rhs_converged"])
+        assert row["rhs_converged"] is True
+
+
+def test_modular_inequality_rows_carry_rhs_convergence(monkeypatch):
+    # an rhs modular that stops unconverged is flagged in every row of its
+    # signal pair, next to an unchanged verdict
+    orig = modular.modular
+    monkeypatch.setattr(modular, "modular", lambda *a, **k: (
+        dataclasses.replace(orig(*a, **k), converged=False)))
+    rep = experiments.run({"experiment": "modular_inequality",
+                           "kernel": {"profile": {"name": "bspline", "n": 2}},
+                           "w_list": [4.0, 8.0, 16.0, 32.0], "seeds": [3]})
+    assert [r["rhs_converged"] for r in rep["rows"]] == [False] * 4
+    assert "rhs_converged" in rep["columns"] and rep["passed"]

@@ -2,10 +2,8 @@
 soundness and the structural operator properties."""
 
 import decimal
-import logging
 import math
 import os
-import re
 import subprocess
 import sys
 import warnings
@@ -17,9 +15,8 @@ from hypothesis import strategies as st
 
 from expkant import moments, operator, signals
 from expkant.core import (EvaluationError, NonlinearKernel, SamplingScheme,
-                          Signal, ValidationError, gauss_legendre,
-                          make_builtin_profile, make_response)
-from expkant.operator import QuadratureSpec
+                          Signal, ValidationError, make_builtin_profile,
+                          make_response)
 
 UNIT = SamplingScheme.uniform()
 
@@ -56,155 +53,10 @@ class TestMeanValue:
 
     def test_nonfinite_signal_named(self):
         bad = Signal("bad", lambda x: np.where(np.asarray(x) > 2.0,
-                                               np.nan, 1.0), sup_norm=1.0)
+                                               np.nan, 1.0), sup_norm=1.0,
+                     log_mean=lambda a, b: np.where(b > 1.0, np.nan, 1.0))
         with pytest.raises(EvaluationError, match="k="):
             operator.mean_values(bad, 3, 3, 2.0, UNIT)
-
-
-def _global_doubling_means(f, k_lo, k_hi, w, quad):
-    """Reference: every cell doubled until the worst cell converges; None
-    when it has not converged after quad.max_doublings doublings."""
-    t = UNIT.nodes(k_lo, k_hi + 1)
-    a, b = t[:-1] / w, t[1:] / w
-    m, prev = quad.nodes, None
-    for _ in range(quad.max_doublings + 1):
-        x, wx = np.polynomial.legendre.leggauss(m)
-        u = 0.5 * (a + b)[:, None] + 0.5 * (b - a)[:, None] * x[None, :]
-        vals = 0.5 * (f.log_evaluate(u) * wx[None, :]).sum(axis=1)
-        if prev is not None:
-            scale = max(1.0, float(np.max(np.abs(vals))))
-            if float(np.max(np.abs(vals - prev))) <= quad.tolerance * scale:
-                return vals
-        prev = vals
-        m *= 2
-    return None
-
-
-def _holder_x(nu=0.5, radius=2.0):
-    """holder_bump given in the x domain only: it declares no cell means,
-    so its means take the quadrature path."""
-    base = signals.holder_bump(nu, radius)
-    return Signal("holder_x", base.evaluate, sup_norm=1.0,
-                  support=base.support)
-
-
-def _cc_x(radius=2.0):
-    """cc_bump given in the x domain only, on the quadrature path."""
-    base = signals.cc_bump(radius)
-    return Signal("cc_x", base.evaluate, sup_norm=1.0, support=base.support)
-
-
-class TestCellRefinement:
-    """mean_values refines only the cells that have not converged."""
-
-    QUAD = QuadratureSpec()
-
-    @pytest.mark.parametrize("f, quad, converges", [
-        (_holder_x(0.5), QUAD, True),                            # all 9 levels
-        (_holder_x(0.5), QuadratureSpec(max_doublings=3), False),  # capped
-        (_cc_x(), QUAD, True),                                   # level 2
-    ], ids=["holder_bump", "holder_bump-capped", "cc_bump"])
-    def test_agrees_with_global_doubling(self, f, quad, converges):
-        ref = _global_doubling_means(f, -34, 33, 16.0, quad)
-        assert (ref is not None) == converges
-        if not converges:
-            # the reference stops unconverged at the cap, and mean_values
-            # raises rather than return its last values
-            with pytest.raises(EvaluationError, match="unconverged"):
-                operator.mean_values(f, -34, 33, 16.0, UNIT, quad)
-            return
-        got = operator.mean_values(f, -34, 33, 16.0, UNIT, quad)
-        tol = quad.tolerance * max(1.0, float(np.max(np.abs(ref))))
-        assert np.max(np.abs(got - ref)) <= tol
-
-    def test_only_cusp_cells_refined(self):
-        # holder_bump(0.5, 2) at w = 16: the cusp at v = 0 is the edge
-        # between cells k = -1 and k = 0; the kinks at |v| = 2 are cell
-        # edges too, where the bump is smooth from either side
-        base = signals.holder_bump(0.5, 2.0)
-        shapes, cells = [], []
-
-        def counting(x):
-            shapes.append(x.shape)
-            cells.append(np.floor(16.0 * np.log(x).mean(axis=1)).astype(int))
-            return base.evaluate(x)
-
-        f = Signal("counted", counting, sup_norm=1.0, support=base.support)
-        operator.mean_values(f, -34, 33, 16.0, UNIT, self.QUAD)
-        assert shapes[:2] == [(68, 8), (68, 16)]
-        assert shapes[2:] == [(2, 8 * 2 ** i) for i in range(2, 9)]
-        for level in cells[2:]:
-            assert sorted(level) == [-1, 0]
-
-    def test_doubling_cap_logged(self, caplog):
-        # the cusp cells need 2048 nodes at w = 16; 3 doublings stop at 64
-        # with two cells unconverged, which is logged and raises instead of
-        # returning
-        f = _holder_x(0.5, 2.0)
-        quad = QuadratureSpec(max_doublings=3)
-        message = (r"2 of 68 cells unconverged after 3 doublings; "
-                   r"worst k=(-1|0) changed by 4\.6\de-07")
-        with caplog.at_level(logging.DEBUG, logger="expkant.operator"):
-            with pytest.raises(EvaluationError, match=message + "$"):
-                operator.mean_values(f, -34, 33, 16.0, UNIT, quad)
-        assert re.search(message, caplog.text)
-
-    def test_every_mean_checked(self):
-        # a single level compares nothing, so it is refused
-        with pytest.raises(ValidationError, match="max_doublings >= 1"):
-            QuadratureSpec(max_doublings=0)
-        f = _holder_x(0.5, 2.0)
-        got = operator.mean_values(f, 5, 20, 16.0, UNIT,
-                                   QuadratureSpec(max_doublings=1))
-        assert got.shape == (16,)  # smooth cells converge at level 2
-
-    def test_nonfinite_at_refined_level_named(self):
-        # finite on the 8- and 16-node levels; the refined levels evaluate
-        # only the cells next to the kink at v = 5.5, and cell k = 5 is NaN
-        def kinked(x):
-            v = np.log(x)
-            vals = np.sqrt(np.abs(v - 5.5))
-            if v.shape[-1] > 16:
-                vals = np.where((v > 5.0) & (v < 6.0), np.nan, vals)
-            return vals
-
-        f = Signal("kinked", kinked, sup_norm=3.0)
-        with pytest.raises(EvaluationError, match=r"k=5$"):
-            operator.mean_values(f, 0, 9, 1.0, UNIT, self.QUAD)
-
-    def test_blocks_match_one_block(self, monkeypatch):
-        # 3001 cells of 8 to 2048 nodes in blocks of 1024 values, against
-        # one block holding every cell of a level
-        f = _holder_x(0.5, 2.0)
-        monkeypatch.setattr(operator, "_CELL_BLOCK", 1024)
-        blocked = operator.mean_values(f, -1500, 1500, 512.0, UNIT, self.QUAD)
-        monkeypatch.setattr(operator, "_CELL_BLOCK", 1 << 40)
-        whole = operator.mean_values(f, -1500, 1500, 512.0, UNIT, self.QUAD)
-        assert np.array_equal(blocked, whole)
-
-    def test_nonfinite_raises_at_its_block(self, monkeypatch):
-        # blocks of 8 cells: cell k = 80 is the first NaN one, and no cell
-        # after its block is evaluated
-        seen = []
-
-        def late_nan(x):
-            v = np.log(x)
-            seen.append(float(v.max()))
-            return np.where(v > 80.0, np.nan, 1.0)
-
-        monkeypatch.setattr(operator, "_CELL_BLOCK", 64)
-        f = Signal("late_nan", late_nan, sup_norm=1.0)
-        with pytest.raises(EvaluationError, match=r"k=80$"):
-            operator.mean_values(f, 0, 99, 1.0, UNIT, self.QUAD)
-        assert len(seen) == 11 and max(seen) < 88.0
-
-    def test_cached_rule_read_only(self):
-        nodes, weights = gauss_legendre(8)
-        assert gauss_legendre(8)[0] is nodes
-        with pytest.raises(ValueError):
-            nodes[0] = 0.0
-        with pytest.raises(ValueError):
-            weights[0] = 0.0
 
 
 EPS = np.finfo(float).eps
@@ -246,6 +98,31 @@ def _quad_mean(core, a, b, breaks, cusp=None):
             val, e = quad(core, lo, hi, epsabs=1e-15, epsrel=0.0, limit=200)
             total, err = total + val, err + e
     return total / (b - a), err / (b - a)
+
+
+def _power_clipped_bound(a, clip, lo, hi):
+    """The stated bound of a power_clipped mean over [lo, hi]
+    (signals.power_clipped), its series' absolute sums summed to
+    convergence."""
+    h = hi - lo
+    core = signals.power_clipped(a, clip).log_core
+    m = float(np.max(core(np.array([lo, hi]))))
+    total = max(0.0, min(hi, clip) - max(lo, -clip)) * m
+    series = 0.0
+    for sa, p, q in ((a, lo, hi), (-a, -hi, -lo)):
+        n, d = max(p, clip), max(q, clip) - max(p, clip)
+        if d > 0.0:
+            c = math.exp(sa * (clip + 1.0))
+            x = abs(sa) * math.exp(clip - n)
+            t = t1 = 0.0
+            term = 1.0
+            for k in range(1, 200):
+                term *= x / k
+                part = term * -math.expm1(-k * d)
+                t, t1 = t + part / k, t1 + part
+            total += c * (d + t)
+            series += c * (n - clip + 16.0) * t1
+    return EPS * ((3.0 * abs(a) * (clip + 1.0) + 16.0) * total + series) / h
 
 
 def _drawn_scheme(data):
@@ -322,18 +199,49 @@ class TestClosedFormMeans:
             ref, err = _quad_mean(core, a, b, (-clip, clip))
             assert abs(got - ref) <= _roundoff_bound(h(a), h(b), a, b, got) + err
 
+    @settings(max_examples=100, deadline=None)
+    @given(a=st.one_of(st.just(0.0), st.floats(-3.0, 3.0)),
+           clip=st.floats(0.5, 8.0), log2_w=st.integers(2, 12),
+           inside=st.floats(-1.0, 1.0), beyond=st.floats(0.0, 1e4),
+           data=st.data())
+    def test_power_clipped_within_the_bound(self, a, clip, log2_w, inside,
+                                            beyond, data):
+        # cells inside the clip, across +-clip and beyond it out to
+        # |v| = 1e4; the reference integrates the core scaled by a power
+        # of 2 near its size on the cell, which keeps quad's absolute
+        # tolerance meaningful and rescales exactly
+        f = signals.power_clipped(a, clip)
+        w = 2.0 ** log2_w
+        scheme = _drawn_scheme(data)
+
+        def sat(v):
+            u = abs(v)
+            return v if u <= clip else math.copysign(
+                clip + 1.0 - math.exp(clip - u), v)
+
+        points = (inside * clip, -clip, clip, clip + beyond, -clip - beyond)
+        for k in _cells_near(scheme, w, points, count=2):
+            lo, hi = scheme.node(k) / w, scheme.node(k + 1) / w
+            got = operator.mean_values(f, k, k, w, scheme)[0]
+            e = math.frexp(math.exp(a * sat(0.5 * (lo + hi))))[1]
+            ref, err = _quad_mean(lambda v: math.ldexp(math.exp(a * sat(v)),
+                                                       -e),
+                                  lo, hi, (-clip, clip))
+            ref, err = math.ldexp(ref, e), math.ldexp(err, e)
+            assert abs(got - ref) <= _power_clipped_bound(a, clip, lo, hi) + err
+
     def test_exact_values(self):
         for scheme in (SamplingScheme.uniform(1.0, 0.37),
                        SamplingScheme.tabulated((0.0, 0.3, 0.7), 1.1)):
             for w in (3.0, 64.0, 4096.0):
                 got = operator.mean_values(signals.constant(2.5), -500, 500,
-                                           w, scheme, QuadratureSpec())
+                                           w, scheme)
                 assert np.all(got == 2.5)
                 # every cell of [-500, 500] lies inside the clip of 6 at
                 # w >= 64
                 t = scheme.nodes(-300, 301) / w
                 got = operator.mean_values(signals.clipped_log(), -300, 300,
-                                           w, scheme, QuadratureSpec())
+                                           w, scheme)
                 if w >= 64.0:
                     assert np.array_equal(got, 0.5 * (t[:-1] + t[1:]))
 
@@ -345,8 +253,7 @@ class TestClosedFormMeans:
         scheme = SamplingScheme.uniform(1.0, 0.37)
         for w in (3.3, 48.5):
             for k_lo in (400_000, -400_100):
-                got = operator.mean_values(f, k_lo, k_lo + 99, w, scheme,
-                                           QuadratureSpec())
+                got = operator.mean_values(f, k_lo, k_lo + 99, w, scheme)
                 want = math.copysign(7.0, k_lo)
                 assert np.all(np.abs(got - want) <= 2.0 * EPS * 7.0)
 
@@ -369,15 +276,24 @@ class TestClosedFormMeans:
             return original(self, v)
 
         monkeypatch.setattr(Signal, "log_evaluate", counting)
+        # the power_clipped cells reach across both clips and beyond them
         for f in (signals.holder_bump(0.5), signals.holder_bump(1.0, 1.5),
                   signals.constant(1.5), signals.clipped_log(),
                   signals.holder_bump(0.5).dilate(1.7),
                   signals.cc_bump(1.75, -0.5), signals.random_bump(7),
-                  signals.random_bump(3).dilate(0.6)):
-            operator.mean_values(f, -100, 100, 32.0, UNIT, QuadratureSpec())
+                  signals.random_bump(3).dilate(0.6),
+                  signals.power_clipped(0.7, 1.5),
+                  signals.power_clipped(-1.3, 2.0),
+                  signals.power_clipped(0.5, 1.0).dilate(1.7)):
+            operator.mean_values(f, -100, 100, 32.0, UNIT)
+        # a signal given in the x domain only declares no means: refused,
+        # with no quadrature in their place
+        base = signals.cc_bump(2.0)
+        cc_x = Signal("cc_x", base.evaluate, sup_norm=1.0,
+                      support=base.support)
+        with pytest.raises(ValidationError, match="'cc_x' declares no cell"):
+            operator.mean_values(cc_x, -100, 100, 32.0, UNIT)
         assert calls == []
-        operator.mean_values(_cc_x(), -100, 100, 32.0, UNIT, QuadratureSpec())
-        assert calls  # no declared means: quadrature
 
     def test_nonfinite_mean_raises_at_its_block(self, monkeypatch):
         # blocks of 8 cells: the first NaN mean is cell k = 21, and no
@@ -392,7 +308,7 @@ class TestClosedFormMeans:
                    log_mean=log_mean)
         monkeypatch.setattr(operator, "_CELL_BLOCK", 8)
         with pytest.raises(EvaluationError, match=r"k=21$"):
-            operator.mean_values(f, 0, 99, 4.0, UNIT, QuadratureSpec())
+            operator.mean_values(f, 0, 99, 4.0, UNIT)
         assert seen == [8, 8, 8]
 
     @settings(max_examples=100, deadline=None)
@@ -632,8 +548,7 @@ class TestBumpMeans:
                 k_first = scheme.index_range(-w * rho - 60.0, -w * rho)
                 k_last = scheme.index_range(w * rho, w * rho + 60.0)
                 for k_lo, k_hi in ((k_first[0], k_first[1] - 1), k_last):
-                    got = operator.mean_values(f, k_lo, k_hi, w, scheme,
-                                               QuadratureSpec())
+                    got = operator.mean_values(f, k_lo, k_hi, w, scheme)
                     assert got.size >= 30 and np.all(got == 0.0)
 
     def test_means_are_elementwise(self):
@@ -645,7 +560,7 @@ class TestBumpMeans:
         a, b = t[:-1], t[1:]
         order = rng.permutation(a.size)
         for f in (signals.cc_bump(1.9, 0.7), signals.random_bump(5),
-                  signals.random_bump(8)):
+                  signals.random_bump(8), signals.power_clipped(0.7, 1.5)):
             whole = f.log_mean(a, b)
             shuffled = f.log_mean(a[order], b[order])
             assert np.array_equal(shuffled, whole[order])
