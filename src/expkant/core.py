@@ -66,21 +66,22 @@ def gauss_panels(a: np.ndarray, b: np.ndarray, m: int) -> tuple:
 # sampling schemes
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class SamplingScheme:
-    """Node sequence t_k with gaps bounded in [lower_gap, upper_gap].
+    """Node sequence t_k with gaps bounded in [lower_gap, upper_gap]: a
+    strictly increasing base window (b_0, ..., b_{m-1}) extended
+    periodically with period P, t_{q*m+i} = q*P + b_i, so that infinite
+    sums stay well defined with the same gap bounds.  The nodes are the
+    residue classes b_i + qP of Poisson summation.
 
-    kind "uniform": t_k = offset + k*step.
-    kind "tabulated": a strictly increasing base window (b_0, ..., b_{m-1})
-    extended periodically with period P, t_{q*m+i} = q*P + b_i, so that
-    infinite sums stay well defined with the same gap bounds.
+    A uniform scheme of step s and offset o is the one-point base (o,) of
+    period s; ``uniform`` and ``tabulated`` check their arguments and build
+    the pair.  Schemes compare and hash by value, so equal pairs share
+    cached moments.
     """
 
-    kind: str
-    step: float = 1.0
-    offset: float = 0.0
-    base: Optional[tuple] = None
-    period: Optional[float] = None
+    base: tuple
+    period: float
 
     @staticmethod
     def uniform(step: float = 1.0, offset: float = 0.0) -> "SamplingScheme":
@@ -88,7 +89,7 @@ class SamplingScheme:
             raise ValidationError("uniform scheme needs step > 0")
         if not (math.isfinite(step) and math.isfinite(offset)):
             raise ValidationError("uniform scheme needs a finite step and offset")
-        return SamplingScheme(kind="uniform", step=float(step), offset=float(offset))
+        return SamplingScheme((float(offset),), float(step))
 
     @staticmethod
     def tabulated(base: Sequence[float], period: float) -> "SamplingScheme":
@@ -99,74 +100,57 @@ class SamplingScheme:
             raise ValidationError("tabulated base must be strictly increasing")
         if period <= b[-1] - b[0]:
             raise ValidationError("period must exceed the base window span")
-        return SamplingScheme(kind="tabulated", base=b, period=float(period))
+        return SamplingScheme(b, float(period))
 
     @property
-    def gaps(self) -> np.ndarray:
-        if self.kind == "uniform":
-            return np.array([self.step])
-        b = np.asarray(self.base)
-        internal = np.diff(b)
-        wrap = self.period - (b[-1] - b[0])
-        return np.append(internal, wrap)
+    def gaps(self) -> tuple:
+        """The gaps of one period: b_{i+1} - b_i, then P - (b_{m-1} - b_0)."""
+        b = self.base
+        return (*(c - a for a, c in zip(b, b[1:])),
+                self.period - (b[-1] - b[0]))
 
     @property
     def lower_gap(self) -> float:
-        return float(self.gaps.min())
+        return min(self.gaps)
 
     @property
     def upper_gap(self) -> float:
-        return float(self.gaps.max())
-
-    @property
-    def phase_period(self) -> float:
-        """Period of y -> (t_k - y) as a set; the moment sup reduces to it."""
-        return self.step if self.kind == "uniform" else float(self.period)
+        return max(self.gaps)
 
     @property
     def is_unit_uniform(self) -> bool:
-        return self.kind == "uniform" and self.step == 1.0 and self.offset == 0.0
+        return self.base == (0.0,) and self.period == 1.0
 
     def node(self, k: int) -> float:
-        if self.kind == "uniform":
-            return self.offset + k * self.step
-        m = len(self.base)
-        q, i = divmod(k, m)
+        q, i = divmod(k, len(self.base))
         return q * self.period + self.base[i]
 
     def nodes(self, k_lo: int, k_hi: int) -> np.ndarray:
-        """t_k for k in [k_lo, k_hi] inclusive."""
-        ks = np.arange(k_lo, k_hi + 1)
-        if self.kind == "uniform":
-            return self.offset + ks * self.step
+        """t_k for k in [k_lo, k_hi] inclusive: q*P + b over every period q
+        the indices reach, sliced to them."""
         m = len(self.base)
-        q, i = np.divmod(ks, m)
-        return q * self.period + np.asarray(self.base)[i]
+        q_lo = k_lo // m
+        t = np.add.outer(np.arange(q_lo, k_hi // m + 1) * self.period,
+                         self.base).ravel()
+        return t[k_lo - q_lo * m:k_hi - q_lo * m + 1]
 
     def index_range(self, lo: float, hi: float) -> tuple:
         """Smallest k-interval [k_lo, k_hi] containing every t_k in [lo, hi].
 
-        Returns k_lo > k_hi when the interval contains no node.
+        Per base point b_i, the nodes b_i + qP inside are those with
+        ceil((lo - b_i)/P - 1e-12) <= q <= floor((hi - b_i)/P + 1e-12);
+        the nodes ascend with k, so k_lo is the least first index of the
+        classes and k_hi the greatest last one.  Returns k_lo > k_hi when
+        the interval contains no node.
         """
         if hi < lo:
             return (0, -1)
-        if self.kind == "uniform":
-            k_lo = math.ceil((lo - self.offset) / self.step - 1e-12)
-            k_hi = math.floor((hi - self.offset) / self.step + 1e-12)
-            return (k_lo, k_hi)
-        m = len(self.base)
-        q_lo = math.floor((lo - self.base[-1]) / self.period) - 1
-        q_hi = math.ceil((hi - self.base[0]) / self.period) + 1
-        ks = np.arange(q_lo * m, (q_hi + 1) * m)
-        t = self.nodes(ks[0], ks[-1])
-        inside = ks[(t >= lo - 1e-12) & (t <= hi + 1e-12)]
-        if inside.size == 0:
-            return (0, -1)
-        return (int(inside[0]), int(inside[-1]))
-
-    @property
-    def cache_key(self) -> tuple:
-        return (self.kind, self.step, self.offset, self.base, self.period)
+        m, p = len(self.base), self.period
+        k_lo, k_hi = math.inf, -math.inf
+        for i, b in enumerate(self.base):
+            k_lo = min(k_lo, math.ceil((lo - b) / p - 1e-12) * m + i)
+            k_hi = max(k_hi, math.floor((hi - b) / p + 1e-12) * m + i)
+        return (k_lo, k_hi)
 
 
 # ---------------------------------------------------------------------------
@@ -330,11 +314,11 @@ class Signal:
     The library never infers regularity: theorems quantify over classes, so
     each experiment must know what the test function claims.
 
-    A signal is given in the x domain (``evaluate``), in the log variable
-    (``log_core(v) = f(e^v)``), or both.  A log-native signal, one with a
-    ``log_core``, is evaluated at v without the round trip through exp and
-    log, so it does not underflow for v < -745; its ``evaluate`` defaults to
-    ``log_core(ln x)``.  ``log_mean(a, b)`` declares the cell mean
+    A signal is given in the log variable, where the Haar measure dx/x is
+    dv: ``log_core(v) = f(e^v)``.  ``log_evaluate`` runs the core at v
+    without a round trip through exp and log, so it does not underflow for
+    v < -745, and ``evaluate(x)`` is ``log_core(ln x)``.
+    ``log_mean(a, b)`` declares the cell mean
     ``(1/(b - a)) * int_a^b f(e^v) dv``, elementwise over arrays of cell
     edges a < b; ``operator.mean_values`` takes every Steklov mean from it,
     and raises ValidationError for a signal that declares none (the sample
@@ -358,56 +342,39 @@ class Signal:
     """
 
     name: str
-    evaluate: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    log_core: Callable[[np.ndarray], np.ndarray]
     sup_norm: Optional[float] = None
     support: Optional[float] = None              # support inside [1/r, r], r > 1
     holder: Optional[tuple] = None               # (nu, constant)
     mellin_derivative: Optional[Callable] = None  # theta f = x f'(x)
-    log_core: Optional[Callable[[np.ndarray], np.ndarray]] = None
     log_mean: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     spread: Optional[float] = None               # >= sup f - inf f
 
-    def __post_init__(self):
-        if self.evaluate is None:
-            if self.log_core is None:
-                raise ValidationError(
-                    f"signal {self.name!r} needs evaluate or log_core")
-            core = self.log_core
-
-            def evaluate(x):
-                # ln 0 = -inf is a legitimate query point
-                with np.errstate(divide="ignore"):
-                    v = np.log(np.asarray(x, dtype=float))
-                return core(v)
-
-            object.__setattr__(self, "evaluate", evaluate)
+    def evaluate(self, x) -> np.ndarray:
+        # ln 0 = -inf is a legitimate query point
+        with np.errstate(divide="ignore"):
+            v = np.log(np.asarray(x, dtype=float))
+        return self.log_core(v)
 
     def __call__(self, x):
-        return self.evaluate(np.asarray(x, dtype=float))
+        return self.evaluate(x)
 
     def log_evaluate(self, v) -> np.ndarray:
-        if self.log_core is not None:
-            return self.log_core(np.asarray(v, dtype=float))
-        # exp overflow to inf is fine: x = inf is a legitimate query point
-        # for saturating signals
-        with np.errstate(over="ignore"):
-            x = np.exp(np.asarray(v, dtype=float))
-        return self.evaluate(x)
+        return self.log_core(np.asarray(v, dtype=float))
 
     @property
     def log_support_radius(self) -> Optional[float]:
         return math.log(self.support) if self.support is not None else None
 
     def dilate(self, factor: float) -> "Signal":
-        """The dilated signal x -> f(x * factor), with metadata adjusted; a
+        """The dilated signal x -> f(x * factor), with metadata adjusted; the
         log core and a cell mean shift by ln(factor)."""
         base = self
         s = math.log(factor)
         shift = abs(s)
         return Signal(
             name=f"{self.name}~dil({factor:g})",
-            evaluate=(None if base.log_core is not None else
-                      lambda x: base.evaluate(np.asarray(x, dtype=float) * factor)),
+            log_core=lambda v: base.log_core(np.asarray(v, dtype=float) + s),
             sup_norm=self.sup_norm,
             spread=self.spread,
             support=(math.exp(self.log_support_radius + shift)
@@ -416,8 +383,6 @@ class Signal:
             mellin_derivative=(
                 (lambda x: base.mellin_derivative(np.asarray(x, dtype=float) * factor))
                 if self.mellin_derivative is not None else None),
-            log_core=((lambda v: base.log_core(np.asarray(v, dtype=float) + s))
-                      if base.log_core is not None else None),
             log_mean=((lambda a, b: base.log_mean(np.asarray(a, dtype=float) + s,
                                                   np.asarray(b, dtype=float) + s))
                       if base.log_mean is not None else None),
@@ -425,7 +390,7 @@ class Signal:
 
 
 def difference_signal(f: Signal, g: Signal) -> Signal:
-    """f - g; a log core and a cell mean when both operands declare one."""
+    """f - g; a cell mean when both operands declare one."""
     sup = spread = None
     if f.sup_norm is not None and g.sup_norm is not None:
         sup = f.sup_norm + g.sup_norm
@@ -434,22 +399,16 @@ def difference_signal(f: Signal, g: Signal) -> Signal:
     support = None
     if f.support is not None and g.support is not None:
         support = max(f.support, g.support)
-    log_core = log_mean = None
-    if f.log_core is not None and g.log_core is not None:
-        def log_core(v):
-            return f.log_core(v) - g.log_core(v)
+    log_mean = None
     if f.log_mean is not None and g.log_mean is not None:
         def log_mean(a, b):
             return f.log_mean(a, b) - g.log_mean(a, b)
     return Signal(
         name=f"({f.name})-({g.name})",
-        evaluate=(None if log_core is not None else
-                  lambda x: f.evaluate(np.asarray(x, dtype=float))
-                  - g.evaluate(np.asarray(x, dtype=float))),
+        log_core=lambda v: f.log_core(v) - g.log_core(v),
         sup_norm=sup,
         spread=spread,
         support=support,
-        log_core=log_core,
         log_mean=log_mean,
     )
 

@@ -428,10 +428,9 @@ def _run_modular_inequality(cfg: dict) -> dict:
     for seed in seeds:
         f = make_signal("random_bump", seed=seed)
         g = make_signal("random_bump", seed=seed + 1000)
-        rhs = modular._lipschitz_rhs(kernel, scheme, pair, f, g, lam)
-        for w in w_arr:
-            rep = modular._lipschitz_at(kernel, scheme, pair, f, g,
-                                        float(w), rhs, lam)
+        reports = modular.modular_lipschitz_check(kernel, scheme, pair, f, g,
+                                                  w_arr, lam)
+        for w, rep in zip(w_arr, reports):
             rows.append({"seed": seed, "w": float(w),
                          "lhs": rep.lhs, "rhs": rep.rhs,
                          "rhs_converged": rep.rhs_converged,

@@ -266,44 +266,31 @@ class ModularLipschitzReport:
                 "rhs_converged": self.rhs_converged}
 
 
-def _lipschitz_rhs(kernel: NonlinearKernel, scheme: SamplingScheme,
-                   pair: PhiPair, f: Signal, g: Signal, lam: float) -> tuple:
-    """(rhs, converged): the right-hand side of the modular inequality,
-    (||L||_1 / (delta M_0)) I_eta[lam (f - g)], and whether the quadrature
-    of its modular converged; it does not depend on w."""
+def modular_lipschitz_check(kernel: NonlinearKernel, scheme: SamplingScheme,
+                            pair: PhiPair, f: Signal, g: Signal,
+                            w_list: Sequence[float],
+                            lam: float = 0.5) -> tuple:
+    """The modular inequality between operator outputs,
+    I_phi[c (K_w f - K_w g)] <= (||L||_1 / (delta M_0)) I_eta[lam (f - g)]
+    with c = C_lambda / M_0, both sides by quadrature: one
+    ModularLipschitzReport per w of w_list, in order.  The right-hand side
+    does not depend on w, so it and the convergence of its modular are
+    computed once for the whole ladder."""
     if not (0.0 < lam < 1.0):
         raise ValidationError("modular_lipschitz_check needs lambda in (0,1)")
     m0 = moments.moment_value(kernel.profile, scheme, 0.0)
     rhs_mod = modular(pair.eta, difference_signal(f, g), lam)
-    return (kernel.profile.l1_log_norm / (scheme.lower_gap * m0)
-            * rhs_mod.value, rhs_mod.converged)
-
-
-def _lipschitz_at(kernel: NonlinearKernel, scheme: SamplingScheme,
-                  pair: PhiPair, f: Signal, g: Signal, w: float, rhs: tuple,
-                  lam: float) -> ModularLipschitzReport:
-    """The left-hand side I_phi[c (K_w f - K_w g)], c = C_lambda / M_0, at
-    one w, checked against ``rhs`` = (value, converged) from
-    _lipschitz_rhs."""
-    value, converged = rhs
-    m0 = moments.moment_value(kernel.profile, scheme, 0.0)
+    rhs = kernel.profile.l1_log_norm / (scheme.lower_gap * m0) * rhs_mod.value
     c = pair.c_lambda(lam) / m0
-    kf = eval_on_log_grid(f, w, kernel, scheme)
-    kg = eval_on_log_grid(g, w, kernel, scheme)
-    lhs = modular_error(pair.phi, kg, kf, c).value
-    return ModularLipschitzReport(lhs, value, lam, c,
-                                  lhs <= value * (1.0 + 1e-3) + 1e-15,
-                                  converged)
-
-
-def modular_lipschitz_check(kernel: NonlinearKernel, scheme: SamplingScheme,
-                            pair: PhiPair, f: Signal, g: Signal, w: float,
-                            lam: float = 0.5) -> ModularLipschitzReport:
-    """The modular inequality between operator outputs:
-    I_phi[c (K_w f - K_w g)] <= (||L||_1 / (delta M_0)) I_eta[lam (f - g)]
-    with c = C_lambda / M_0, both sides by quadrature."""
-    rhs = _lipschitz_rhs(kernel, scheme, pair, f, g, lam)
-    return _lipschitz_at(kernel, scheme, pair, f, g, w, rhs, lam)
+    reports = []
+    for w in w_list:
+        kf = eval_on_log_grid(f, float(w), kernel, scheme)
+        kg = eval_on_log_grid(g, float(w), kernel, scheme)
+        lhs = modular_error(pair.phi, kg, kf, c).value
+        reports.append(ModularLipschitzReport(
+            lhs, rhs, lam, c, lhs <= rhs * (1.0 + 1e-3) + 1e-15,
+            rhs_mod.converged))
+    return tuple(reports)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ admissibility condition the convergence theorems assume.
 
 The moment sup is taken over the phase variable y = w ln x,
     M_beta(L) = sup_y sum_k L(e^{y - t_k}) |y - t_k|^beta,
-which is periodic in y with the scheme's phase period and independent of w.
+which is periodic in y with the scheme's period and independent of w.
 It is taken on a grid of phases and refined around the best one by
 brackets of a few dozen phases per profile sum, which at beta = 0 refine
 the least sum too, so one cached sweep gives both ends of m0.  Every phase
@@ -55,6 +55,8 @@ _PLAN_CACHE_SIZE = 64
 _PROBE_PHASES = 2048
 _REFINE_CALLS = 8
 _REFINE_POINTS = 33
+# Phases of one period at which check_L3 takes each tail sup.
+_L3_PHASES = 128
 
 # Bernoulli numbers B_2, B_4, ..., B_16 over (2j)!, for Euler-Maclaurin.
 _BERNOULLI_OVER_FACTORIAL = tuple(
@@ -157,13 +159,6 @@ def hurwitz_zeta(s: float, q) -> tuple:
     return value, remainder + 64.0 * _EPS * value
 
 
-def _residue_classes(scheme: SamplingScheme) -> tuple:
-    """(offsets, P): the nodes as lattices b + qP, one per offset b."""
-    if scheme.kind == "uniform":
-        return (scheme.offset,), scheme.step
-    return scheme.base, scheme.period
-
-
 def _exact_partition(profile: KernelProfile,
                     scheme: SamplingScheme) -> Optional[float]:
     """m0(y) = sum_k L(e^{y - t_k}) in closed form, or None.
@@ -176,10 +171,9 @@ def _exact_partition(profile: KernelProfile,
     P > 2 pi."""
     if profile.is_compact:
         return None
-    offsets, period = _residue_classes(scheme)
-    if period > 2.0 * math.pi:
+    if scheme.period > 2.0 * math.pi:
         return None
-    return len(offsets) * profile.l1_log_norm / period
+    return len(scheme.base) * profile.l1_log_norm / scheme.period
 
 
 def _lattice_terms(period: float) -> int:
@@ -287,7 +281,7 @@ def _lattice_tails(profile: KernelProfile, scheme: SamplingScheme,
     period's cached plan (_lattice_plan), so a call builds none of them.
     One debug line per call records the tails on which summation by parts
     loses."""
-    offsets, period = _residue_classes(scheme)
+    period = scheme.period
     ys = np.asarray(ys, dtype=float)
     plan = _lattice_plan(period)
     sine = plan.sine
@@ -296,7 +290,7 @@ def _lattice_tails(profile: KernelProfile, scheme: SamplingScheme,
     direct, bound = np.zeros(ys.size), np.zeros(ys.size)
     least = np.zeros(ys.size) if lower else None
     lost = forced = 0
-    for b in offsets:
+    for b in scheme.base:
         q = _first_beyond(b, period, ys, 0.0 if cut is None else cut)
         right = b + q * period - ys
         if cut is None:
@@ -332,7 +326,7 @@ def _lattice_tails(profile: KernelProfile, scheme: SamplingScheme,
     if lost:
         _log.debug("lattice tails: summation by parts loses on %d of %d tails "
                    "at P = %g; |sin(P/2)| = %.3g forces the 2Z bound on %d",
-                   lost, 2 * ys.size * len(offsets), period, sine, forced)
+                   lost, 2 * ys.size * len(scheme.base), period, sine, forced)
     return (direct, bound, least) if lower else (direct, bound)
 
 
@@ -364,9 +358,9 @@ def _phase_sums(profile: KernelProfile, scheme: SamplingScheme,
     if not profile.is_compact:
         tails = _lattice_tails(profile, scheme, ys, cut, beta, lower)
         direct, bound = tails[:2]
-        plan = _lattice_plan(scheme.phase_period)
+        plan = _lattice_plan(scheme.period)
         return (direct + bound, direct + tails[2] if lower else None, bound,
-                (cut or 0.0) + plan.depth * scheme.phase_period)
+                (cut or 0.0) + plan.depth * scheme.period)
     zeros = np.zeros(ys.size)
     if cut is not None and cut >= profile.support_radius:
         return zeros, zeros if lower else None, zeros, None
@@ -426,7 +420,7 @@ def discrete_moment(profile: KernelProfile, scheme: SamplingScheme,
     """
     if beta < 0:
         raise ValidationError("discrete_moment needs beta >= 0")
-    period = scheme.phase_period
+    period = scheme.period
     m0 = _exact_partition(profile, scheme) if beta == 0.0 else None
     if m0 is not None:
         return MomentReport(beta, m0, "exact at every phase (Poisson "
@@ -477,10 +471,11 @@ def _moment_report(profile: KernelProfile, scheme: SamplingScheme,
 
     The cache is one LRU of _MOMENT_CACHE_SIZE reports shared by all
     threads.  Profiles compare by identity, so the key holds the profile
-    itself: an id() could be reused once the profile is gone.  A moment is
-    computed outside the lock; when two threads compute the same one, both
-    get the report stored first."""
-    key = (profile, scheme.cache_key, beta)
+    itself: an id() could be reused once the profile is gone.  Schemes
+    compare by value, so equal (base, period) pairs share their moments.  A
+    moment is computed outside the lock; when two threads compute the same
+    one, both get the report stored first."""
+    key = (profile, scheme, beta)
     with _MOMENT_LOCK:
         if key in _MOMENT_CACHE:
             _MOMENT_CACHE.move_to_end(key)
@@ -599,8 +594,7 @@ def check_chi4_star(kernel: NonlinearKernel, scheme: SamplingScheme,
 
 
 def check_L3(profile: KernelProfile, scheme: SamplingScheme, r: float,
-             gamma: float, w_list: Sequence[float],
-             phase_points: int = 128) -> ConditionReport:
+             gamma: float, w_list: Sequence[float]) -> ConditionReport:
     """Condition (L3): weighted tails beyond |t_k - w ln x| > gamma w must
     vanish as w grows.  ``extra`` gives per w the half width around each
     phase inside which nodes are summed directly (None when no node can
@@ -619,8 +613,8 @@ def check_L3(profile: KernelProfile, scheme: SamplingScheme, r: float,
             sup_values=(math.inf,) * w_arr.size, fitted_rate=None,
             passed=False,
             extra={"diverged": True, "half_width": none, "remainder": none})
-    period = scheme.phase_period
-    ys = np.linspace(0.0, period, phase_points, endpoint=False)
+    period = scheme.period
+    ys = np.linspace(0.0, period, _L3_PHASES, endpoint=False)
     vals, half_widths, remainders = [], [], []
     for w in w_arr:
         totals, _, rem, half = _phase_sums(profile, scheme, ys, r, gamma * w)

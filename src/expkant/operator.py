@@ -48,6 +48,13 @@ class QuadratureSpec:
 # Steklov means
 
 
+def _require_means(f: Signal) -> None:
+    if f.log_mean is None:
+        raise ValidationError(
+            f"signal {f.name!r} declares no cell means (Signal.log_mean), "
+            f"which the Steklov means need")
+
+
 # cells per block of mean_values: 8 MB per temporary of the declared
 # means.  Every window the truncation rule retains fits one block; the
 # blocks bound the memory of a call over a wider index range, as a
@@ -63,10 +70,7 @@ def mean_values(f: Signal, k_lo: int, k_hi: int, w: float,
     that Signal states), in blocks of _CELL_BLOCK cells.  A signal that
     declares none raises ValidationError, and a non-finite mean raises
     EvaluationError at the first block that holds one, naming its cell."""
-    if f.log_mean is None:
-        raise ValidationError(
-            f"signal {f.name!r} declares no cell means (Signal.log_mean), "
-            f"which the Steklov means need")
+    _require_means(f)
     if k_hi < k_lo:
         return np.empty(0)
     t = scheme.nodes(k_lo, k_hi + 1)
@@ -175,21 +179,26 @@ def _series(f: Signal, w: float, ys: np.ndarray, kernel: NonlinearKernel,
     """(values, bound): sum_k L(y - t_k) g_w(c_k) at every phase y of ys
     over the nodes retained for any of them, with c_k the Steklov means
     (means True) or the sample values (means False), and the certified
-    truncation bound of each value (_retained_half_width).
+    truncation bound of each value (_retained_half_width).  With means, a
+    signal that declares none raises ValidationError before any window is
+    formed, at every point alike.
 
     The retained half-width is fixed once per call; the windows around the
     phases merge into runs of indices, the coefficients are computed once
     per run, the response applied once and the profile summed once over
     every phase.  A heavy-tailed window writes one debug line with its
-    half-width, the nodes retained and the bound.  A node inside another phase's window only adds a term
-    the truncation bound already covers (exactly 0 for a compact
-    profile).
+    half-width, the nodes retained and the bound.  A node inside another
+    phase's window only adds a term the truncation bound already covers
+    (exactly 0 for a compact profile).
 
-    A B-spline series on a uniform scheme of step 1, at any offset, is
-    summed by backend.bspline_lattice_sum: one (piece x n+1) coefficient
-    table from the response values, then n Horner steps per phase.  Every
-    other profile and scheme goes through backend.profile_sum."""
+    A B-spline series on a one-point base of period 1 (a uniform scheme of
+    step 1, at any offset) is summed by backend.bspline_lattice_sum: one
+    (piece x n+1) coefficient table from the response values, then n
+    Horner steps per phase.  Every other profile and scheme goes through
+    backend.profile_sum."""
     half, support, bound = _retained_half_width(f, w, kernel, scheme, ys)
+    if means:
+        _require_means(f)
     runs, empty = _runs(ys, half, support, scheme)
     if support is None and not kernel.profile.is_compact:
         _log.debug("heavy-tailed window: half-width %g, %d nodes retained, "
@@ -206,8 +215,8 @@ def _series(f: Signal, w: float, ys: np.ndarray, kernel: NonlinearKernel,
     t = [scheme.nodes(k_lo, k_hi) for k_lo, k_hi in runs]
     t = t[0] if len(t) == 1 else np.concatenate(t)
     profile = kernel.profile
-    if (profile.kind == backend.KIND_BSPLINE and scheme.kind == "uniform"
-            and scheme.step == 1.0):
+    if (profile.kind == backend.KIND_BSPLINE and len(scheme.base) == 1
+            and scheme.period == 1.0):
         return backend.bspline_lattice_sum(ys, t, g, profile.order), bound
     return backend.profile_sum(profile, ys, t, g), bound
 

@@ -5,9 +5,9 @@ metadata (sup norm, support, log-Holder order, Mellin derivative) is exact,
 so experiments can compare measured quantities against ground truth, and
 each declares a spread at or above sup f - inf f.
 
-Every built-in is log-native: it declares its core as Signal.log_core, so
-log_evaluate(v) evaluates g(v) directly, with no round trip through exp and
-log, and evaluate(x) is g(ln x).  All seven declare their Steklov cell
+Like every Signal, each built-in is given by its core, Signal.log_core,
+so log_evaluate(v) evaluates g(v) directly, with no round trip through exp
+and log, and evaluate(x) is g(ln x).  All seven declare their Steklov cell
 means (Signal.log_mean), the only source operator.mean_values has:
 
 * constant(c): exactly c;

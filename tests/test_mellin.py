@@ -23,7 +23,7 @@ class TestMellinDerivative:
     def test_power_law(self):
         # theta x^a = a x^a; exercised via finite differences
         for a in (0.5, 1.0, 2.0):
-            f = Signal(f"x^{a:g}", lambda x, _a=a: np.asarray(x) ** _a)
+            f = Signal(f"x^{a:g}", lambda v, _a=a: np.exp(_a * v))
             for x in (0.3, 1.0, 2.5):
                 assert mellin.mellin_derivative(f, x) == pytest.approx(
                     a * x ** a, rel=1e-8)
@@ -41,15 +41,14 @@ class TestMellinDerivative:
 
     def test_finite_difference_matches_declared(self):
         declared = signals.sin_log()
-        bare = Signal("bare", declared.evaluate)
+        bare = Signal("bare", declared.log_core)
         for x in (0.5, 1.3):
             assert mellin.mellin_derivative(bare, x) == pytest.approx(
                 math.cos(math.log(x)), abs=1e-9)
 
     def test_non_differentiable_flagged(self):
         # sqrt-type kink: stencils at h and h/2 disagree right next to it
-        f = Signal("kink",
-                   lambda x: np.sqrt(np.abs(np.log(np.asarray(x)))))
+        f = Signal("kink", lambda v: np.sqrt(np.abs(v)))
         with pytest.raises(EvaluationError, match="non-differentiable"):
             mellin.mellin_derivative(f, math.exp(1e-6))
 

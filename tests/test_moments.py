@@ -38,7 +38,7 @@ def envelope_moment(scheme, beta, probe, half=4096.0):
     """(window sup, envelope value): the sup over probe phases of the sum
     over the nodes within half of the period's centre, and that sup plus
     envelope_tail beyond the window."""
-    period = scheme.phase_period
+    period = scheme.period
     ys = np.linspace(0.0, period, probe, endpoint=False)
     t = moments._window_nodes(scheme, 0.5 * period, half)
     sup = float(np.max(backend.profile_sum(FEJER, ys, t, beta=beta)))
@@ -89,10 +89,10 @@ def per_phase_tails(profile, scheme, y, h, beta):
     return total, outer
 
 
-def per_phase_L3(profile, scheme, r, gamma, w_list, phase_points=128):
+def per_phase_L3(profile, scheme, r, gamma, w_list):
     """The L3 sups and remainders of the per-phase loop for a compact
     profile, whose cut sums are exact (remainder 0)."""
-    ys = np.linspace(0.0, scheme.phase_period, phase_points, endpoint=False)
+    ys = np.linspace(0.0, scheme.period, moments._L3_PHASES, endpoint=False)
     sups = []
     for w in sorted(w_list):
         h = gamma * w
@@ -283,7 +283,7 @@ def beyond_window(scheme, y, cut, beta, per_side=200_000):
     its error bound (Dirichlet's test on the cosines)."""
     reach = (cut or 0.0) + per_side * scheme.upper_gap
     k_lo, k_hi = scheme.index_range(y - reach, y + reach)
-    step = scheme.step
+    step = scheme.period
     total = 0.0
     for u in (float(scheme.nodes(k_hi + 1, k_hi + 1)[0]) - y,
               y - float(scheme.nodes(k_lo - 1, k_lo - 1)[0])):
@@ -304,7 +304,7 @@ class TestLatticeTails:
     def test_bound_covers_direct_tail(self, scheme):
         # phases on a node (a node exactly at the cut must stay out) and
         # between nodes
-        period = scheme.phase_period
+        period = scheme.period
         ys = period * np.array([0.0, 0.25, 0.5, 0.8])
         betas = (0.0, 0.5)
         for cut in (None, 4.0, 32.0):
@@ -320,7 +320,7 @@ class TestLatticeTails:
     def reach_512(scheme, ys, cut, beta):
         """direct + bound of the lattice tails summed directly for 512 log
         units past the cut, then bounded by (1/pi) min(2Z, Z + B)."""
-        offsets, period = moments._residue_classes(scheme)
+        offsets, period = scheme.base, scheme.period
         depth = max(1, math.ceil(512.0 / period))
         lattice = -period * np.arange(depth)[::-1]
         sine = abs(math.sin(0.5 * period))
@@ -581,7 +581,7 @@ class TestPartition:
         # side times 1/D^2 + 1/(P D) for the nearest omitted node at D,
         # and adding the closed-form tail bound lifts them above the
         # reference
-        period = scheme.phase_period
+        period = scheme.period
         ys = np.linspace(0.0, period, 512, endpoint=False)
         ref = backend.profile_sum(FEJER, ys, scheme.nodes(-300_000, 300_000))
         classes = len(scheme.base or (0,))
@@ -625,7 +625,7 @@ class TestPartition:
         # by up to 7.3e-6
         for n, scheme in self.drawn_bspline_schemes():
             profile = make_builtin_profile("bspline", n)
-            period = scheme.phase_period
+            period = scheme.period
             ys = np.linspace(0.0, period, 50_001)
             t = moments._window_nodes(scheme, 0.5 * period,
                                       profile.support_radius + period
@@ -689,20 +689,18 @@ class TestL3:
         assert rep.sup_values[-1] == 0.0
 
     def test_fejer_half_decreasing(self):
-        rep = moments.check_L3(FEJER, UNIT, 0.5, 1.0, [4, 8, 16, 32],
-                               phase_points=16)
+        rep = moments.check_L3(FEJER, UNIT, 0.5, 1.0, [4, 8, 16, 32])
         assert not rep.extra["diverged"]
         vals = np.asarray(rep.sup_values)
         assert np.all(np.diff(vals) < 0)
 
     def test_report_records_half_width_and_remainder(self):
-        rep = moments.check_L3(FEJER, UNIT, 0.5, 1.0, [4, 8, 16, 32],
-                               phase_points=16)
+        rep = moments.check_L3(FEJER, UNIT, 0.5, 1.0, [4, 8, 16, 32])
         # h + D, with D no more than the 512 nodes summed before
         depth = moments._lattice_terms(1.0)
         assert depth <= 512
         assert rep.extra["half_width"] == [h + depth for h in (4, 8, 16, 32)]
-        ys = np.linspace(0.0, 1.0, 16, endpoint=False)
+        ys = np.linspace(0.0, 1.0, moments._L3_PHASES, endpoint=False)
         for w, sup, rem in zip(rep.w_values, rep.sup_values,
                                rep.extra["remainder"]):
             direct, bound = moments._lattice_tails(FEJER, UNIT, ys, w, 0.5)
@@ -713,8 +711,7 @@ class TestL3:
         assert rep.extra["remainder"] == [0.0] * 4
 
     def test_fejer_order_one_diverges(self):
-        rep = moments.check_L3(FEJER, UNIT, 1.0, 1.0, [4, 8, 16, 32],
-                               phase_points=8)
+        rep = moments.check_L3(FEJER, UNIT, 1.0, 1.0, [4, 8, 16, 32])
         assert rep.extra["diverged"]
         assert not rep.passed
 

@@ -52,7 +52,7 @@ class TestMeanValue:
             math.e - 1.0, abs=1e-10)
 
     def test_nonfinite_signal_named(self):
-        bad = Signal("bad", lambda x: np.where(np.asarray(x) > 2.0,
+        bad = Signal("bad", lambda v: np.where(v > math.log(2.0),
                                                np.nan, 1.0), sup_norm=1.0,
                      log_mean=lambda a, b: np.where(b > 1.0, np.nan, 1.0))
         with pytest.raises(EvaluationError, match="k="):
@@ -286,10 +286,10 @@ class TestClosedFormMeans:
                   signals.power_clipped(-1.3, 2.0),
                   signals.power_clipped(0.5, 1.0).dilate(1.7)):
             operator.mean_values(f, -100, 100, 32.0, UNIT)
-        # a signal given in the x domain only declares no means: refused,
-        # with no quadrature in their place
+        # a signal that declares no means: refused, with no quadrature in
+        # their place
         base = signals.cc_bump(2.0)
-        cc_x = Signal("cc_x", base.evaluate, sup_norm=1.0,
+        cc_x = Signal("cc_x", base.log_core, sup_norm=1.0,
                       support=base.support)
         with pytest.raises(ValidationError, match="'cc_x' declares no cell"):
             operator.mean_values(cc_x, -100, 100, 32.0, UNIT)
@@ -304,7 +304,7 @@ class TestClosedFormMeans:
             seen.append(a.size)
             return np.where(a * 4.0 > 20.5, np.nan, 1.0)
 
-        f = Signal("nan_mean", lambda x: np.ones_like(x), sup_norm=1.0,
+        f = Signal("nan_mean", lambda v: np.ones_like(v), sup_norm=1.0,
                    log_mean=log_mean)
         monkeypatch.setattr(operator, "_CELL_BLOCK", 8)
         with pytest.raises(EvaluationError, match=r"k=21$"):
@@ -599,8 +599,21 @@ class TestKantorovich:
                                                bspline_kernel(), UNIT)
         assert val == 0.0 and bound == 0.0
 
+    def test_undeclared_means_refused_at_every_point(self):
+        # a signal with a core but no declared means is refused before any
+        # window is formed: at x = 100, outside its support, as at x = 1
+        base = signals.cc_bump(1.0)
+        f = Signal("cc_core", base.log_core, sup_norm=1.0,
+                   support=base.support)
+        for x in (100.0, 1.0):
+            with pytest.raises(ValidationError, match="declares no cell"):
+                operator.eval_kantorovich(f, 8.0, x, bspline_kernel(), UNIT)
+        # sample values need no means
+        assert operator.eval_generalized(f, 8.0, 100.0, bspline_kernel(),
+                                         UNIT) == 0.0
+
     def test_unbounded_signal_needs_metadata(self):
-        raw = Signal("raw", lambda x: np.log(np.asarray(x, dtype=float)))
+        raw = Signal("raw", lambda v: v)
         with pytest.raises(EvaluationError):
             operator.eval_kantorovich(raw, 4.0, 2.0, bspline_kernel(), UNIT)
 
@@ -690,7 +703,7 @@ class TestKantorovich:
                                  make_response("soft", alpha=1.0))
         scheme = _drawn_scheme(data)
         w, x = 2.0 ** log2_w, math.exp(log_x)
-        period = scheme.phase_period
+        period = scheme.period
         c = math.exp(m * period / w)
         g = f.dilate(c)
         a = np.linspace(-3.0, 3.0, 41)
@@ -725,7 +738,7 @@ class TestKantorovich:
         # tail, which the bound must cover
         c = 0.75
         for scheme, x, moment_bound, factor in self.TRUNCATION_CASES:
-            m0 = len(scheme.base or (0,)) / scheme.phase_period
+            m0 = len(scheme.base) / scheme.period
             value, bound = operator.eval_kantorovich(
                 signals.constant(c), 4.0, x, fejer_kernel(), scheme)
             assert 0.0 < bound <= moment_bound / factor
@@ -746,7 +759,7 @@ class TestKantorovich:
         kernel = fejer_kernel(response, alpha=1.0)
         g = float(kernel.response(w, np.array([c]))[0])
         for scheme, x, _, _ in self.TRUNCATION_CASES:
-            m0 = len(scheme.base or (0,)) / scheme.phase_period
+            m0 = len(scheme.base) / scheme.period
             value, bound = operator.eval_kantorovich(
                 signals.constant(c), w, x, kernel, scheme)
             error = g * m0 - value
@@ -782,7 +795,7 @@ class TestKantorovich:
         assert bound == 0.0
 
     def test_undeclared_signal_raises(self):
-        f = Signal("bare", lambda x: np.ones_like(np.asarray(x, dtype=float)))
+        f = Signal("bare", lambda v: np.ones_like(v))
         for kernel in (bspline_kernel(), fejer_kernel()):
             with pytest.raises(EvaluationError, match="sup norm"):
                 operator.eval_kantorovich(f, 4.0, 1.0, kernel, UNIT)
