@@ -75,32 +75,33 @@ class SamplingScheme:
     residue classes b_i + qP of Poisson summation.
 
     A uniform scheme of step s and offset o is the one-point base (o,) of
-    period s; ``uniform`` and ``tabulated`` check their arguments and build
-    the pair.  Schemes compare and hash by value, so equal pairs share
-    cached moments.
+    period s.  Construction checks the pair, however it is built; schemes
+    compare and hash by value, so equal pairs share cached moments.
     """
 
     base: tuple
     period: float
 
+    def __post_init__(self):
+        b, p = self.base, self.period
+        if not (isinstance(b, tuple) and b
+                and all(isinstance(v, float) for v in b)):
+            raise ValidationError(
+                f"scheme base must be a non-empty tuple of floats (got {b!r})")
+        if not all(math.isfinite(v) for v in (*b, p)):
+            raise ValidationError("scheme base and period must be finite")
+        if any(c <= a for a, c in zip(b, b[1:])):
+            raise ValidationError("scheme base must be strictly increasing")
+        if p <= b[-1] - b[0]:
+            raise ValidationError("period must exceed the base window span")
+
     @staticmethod
     def uniform(step: float = 1.0, offset: float = 0.0) -> "SamplingScheme":
-        if not step > 0:
-            raise ValidationError("uniform scheme needs step > 0")
-        if not (math.isfinite(step) and math.isfinite(offset)):
-            raise ValidationError("uniform scheme needs a finite step and offset")
         return SamplingScheme((float(offset),), float(step))
 
     @staticmethod
     def tabulated(base: Sequence[float], period: float) -> "SamplingScheme":
-        b = tuple(float(v) for v in base)
-        if not all(math.isfinite(v) for v in (*b, period)):
-            raise ValidationError("tabulated base and period must be finite")
-        if len(b) < 1 or any(b[i + 1] <= b[i] for i in range(len(b) - 1)):
-            raise ValidationError("tabulated base must be strictly increasing")
-        if period <= b[-1] - b[0]:
-            raise ValidationError("period must exceed the base window span")
-        return SamplingScheme(b, float(period))
+        return SamplingScheme(tuple(float(v) for v in base), float(period))
 
     @property
     def gaps(self) -> tuple:

@@ -169,8 +169,8 @@ def build_pair(spec: Optional[dict], slope) -> PhiPair:
 
 
 def build_grid(spec: Optional[dict], f: Signal) -> np.ndarray:
-    """Evaluation x-grid; defaults to the interior of the signal support
-    (or [e^-2, e^2] for unbounded-support signals)."""
+    """Geometric evaluation x-grid from lo to hi; defaults to the interior
+    of the signal support (or [e^-2, e^2] for unbounded-support signals)."""
     if spec is None:
         if f.log_support_radius is not None:
             half = 0.9 * f.log_support_radius
@@ -178,14 +178,12 @@ def build_grid(spec: Optional[dict], f: Signal) -> np.ndarray:
             half = 2.0
         return np.exp(np.linspace(-half, half, 21))
     spec = _require_dict(spec, "grid")
-    _check_keys(spec, {"lo", "hi", "points", "log"}, {"lo", "hi"}, "grid")
+    _check_keys(spec, {"lo", "hi", "points"}, {"lo", "hi"}, "grid")
     lo, hi = _number(spec["lo"], "grid.lo"), _number(spec["hi"], "grid.hi")
     n = _integer(spec.get("points", 21), "grid.points")
     if not (0.0 < lo < hi) or n < 1:
         raise ValidationError("grid needs 0 < lo < hi and points >= 1")
-    if _flag(spec.get("log", True), "grid.log"):
-        return np.geomspace(lo, hi, n)
-    return np.linspace(lo, hi, n)
+    return np.geomspace(lo, hi, n)
 
 
 def _setup(cfg: dict) -> tuple:
@@ -262,6 +260,11 @@ def _decay_report(w_arr: np.ndarray, errors: np.ndarray, **extra) -> dict:
     }
 
 
+# the bound verdicts' relative margins: fixed slacks, not error bounds
+QUANTITATIVE_3_2_SLACK = 1e-6
+QUANTITATIVE_5_1_SLACK = 0.05
+
+
 def _bound_report(rows: list, w_arr: np.ndarray, slack: float, floor: float,
                   parts: Optional[list], **extra) -> dict:
     """The (w, lhs, rhs) table of a quantitative estimate.  It passes when
@@ -315,7 +318,6 @@ def _run_quantitative_3_2(cfg: dict) -> dict:
     grid = build_grid(cfg.get("grid"), f)
     beta = _number(cfg["beta"], "beta")
     j = _integer(cfg.get("j", 2), "j")
-    slack = _number(cfg.get("slack", 1e-6), "slack")
     if beta <= 0:
         raise ValidationError("quantitative_3_2 needs beta > 0")
     if f.sup_norm is None:
@@ -368,7 +370,7 @@ def _run_quantitative_3_2(cfg: dict) -> dict:
         if alpha is not None:
             parts.append(alpha)
     return _bound_report(
-        rows, w_arr, slack, 0.0, parts, case=case,
+        rows, w_arr, QUANTITATIVE_3_2_SLACK, 0.0, parts, case=case,
         constants={"m0": m0, "m_beta": m_beta, "aggregate": const,
                    "m1_diverged": not math.isfinite(m1)})
 
@@ -377,7 +379,7 @@ def _run_voronovskaja(cfg: dict) -> dict:
     kernel, scheme, f, w_arr = _setup(cfg)
     rep = mellin.voronovskaja_experiment(
         f, _number(cfg["x"], "x"), _number(cfg["r"], "r"), kernel, scheme,
-        w_arr, slack=_number(cfg.get("slack", 0.05), "slack"))
+        w_arr)
     return {
         "rows": [{"w": float(w), "lhs": float(v)}
                  for w, v in zip(rep.w_values, rep.lhs_values)],
@@ -395,12 +397,11 @@ def _run_modular_convergence(cfg: dict) -> dict:
     phi = build_phi(cfg.get("phi"))
     lam = _number(cfg.get("lambda", 1.0), "lambda")
     threshold = _number(cfg.get("threshold", 1e-5), "threshold")
-    n_points = _integer(cfg.get("n_points", 8192), "n_points")
 
     errors = np.array([
         modular.modular_error(
             phi, f, operator.eval_on_log_grid(f, float(w), kernel, scheme),
-            lam, n_points=n_points).value
+            lam).value
         for w in w_arr])
     decreasing = bool(np.all(np.diff(errors) <= 1e-12))
     passed = decreasing and errors[-1] < threshold
@@ -464,8 +465,6 @@ def _run_quantitative_5_1(cfg: dict) -> dict:
     lam = _number(cfg.get("lambda", 0.9 * min(1.0, lam0 / 2.0)), "lambda")
     if not (0.0 < lam < min(1.0, lam0 / 2.0)):
         raise ValidationError("need 0 < lambda < min(1, lambda0/2)")
-    slack = _number(cfg.get("slack", 0.05), "slack")
-    n_points = _integer(cfg.get("n_points", 8192), "n_points")
 
     h_rep = modular.check_H(pair, kernel.slope)
     if not h_rep.passed:
@@ -509,8 +508,7 @@ def _run_quantitative_5_1(cfg: dict) -> dict:
     for w, mass in zip(w_arr, e31.sup_values):
         w = float(w)
         kf = operator.eval_on_log_grid(f, w, kernel, scheme)
-        lhs = modular.modular_error(pair.phi, f, kf, nu,
-                                    n_points=n_points).value
+        lhs = modular.modular_error(pair.phi, f, kf, nu).value
         om_gamma = modular.log_smoothness(pair.eta, f, lam, w ** (-gamma))
         om_w = modular.log_smoothness(pair.eta, f, lam, 1.0 / w)
         term1 = profile.l1_log_norm * m0_tau / (3.0 * m0) * om_gamma
@@ -530,7 +528,7 @@ def _run_quantitative_5_1(cfg: dict) -> dict:
         if not star_exact:
             parts.append(alpha)
     return _bound_report(
-        rows, w_arr, slack, 1e-15, parts,
+        rows, w_arr, QUANTITATIVE_5_1_SLACK, 1e-15, parts,
         constants={"m0": m0, "m0_tau": m0_tau, "nu": nu, "lambda": lam,
                    "lambda0": lam0, "gamma": gamma, "gamma0": gamma0,
                    "chi4_star_exact": star_exact,
@@ -623,20 +621,17 @@ _EXPERIMENTS = {
                            {"kernel", "signal", "w_list", "x"}, {"scheme"}),
     "quantitative_3_2": (_run_quantitative_3_2,
                          {"kernel", "signal", "w_list", "beta"},
-                         {"scheme", "grid", "j", "slack"}),
+                         {"scheme", "grid", "j"}),
     "voronovskaja": (_run_voronovskaja,
-                     {"kernel", "signal", "w_list", "x", "r"},
-                     {"scheme", "slack"}),
+                     {"kernel", "signal", "w_list", "x", "r"}, {"scheme"}),
     "modular_convergence": (_run_modular_convergence,
                             {"kernel", "signal", "w_list"},
-                            {"scheme", "phi", "lambda", "threshold",
-                             "n_points"}),
+                            {"scheme", "phi", "lambda", "threshold"}),
     "modular_inequality": (_run_modular_inequality, {"kernel", "w_list"},
                            {"scheme", "pair", "seeds", "lambda"}),
     "quantitative_5_1": (_run_quantitative_5_1,
                          {"kernel", "signal", "w_list", "gamma"},
-                         {"scheme", "pair", "lambda0", "lambda", "slack",
-                          "n_points"}),
+                         {"scheme", "pair", "lambda0", "lambda"}),
     "audit_kernel": (_run_audit_kernel, {"kernel", "w_list"},
                      {"scheme", "j", "beta", "r", "gamma", "e31_gamma",
                       "pair"}),

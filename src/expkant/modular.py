@@ -20,10 +20,14 @@ from . import moments
 from .core import (NonlinearKernel, PhiFunction, PhiPair, SamplingScheme,
                    Signal, SlopeFunction, ValidationError, difference_signal,
                    gauss_panels)
-from .moduli import ZERO_MODULUS, holder_fit
+from .moduli import UNBOUNDED_LOG_RADIUS, ZERO_MODULUS, holder_fit
 from .operator import GridFunction, eval_on_log_grid
 
 _log = logging.getLogger(__name__)
+
+# the trapezoid resolution of the grid modulars: modular_error's coarse
+# rule and log_smoothness's base step, each on MODULAR_POINTS points
+MODULAR_POINTS = 8192
 
 
 # ---------------------------------------------------------------------------
@@ -138,8 +142,7 @@ def _adaptive_integral(fun, lo: float, hi: float):
     return prev, err, False
 
 
-def modular(phi: PhiFunction, f: Signal, lam: float,
-            window: Optional[tuple] = None) -> ModularValue:
+def modular(phi: PhiFunction, f: Signal, lam: float) -> ModularValue:
     """I_phi[lam f] = integral of phi(lam |f(e^v)|) dv.
 
     For signals without compact support the window is extended until the
@@ -152,10 +155,6 @@ def modular(phi: PhiFunction, f: Signal, lam: float,
     def integrand(v):
         return phi(lam * np.abs(f.log_evaluate(v)))
 
-    if window is not None:
-        lo, hi = window
-        value, err, converged = _adaptive_integral(integrand, lo, hi)
-        return ModularValue(lam, value, err, converged=converged)
     if f.log_support_radius is not None:
         r = f.log_support_radius
         value, err, converged = _adaptive_integral(integrand, -r, r)
@@ -171,7 +170,7 @@ def modular(phi: PhiFunction, f: Signal, lam: float,
 LogEvaluable = Union[Signal, GridFunction]
 
 
-def _union_window(f: LogEvaluable, g: LogEvaluable, default: float = 8.0) -> tuple:
+def _union_window(f: LogEvaluable, g: LogEvaluable) -> tuple:
     los, his = [], []
     for h in (f, g):
         if isinstance(h, GridFunction):
@@ -181,8 +180,8 @@ def _union_window(f: LogEvaluable, g: LogEvaluable, default: float = 8.0) -> tup
             los.append(-h.log_support_radius)
             his.append(h.log_support_radius)
         else:
-            los.append(-default)
-            his.append(default)
+            los.append(-UNBOUNDED_LOG_RADIUS)
+            his.append(UNBOUNDED_LOG_RADIUS)
     return (min(los), max(his))
 
 
@@ -192,24 +191,21 @@ def _trapezoid(values: np.ndarray, step: float) -> np.ndarray:
 
 
 def modular_error(phi: PhiFunction, f: LogEvaluable, g: LogEvaluable,
-                  lam: float, window: Optional[tuple] = None,
-                  n_points: int = 8192) -> ModularValue:
-    """I_phi[lam (g - f)] by the trapezoid rule on 2 n_points - 1 log-uniform
-    points over the window; the rule on the n_points even points among them
-    gives the coarse value, and the difference of the two is reported as
-    the quadrature error.  The integrand is evaluated once.
+                  lam: float) -> ModularValue:
+    """I_phi[lam (g - f)] by the trapezoid rule on 2 MODULAR_POINTS - 1
+    log-uniform points over the window of f and g; the rule on the even
+    points among them gives the coarse value, and the difference of the
+    two is reported as the quadrature error.  The integrand is evaluated
+    once.
 
     Operator values enter as GridFunctions (piecewise-linear interpolants),
     since re-evaluating the series inside an adaptive rule dominates cost.
     """
     if lam <= 0:
         raise ValidationError("modular_error needs lambda > 0")
-    if n_points < 2:
-        raise ValidationError("modular_error needs n_points >= 2")
-    if window is None:
-        window = _union_window(f, g)
-    v = np.linspace(window[0], window[1], 2 * n_points - 1)
-    step = (window[1] - window[0]) / (v.size - 1)
+    lo, hi = _union_window(f, g)
+    v = np.linspace(lo, hi, 2 * MODULAR_POINTS - 1)
+    step = (hi - lo) / (v.size - 1)
     fine = phi(lam * np.abs(g.log_evaluate(v) - f.log_evaluate(v)))
     i2 = float(_trapezoid(fine, step))
     i1 = float(_trapezoid(fine[::2], 2.0 * step))
@@ -318,10 +314,11 @@ class SmoothnessCurve:
                 "is_zero": self.is_zero}
 
 
-def _shift_grid(r: float, delta: float, t_points: int, n_points: int):
+def _shift_grid(r: float, delta: float, t_points: int):
     """(step, shifts): a grid step that divides every shift of
-    linspace(-delta, delta, t_points) and is at most 2(r + delta)/(n_points - 1),
-    and those shifts as integer multiples of the step.
+    linspace(-delta, delta, t_points) and is at most
+    2(r + delta)/(MODULAR_POINTS - 1), and those shifts as integer
+    multiples of the step.
 
     The shifts are multiples of unit = delta/units, with units = q/2 for
     even q = t_points - 1 and q for odd q; the step is unit/m for the least
@@ -329,7 +326,7 @@ def _shift_grid(r: float, delta: float, t_points: int, n_points: int):
     q = t_points - 1
     units = q // 2 if q % 2 == 0 else q
     unit = delta / units
-    m = math.ceil(unit * (n_points - 1) / (2.0 * (r + delta)))
+    m = math.ceil(unit * (MODULAR_POINTS - 1) / (2.0 * (r + delta)))
     shifts = (2 * np.arange(t_points) - q) * units // q * m
     return unit / m, shifts
 
@@ -350,8 +347,9 @@ def log_smoothness(phi: PhiFunction, f: Signal, lam: float,
     8192-point grid per shift only for delta < 2.2e-4 at r = 2."""
     if delta <= 0:
         raise ValidationError("log_smoothness needs delta > 0")
-    r = (f.log_support_radius if f.log_support_radius is not None else 8.0)
-    step, shifts = _shift_grid(r, delta, 17, 8192)
+    r = (f.log_support_radius if f.log_support_radius is not None
+         else UNBOUNDED_LOG_RADIUS)
+    step, shifts = _shift_grid(r, delta, 17)
     half = math.ceil((r + delta) / step)  # grid points v = i step, |i| <= half
     reach = half + int(shifts[-1])
     fv = f.log_evaluate(step * np.arange(-reach, reach + 1))

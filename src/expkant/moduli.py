@@ -17,40 +17,39 @@ from .ratefit import fit_loglog
 
 ZERO_MODULUS = 1e-14
 
+# the log radius searched and integrated over for a signal that declares
+# no support: the window [-8, 8] of the log variable
+UNBOUNDED_LOG_RADIUS = 8.0
 
-def _search_window(f: Signal, delta: float) -> tuple:
-    if f.log_support_radius is not None:
-        r = f.log_support_radius + delta
-        return (-r, r)
-    return (-8.0, 8.0)
+# the log_modulus sweep: anchors over the window, offsets in [-delta, delta]
+_ANCHORS = 513
+_OFFSETS = 65
 
 
-def log_modulus(f: Signal, delta: float, window: Optional[tuple] = None,
-                anchors: int = 513, offsets: int = 65) -> float:
+def log_modulus(f: Signal, delta: float) -> float:
     """Lower-bound estimate of sup |f(x) - f(y)| over |ln x - ln y| <= delta.
 
-    Anchor points on a log grid, offset sweep in [-delta, delta], then one
-    local refinement pass around the best pair.  Each pass is one signal
-    evaluation over an (offset x anchor) array; the best pair is the first
-    anchor of the first offset row whose largest difference is the
-    largest.
+    Anchor points on a log grid over the support widened by delta (the
+    window [-8, 8] when f declares no support), offset sweep in
+    [-delta, delta], then one local refinement pass around the best pair.
+    Each pass is one signal evaluation over an (offset x anchor) array;
+    the best pair is the first anchor of the first offset row whose
+    largest difference is the largest.
     """
     if delta <= 0:
         raise ValidationError("log_modulus needs delta > 0")
-    if window is None:
-        window = _search_window(f, delta)
-    if window[1] <= window[0]:
-        raise ValidationError("empty search window")
-    v = np.linspace(window[0], window[1], anchors)
-    h = np.linspace(-delta, delta, offsets)
+    r = (f.log_support_radius + delta if f.log_support_radius is not None
+         else UNBOUNDED_LOG_RADIUS)
+    v = np.linspace(-r, r, _ANCHORS)
+    h = np.linspace(-delta, delta, _OFFSETS)
     diff = np.abs(f.log_evaluate(v[None, :] + h[:, None]) - f.log_evaluate(v))
     rows = diff.max(axis=1)
     bj = int(np.argmax(rows))
     bi = int(np.argmax(diff[bj]))
     # local refinement around the best (anchor, offset) pair
-    dv = (window[1] - window[0]) / (anchors - 1)
+    dv = 2.0 * r / (_ANCHORS - 1)
     v2 = np.linspace(v[bi] - dv, v[bi] + dv, 41)
-    dh = 2.0 * delta / (offsets - 1)
+    dh = 2.0 * delta / (_OFFSETS - 1)
     h2 = np.clip(np.linspace(h[bj] - dh, h[bj] + dh, 21), -delta, delta)
     diff2 = np.abs(f.log_evaluate(v2[None, :] + h2[:, None])
                    - f.log_evaluate(v2))

@@ -269,9 +269,6 @@ class GridFunction:
         return np.interp(np.asarray(vq, dtype=float), self.v, self.values,
                          left=0.0, right=0.0)
 
-    def evaluate(self, x) -> np.ndarray:
-        return self.log_evaluate(np.log(np.asarray(x, dtype=float)))
-
 
 def eval_on_log_grid(f: Signal, w: float, kernel: NonlinearKernel,
                      scheme: SamplingScheme) -> GridFunction:

@@ -68,6 +68,18 @@ class TestSamplingScheme:
             with pytest.raises(ValidationError):
                 SamplingScheme.tabulated([0.0, 1.0], period=bad)
 
+    @pytest.mark.parametrize("base, period", [
+        ([0.0], 1.0), ((0.5, 0.2), 1.0), ((0.3, 0.3), 1.0), ((), 1.0),
+        ((0,), 1.0), ((0.0, 0.4), 0.4), ((0.0,), 0.0), ((math.nan,), 1.0),
+        ((0.0, math.inf), 1.0), ((0.0,), math.inf)],
+        ids=["list", "decreasing", "repeated", "empty", "int", "short",
+             "zero-period", "nan-base", "inf-base", "inf-period"])
+    def test_direct_construction_is_checked(self, base, period):
+        # the pair is checked where it is built, whether or not through
+        # uniform or tabulated
+        with pytest.raises(ValidationError):
+            SamplingScheme(base, period)
+
     @settings(max_examples=200, deadline=None)
     @given(step=st.floats(0.01, 100.0), offset=st.floats(-100.0, 100.0))
     def test_uniform_is_a_one_point_base(self, step, offset):

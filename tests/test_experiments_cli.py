@@ -81,17 +81,14 @@ SCHEMA = {
     "converge_uniform": ({"kernel", "signal", "w_list"}, {"scheme", "grid"}),
     "converge_pointwise": ({"kernel", "signal", "w_list", "x"}, {"scheme"}),
     "quantitative_3_2": ({"kernel", "signal", "w_list", "beta"},
-                         {"scheme", "grid", "j", "slack"}),
-    "voronovskaja": ({"kernel", "signal", "w_list", "x", "r"},
-                     {"scheme", "slack"}),
+                         {"scheme", "grid", "j"}),
+    "voronovskaja": ({"kernel", "signal", "w_list", "x", "r"}, {"scheme"}),
     "modular_convergence": ({"kernel", "signal", "w_list"},
-                            {"scheme", "phi", "lambda", "threshold",
-                             "n_points"}),
+                            {"scheme", "phi", "lambda", "threshold"}),
     "modular_inequality": ({"kernel", "w_list"},
                            {"scheme", "pair", "seeds", "lambda"}),
     "quantitative_5_1": ({"kernel", "signal", "w_list", "gamma"},
-                         {"scheme", "pair", "lambda0", "lambda", "slack",
-                          "n_points"}),
+                         {"scheme", "pair", "lambda0", "lambda"}),
     "audit_kernel": ({"kernel", "w_list"},
                      {"scheme", "j", "beta", "r", "gamma", "e31_gamma",
                       "pair"}),
@@ -120,6 +117,34 @@ def test_config_schema(name):
             experiments.validate_config(cfg)
     with pytest.raises(ValidationError, match="unknown keys in config"):
         experiments.validate_config({**full, "extra": 1})
+
+
+# (experiment, key): the verdict slacks, the modular resolution and the
+# grid spacing are module constants, not config keys
+FIXED_SETTINGS = [
+    ("quantitative_3_2", "slack"), ("voronovskaja", "slack"),
+    ("quantitative_5_1", "slack"), ("modular_convergence", "n_points"),
+    ("quantitative_5_1", "n_points"), ("converge_uniform", "grid.log"),
+    ("quantitative_3_2", "grid.log"),
+]
+
+
+@pytest.mark.parametrize("name, key", FIXED_SETTINGS)
+def test_fixed_settings_exit_3(name, key, tmp_path, capsys):
+    required, optional = SCHEMA[name]
+    cfg = {k: v for k, v in base_config(
+        experiment=name, signal={"name": "cc_bump"}, x=1.0, r=1.0, beta=1.0,
+        gamma=0.5).items() if k in required | optional | {"experiment"}}
+    if key == "grid.log":
+        cfg["grid"] = {"lo": 0.5, "hi": 2.0, "log": True}
+        message = "unknown keys in grid: ['log']"
+    else:
+        cfg[key] = 1024
+        message = f"unknown keys in config: ['{key}']"
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert cli.main(["run", str(cfg_path)]) == cli.EXIT_VALIDATION
+    assert message in capsys.readouterr().err
 
 
 class TestRateFit:

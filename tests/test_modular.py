@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from expkant import experiments, modular, signals
+from expkant import experiments, modular, moduli, signals
 from expkant.core import (NonlinearKernel, SamplingScheme, ValidationError,
                           make_builtin_profile, make_response)
 
@@ -90,16 +90,17 @@ class TestModularFunctional:
 
 class TestAdaptiveIntegral:
     def test_unconverged_integral_is_flagged(self, caplog):
-        # the jumps of 1_{[1,e]} at v = 0 and v = 1 never fall on a panel
-        # edge of (-1, 2), so the doubling stops at its cap
-        f = indicator(1.0, math.e)
+        # 1_{[1, e^0.3]} is integrated over its support [-1, 1]; its jump
+        # at v = 0.3 never falls on a panel edge -1 + 2i/N (N a power of
+        # 2), so the doubling stops at its cap
+        f = indicator(1.0, math.exp(0.3))
+        assert f.log_support_radius == 1.0
         with caplog.at_level(logging.DEBUG, logger="expkant.modular"):
-            got = modular.modular(modular.phi_power(1.0), f, 1.0,
-                                  window=(-1.0, 2.0))
+            got = modular.modular(modular.phi_power(1.0), f, 1.0)
         assert not got.converged
-        assert got.value == pytest.approx(1.0, abs=1e-3)
+        assert got.value == pytest.approx(0.3, abs=1e-3)
         assert got.to_dict()["converged"] is False
-        assert any("unconverged on [-1, 2] at 4096 panels" in r.getMessage()
+        assert any("unconverged on [-1, 1] at 4096 panels" in r.getMessage()
                    for r in caplog.records)
 
     def test_converged_integral_is_not_flagged(self, caplog):
@@ -111,10 +112,11 @@ class TestAdaptiveIntegral:
 
 
 class _Recording:
-    """A log-evaluable function that records the abscissae it is given."""
+    """A log-evaluable signal that records the abscissae it is given."""
 
     def __init__(self, f):
         self.f, self.calls = f, []
+        self.log_support_radius = f.log_support_radius
 
     def log_evaluate(self, v):
         self.calls.append(np.array(v, copy=True))
@@ -123,22 +125,28 @@ class _Recording:
 
 class TestModularError:
     def test_coarse_points_are_the_even_fine_points(self):
-        # integrand v^2: the trapezoid values differ by O(h^2)
-        f = _Recording(signals.clipped_log())
-        g = _Recording(signals.constant(0.0))
+        # integrand v^2 over the common support [-2, 2]: the trapezoid
+        # values differ by O(h^2)
+        from expkant.core import Signal
+        support = math.exp(2.0)
+        f = _Recording(Signal("ramp", lambda v: np.where(np.abs(v) <= 2.0,
+                                                          v, 0.0),
+                              support=support))
+        g = _Recording(Signal("zero", lambda v: 0.0 * v, support=support))
         phi = modular.phi_power(2.0)
-        got = modular.modular_error(phi, f, g, 1.0, window=(-1.0, 2.0),
-                                    n_points=101)
-        # one evaluation of each function on 2 n_points - 1 points
+        got = modular.modular_error(phi, f, g, 1.0)
+        # one evaluation of each function on 2 MODULAR_POINTS - 1 points
         assert len(f.calls) == len(g.calls) == 1
         v = f.calls[0]
-        assert v.size == 201 and np.array_equal(v, g.calls[0])
+        assert v.size == 2 * modular.MODULAR_POINTS - 1
+        assert np.array_equal(v, g.calls[0])
+        assert (v[0], v[-1]) == (-f.log_support_radius, f.log_support_radius)
         vals = phi(np.abs(g.f.log_evaluate(v) - f.f.log_evaluate(v)))
         fine = np.trapezoid(vals, dx=v[1] - v[0])
         coarse = np.trapezoid(vals[::2], dx=2.0 * (v[1] - v[0]))
         assert got.value == pytest.approx(fine, rel=1e-14)
-        assert got.value == pytest.approx(3.0, rel=1e-4)
-        assert got.quadrature_error > 1e-5
+        assert got.value == pytest.approx(16.0 / 3.0, rel=1e-6)
+        assert got.quadrature_error > 1e-8
         assert got.quadrature_error == pytest.approx(abs(fine - coarse),
                                                      rel=1e-12)
 
@@ -247,10 +255,12 @@ class TestLogSmoothness:
         assert curve.is_zero and curve.fitted_order is None
 
 
-def smoothness_reference(phi, f, lam, delta, t_points=17, n_points=8192):
-    """One grid of n_points per shift, the shifted signal evaluated anew."""
-    r = f.log_support_radius if f.log_support_radius is not None else 8.0
-    v = np.linspace(-(r + delta), r + delta, n_points)
+def smoothness_reference(phi, f, lam, delta, t_points=17):
+    """One grid of MODULAR_POINTS per shift, the shifted signal evaluated
+    anew."""
+    r = (f.log_support_radius if f.log_support_radius is not None
+         else moduli.UNBOUNDED_LOG_RADIUS)
+    v = np.linspace(-(r + delta), r + delta, modular.MODULAR_POINTS)
     fv = f.log_evaluate(v)
     best = 0.0
     for h in np.linspace(-delta, delta, t_points):
@@ -280,8 +290,8 @@ def test_log_smoothness_matches_the_per_shift_loop(f, rel, delta):
 @pytest.mark.parametrize("t_points", [2, 3, 16, 17])
 @pytest.mark.parametrize("delta", DELTAS)
 def test_shift_grid_holds_every_shift(t_points, delta):
-    r, n_points = 2.0, 8192
-    step, shifts = modular._shift_grid(r, delta, t_points, n_points)
+    r, n_points = 2.0, modular.MODULAR_POINTS
+    step, shifts = modular._shift_grid(r, delta, t_points)
     assert step <= 2.0 * (r + delta) / (n_points - 1)
     np.testing.assert_allclose(step * shifts,
                                np.linspace(-delta, delta, t_points),

@@ -2,6 +2,7 @@
 
 import math
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,12 +18,12 @@ class TestLogModulus:
         # |ln x - ln y| <= delta attains delta for the log signal
         f = signals.clipped_log()
         for delta in (0.01, 0.1, 0.5):
-            assert moduli.log_modulus(f, delta, window=(-2, 2)) == \
+            assert moduli.log_modulus(f, delta) == \
                 pytest.approx(delta, rel=1e-6)
 
     def test_constant_modulus_is_zero(self):
         f = signals.constant(3.0)
-        assert moduli.log_modulus(f, 0.25, window=(-4, 4)) == 0.0
+        assert moduli.log_modulus(f, 0.25) == 0.0
 
     def test_holder_bump_exact(self):
         # piecewise (delta/R)^nu modulus by construction
@@ -42,13 +43,22 @@ class TestLogModulus:
     def test_validation(self):
         with pytest.raises(ValidationError):
             moduli.log_modulus(signals.constant(1.0), 0.0)
-        with pytest.raises(ValidationError):
-            moduli.log_modulus(signals.constant(1.0), 0.1, window=(1.0, -1.0))
 
 
-def _log_modulus_by_rows(f, delta, window, anchors=513, offsets=65):
+def _search_window(f, delta):
+    """The window log_modulus sweeps: the support widened by delta, or
+    [-8, 8] without a support."""
+    if f.log_support_radius is None:
+        return (-moduli.UNBOUNDED_LOG_RADIUS, moduli.UNBOUNDED_LOG_RADIUS)
+    r = f.log_support_radius + delta
+    return (-r, r)
+
+
+def _log_modulus_by_rows(f, delta, anchors=moduli._ANCHORS,
+                         offsets=moduli._OFFSETS):
     """log_modulus as one signal evaluation per offset, the best pair taken
     by the first strictly larger row maximum."""
+    window = _search_window(f, delta)
     v = np.linspace(window[0], window[1], anchors)
     h = np.linspace(-delta, delta, offsets)
     fv = f.log_evaluate(v)
@@ -76,29 +86,30 @@ def test_two_dimensional_sweep_matches_rows(f):
     # one (offset x anchor) evaluation per pass picks the same pair, so the
     # values are the same floats
     for delta in (0.5, 1.0 / 32.0, 1.0 / 256.0, 0.0123):
-        window = moduli._search_window(f, delta)
-        assert moduli.log_modulus(f, delta) == \
-            _log_modulus_by_rows(f, delta, window)
+        assert moduli.log_modulus(f, delta) == _log_modulus_by_rows(f, delta)
 
 
 @settings(max_examples=60, deadline=None)
 @given(ys=st.lists(st.integers(-3, 3), min_size=13, max_size=13),
        delta=st.sampled_from([0.2, 0.4, 0.5]))
 def test_two_dimensional_sweep_breaks_ties_like_rows(ys, delta):
-    # a coarse piecewise-linear signal on small grids: equal row maxima
-    # are common, and the refinement around each tied pair reads a
-    # different part of the signal
+    # a coarse piecewise-linear signal, 0 beyond |v| = 1.2, on small
+    # grids: equal row maxima are common, and the refinement around each
+    # tied pair reads a different part of the signal
     xs = np.linspace(-1.2, 1.2, 13)
-    f = Signal("pl", log_core=lambda v: np.interp(v, xs, np.asarray(ys, float)))
+    f = Signal("pl", log_core=lambda v: np.interp(v, xs, np.asarray(ys, float),
+                                                  left=0.0, right=0.0),
+               support=math.exp(1.2))
     for anchors, offsets in ((9, 5), (5, 3)):
-        assert moduli.log_modulus(f, delta, (-1.0, 1.0), anchors, offsets) == \
-            _log_modulus_by_rows(f, delta, (-1.0, 1.0), anchors, offsets)
+        with mock.patch.multiple(moduli, _ANCHORS=anchors, _OFFSETS=offsets):
+            got = moduli.log_modulus(f, delta)
+        assert got == _log_modulus_by_rows(f, delta, anchors, offsets)
 
 
-def modulus_points(f, deltas, **kwargs):
+def modulus_points(f, deltas):
     """The log moduli of f at deltas, as the (deltas, values, is_zero)
     curve that holder_fit reads."""
-    values = [moduli.log_modulus(f, d, **kwargs) for d in deltas]
+    values = [moduli.log_modulus(f, d) for d in deltas]
     return SimpleNamespace(
         deltas=tuple(deltas), values=tuple(values),
         is_zero=all(v < moduli.ZERO_MODULUS for v in values))
@@ -113,7 +124,7 @@ class TestCurveAndFit:
 
     def test_lipschitz_order_clipped_to_one(self):
         curve = modulus_points(signals.clipped_log(),
-                               np.geomspace(1e-3, 0.2, 7), window=(-2, 2))
+                               np.geomspace(1e-3, 0.2, 7))
         assert moduli.holder_fit(curve) == pytest.approx(1.0, abs=1e-6)
 
     def test_zero_marker(self):
