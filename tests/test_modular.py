@@ -9,16 +9,14 @@ import numpy as np
 import pytest
 
 from expkant import experiments, modular, moduli, signals
-from expkant.core import (NonlinearKernel, SamplingScheme, ValidationError,
-                          make_builtin_profile, make_response)
+from expkant.core import (NonlinearKernel, SamplingScheme, Signal,
+                          ValidationError, make_builtin_profile, make_response)
 
 UNIT = SamplingScheme.uniform()
 
 
 def indicator(lo: float, hi: float, height: float = 1.0):
     """height * 1_{[lo, hi]} as a Signal (multiplicative interval)."""
-    from expkant.core import Signal
-
     v_lo, v_hi = math.log(lo), math.log(hi)
 
     def core(v):
@@ -69,7 +67,6 @@ class TestModularFunctional:
         assert mid <= avg + 1e-9
 
     def test_unbounded_support_converges(self):
-        from expkant.core import Signal
         f = Signal("laplace_log", lambda v: np.exp(-np.abs(v)),
                    sup_norm=1.0)
         got = modular.modular(modular.phi_power(2.0), f, 1.0)
@@ -127,7 +124,6 @@ class TestModularError:
     def test_coarse_points_are_the_even_fine_points(self):
         # integrand v^2 over the common support [-2, 2]: the trapezoid
         # values differ by O(h^2)
-        from expkant.core import Signal
         support = math.exp(2.0)
         f = _Recording(Signal("ramp", lambda v: np.where(np.abs(v) <= 2.0,
                                                           v, 0.0),
