@@ -340,6 +340,11 @@ class Signal:
     ``spread`` optionally declares a bound on sup f - inf f, the widest gap
     between two values (and so between two cell means); an undeclared
     spread is read as 2 ``sup_norm``.
+
+    Construction checks the metadata, since every bound built on it trusts
+    it: ``support`` r is None or finite with r > 1, ``sup_norm`` and
+    ``spread`` are None or finite and >= 0, and ``holder`` is None or
+    (nu, C) with 0 < nu <= 1 and C None or finite and >= 0.
     """
 
     name: str
@@ -350,6 +355,28 @@ class Signal:
     mellin_derivative: Optional[Callable] = None  # theta f = x f'(x)
     log_mean: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     spread: Optional[float] = None               # >= sup f - inf f
+
+    def __post_init__(self):
+        def bad(what):
+            return ValidationError(f"signal {self.name!r}: {what}")
+
+        if self.support is not None and not 1.0 < self.support < math.inf:
+            raise bad(f"support must be finite and > 1 (got {self.support!r})")
+        for key in ("sup_norm", "spread"):
+            value = getattr(self, key)
+            if value is not None and not 0.0 <= value < math.inf:
+                raise bad(f"{key} must be finite and >= 0 (got {value!r})")
+        if self.holder is None:
+            return
+        try:
+            nu, const = self.holder
+            valid = 0.0 < nu <= 1.0 and (const is None
+                                         or 0.0 <= const < math.inf)
+        except (TypeError, ValueError):
+            valid = False
+        if not valid:
+            raise bad("holder must be (nu, C) with 0 < nu <= 1 and C None "
+                      f"or finite and >= 0 (got {self.holder!r})")
 
     def evaluate(self, x) -> np.ndarray:
         # ln 0 = -inf is a legitimate query point

@@ -55,6 +55,10 @@ _PLAN_CACHE_SIZE = 64
 _PROBE_PHASES = 2048
 _REFINE_CALLS = 8
 _REFINE_POINTS = 33
+# The offsets 0, 1, ..., _REFINE_POINTS - 1 that every bracket scales
+# (_bracket), built once.
+_BRACKET_OFFSETS = np.arange(_REFINE_POINTS, dtype=float)
+_BRACKET_OFFSETS.setflags(write=False)
 # Phases of one period at which check_L3 takes each tail sup.
 _L3_PHASES = 128
 
@@ -372,23 +376,41 @@ def _phase_sums(profile: KernelProfile, scheme: SamplingScheme,
     return sums, sums if lower else None, zeros, outer
 
 
+def _bracket(lo: float, hi: float) -> np.ndarray:
+    """np.linspace(lo, hi, _REFINE_POINTS), bit for bit, without its
+    Python-level setup: numpy's own formula, the offsets times
+    (hi - lo)/(_REFINE_POINTS - 1) plus lo, with the last point set to hi.
+    A step that rounds to 0 takes numpy's denormal branch, so it is left to
+    np.linspace."""
+    step = (hi - lo) / (_REFINE_POINTS - 1)
+    if step == 0.0:
+        return np.linspace(lo, hi, _REFINE_POINTS)
+    ys = _BRACKET_OFFSETS * step
+    ys += lo
+    ys[-1] = hi
+    return ys
+
+
 def _refined_sup(fun, ys: np.ndarray, h: float,
-                 least: Optional[int] = None) -> tuple:
+                 least: Optional[int] = None, probe: Optional[tuple] = None
+                 ) -> tuple:
     """The sup over the phase of fun on the grid ys of spacing h, refined
     around the best phase.
 
     fun(ys) returns a tuple of arrays over ys, the first the values to
     maximise; the result is that tuple's entries at the best phase found.
-    Each of _REFINE_CALLS calls evaluates _REFINE_POINTS phases over +-1
-    spacing of the best phase so far, so the spacing shrinks 16-fold per
+    probe, when given, is fun(ys) already summed (discrete_moment reads it
+    off a denser grid), so the grid is not summed again.  Each of
+    _REFINE_CALLS calls evaluates _REFINE_POINTS phases over +-1 spacing of
+    the best phase so far (_bracket), so the spacing shrinks 16-fold per
     call and ends at h 16^-8 for grid spacing h, narrower than the bracket
     2 h 0.618^40 that 40 golden-section steps leave.  With least = i the
     same calls also refine the least value of entry i, each over the
     phases of both brackets, and the result is the pair (entries at the
     best phase, entries at the least)."""
     best = low = None
-    for _ in range(_REFINE_CALLS + 1):
-        out = fun(ys)
+    out = fun(ys) if probe is None else probe
+    for call in range(_REFINE_CALLS + 1):
         i = int(np.argmax(out[0]))
         if best is None or out[0][i] > best[0]:
             best, top = tuple(float(a[i]) for a in out), float(ys[i])
@@ -396,21 +418,52 @@ def _refined_sup(fun, ys: np.ndarray, h: float,
             i = int(np.argmin(out[least]))
             if low is None or out[least][i] < low[least]:
                 low, bottom = tuple(float(a[i]) for a in out), float(ys[i])
-        brackets = [np.linspace(c - h, c + h, _REFINE_POINTS)
-                    for c in ((top,) if least is None else (top, bottom))]
-        ys = np.concatenate(brackets)
-        h = float(brackets[0][1] - brackets[0][0])
+        if call == _REFINE_CALLS:
+            break
+        if least is None:
+            ys = _bracket(top - h, top + h)
+        else:
+            ys = np.concatenate([_bracket(top - h, top + h),
+                                 _bracket(bottom - h, bottom + h)])
+        h = float(ys[1] - ys[0])
+        out = fun(ys)
     return best if least is None else (best, low)
+
+
+def _check_compact_moment(profile: KernelProfile, scheme: SamplingScheme,
+                          beta: float) -> None:
+    """Raise ValidationError when a compact sweep's sums of order beta could
+    overflow.  Its pairs lie within R + upper_gap plus the phases' span of
+    each other (the window of _phase_sums), and the span is below one
+    period P, so |v| <= R + upper_gap + P; each phase sums at most the
+    nodes of one such window, each term L |v|^beta <= |v|^beta (a B-spline
+    is at most 1)."""
+    reach = profile.support_radius + scheme.upper_gap + scheme.period
+    k_lo, k_hi = scheme.index_range(-reach, scheme.period + reach)
+    try:
+        top = (k_hi - k_lo + 1) * reach ** beta
+    except OverflowError:
+        top = math.inf
+    if not math.isfinite(top):
+        raise ValidationError(
+            f"discrete_moment: |v|**beta overflows for beta={beta:g} on "
+            f"{profile.name}, whose sums reach |v| = {reach:g}")
 
 
 def discrete_moment(profile: KernelProfile, scheme: SamplingScheme,
                     beta: float) -> MomentReport:
     """Log-discrete absolute moment of order beta (w-independent in the
     phase variable), the sup of _phase_sums over _PROBE_PHASES phases of
-    one period, refined (_refined_sup); a compact profile adds a grid of
-    twice the density.  At beta = 0 the same calls refine the least lower
-    bound too (``least``), which partition_bounds reads.  Both ends are
-    sampled, not certified.
+    one period, refined (_refined_sup).  A compact profile sums a grid of
+    twice the density first and reads the probe's sums off its even
+    phases, which are the probe grid bit for bit, so its sup makes
+    1 + _REFINE_CALLS profile sums.  At beta = 0 the same calls refine the
+    least lower bound too (``least``), which partition_bounds reads.  Both
+    ends are sampled, not certified.
+
+    A negative or NaN beta raises ValidationError, and so does a compact
+    profile's order beta for which |v|^beta could overflow over the pairs
+    its sweep forms (_check_compact_moment), before any sum.
 
     The Fejer profile's moments of order beta >= 1 are flagged divergent
     immediately: its weighted terms decay like |v|^(beta - 2), which is
@@ -418,8 +471,8 @@ def discrete_moment(profile: KernelProfile, scheme: SamplingScheme,
     up to 2 pi; every other moment of it adds the closed-form lattice
     tails (_lattice_tails) to the nodes summed directly.
     """
-    if beta < 0:
-        raise ValidationError("discrete_moment needs beta >= 0")
+    if not beta >= 0.0:
+        raise ValidationError(f"discrete_moment needs beta >= 0 (got {beta:g})")
     period = scheme.period
     m0 = _exact_partition(profile, scheme) if beta == 0.0 else None
     if m0 is not None:
@@ -441,22 +494,28 @@ def discrete_moment(profile: KernelProfile, scheme: SamplingScheme,
                                          lower=lower)
         return (upper, rem, low) if lower else (upper, rem)
 
-    ys = np.linspace(0.0, period, _PROBE_PHASES, endpoint=False)
     h = period / _PROBE_PHASES
-    best, low = (_refined_sup(sums, ys, h, least=2) if lower
-                 else (_refined_sup(sums, ys, h), None))
-    value = best[0]
-    least = None if low is None else low[2]
     if not profile.is_compact:
+        ys = np.linspace(0.0, period, _PROBE_PHASES, endpoint=False)
+        probe = None
         half = _lattice_plan(period).depth * period
     else:
-        # and a grid of twice the density, for a peak the first one missed
-        dense = sums(np.linspace(0.0, period, 2 * _PROBE_PHASES,
-                                 endpoint=False))
-        value = max(value, float(dense[0].max()))
-        least = None if least is None else min(least, float(dense[2].min()))
+        _check_compact_moment(profile, scheme, beta)
+        # a grid of twice the density, for a peak the probe missed; its
+        # even phases are the probe grid bit for bit (its step is exactly
+        # half the probe's), so they give the probe's sums
+        dense_ys = np.linspace(0.0, period, 2 * _PROBE_PHASES, endpoint=False)
+        dense = sums(dense_ys)
+        ys, probe = dense_ys[::2], tuple(a[::2] for a in dense)
         desc += f", and {2 * _PROBE_PHASES} phase points"
         half = profile.support_radius + scheme.upper_gap
+    best, low = (_refined_sup(sums, ys, h, least=2, probe=probe) if lower
+                 else (_refined_sup(sums, ys, h, probe=probe), None))
+    value = best[0]
+    least = None if low is None else low[2]
+    if profile.is_compact:
+        value = max(value, float(dense[0].max()))
+        least = None if least is None else min(least, float(dense[2].min()))
     return MomentReport(beta, value, desc, False, half, best[1], least=least)
 
 

@@ -393,7 +393,9 @@ def random_bump(seed: int) -> Signal:
 
     Its cell means sum the parts' bump_integral terms at a - c_i and
     b - c_i, within the cc_bump bound of each part but its eps |mean|
-    + 2^-1074, which the sum adds once."""
+    + 2^-1074, which the sum adds once.  The seed must be >= 0."""
+    if seed < 0:
+        raise ValidationError(f"random_bump needs a seed >= 0 (got {seed})")
     rng = np.random.default_rng(seed)
     n = int(rng.integers(1, 4))
     heights = rng.uniform(-2.0, 2.0, size=n)

@@ -412,6 +412,32 @@ class TestSignals:
             np.testing.assert_allclose(signals.random_bump(seed)(x), want,
                                        rtol=0, atol=1e-14)
 
+    @pytest.mark.parametrize("meta", [
+        {"support": 0.5}, {"support": 1.0}, {"support": math.nan},
+        {"support": math.inf}, {"sup_norm": -1.0}, {"sup_norm": math.inf},
+        {"spread": -0.5}, {"spread": math.nan}, {"holder": (0.0, 1.0)},
+        {"holder": (1.5, 1.0)}, {"holder": (1.0, -1.0)},
+        {"holder": (0.5, math.inf)}, {"holder": (1.0,)}, {"holder": "x"}],
+        ids=lambda m: "-".join(f"{k}={v!r}" for k, v in m.items()))
+    def test_signal_refuses_bad_metadata(self, meta):
+        # with support 0.5, modular(phi_power(1), f, 1) read -1.386
+        with pytest.raises(ValidationError):
+            core.Signal("bad", log_core=np.cos, **meta)
+
+    def test_signal_accepts_declared_metadata(self):
+        f = core.Signal("ok", log_core=np.cos, sup_norm=0.0, spread=0.0,
+                        support=1.5, holder=(1.0, None))
+        assert f.holder == (1.0, None)
+        assert core.Signal("ok", np.cos, holder=(0.25, 0.0)).holder[0] == 0.25
+        for f in self.LOG_NATIVE:
+            assert f.dilate(2.0).support == (
+                None if f.support is None else pytest.approx(
+                    f.support * 2.0))
+
+    def test_random_bump_refuses_a_negative_seed(self):
+        with pytest.raises(ValidationError, match="seed"):
+            signals.random_bump(-229)
+
     def test_signal_needs_a_definition(self):
         # the log core is a required field
         with pytest.raises(TypeError):

@@ -475,6 +475,26 @@ class TestCli:
         assert doc["value"] is None
         assert doc["diverged"] is True
 
+    @pytest.mark.parametrize("cfg, message", [
+        # value null, diverged false, passed true and exit 0 before
+        ({"experiment": "moments", "profile": {"name": "bspline", "n": 3},
+          "betas": [0.0, 1e6]}, "overflows"),
+        # value NaN, passed true and exit 0 before
+        ({"experiment": "moments", "profile": {"name": "mellin_fejer"},
+          "betas": [math.nan]}, "beta >= 0"),
+        # numpy's ValueError and exit 1 before
+        ({"experiment": "modular_inequality",
+          "kernel": {"profile": {"name": "bspline", "n": 2}},
+          "w_list": [4, 8, 16, 32], "seeds": [-229, 323]}, "seed >= 0"),
+    ], ids=["moment-overflow", "moment-nan", "negative-seed"])
+    def test_run_out_of_range_exit_3(self, tmp_path, cfg, message):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        proc = run_cli(["run", str(cfg_path)])
+        assert proc.returncode == cli.EXIT_VALIDATION, proc.stderr
+        assert proc.stderr.startswith("error:") and message in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_run_bad_bspline_order_exit_3(self, tmp_path):
         cfg = base_config(kernel={"profile": {"name": "bspline", "n": "x"}})
         cfg_path = tmp_path / "cfg.json"

@@ -104,6 +104,49 @@ def per_phase_L3(profile, scheme, r, gamma, w_list):
     return sups, [0.0] * len(sups)
 
 
+def parent_refined_sup(fun, ys, h, least=None):
+    """moments._refined_sup before brackets were built without np.linspace
+    and before it took the probe's sums from a caller."""
+    best = low = None
+    for _ in range(moments._REFINE_CALLS + 1):
+        out = fun(ys)
+        i = int(np.argmax(out[0]))
+        if best is None or out[0][i] > best[0]:
+            best, top = tuple(float(a[i]) for a in out), float(ys[i])
+        if least is not None:
+            i = int(np.argmin(out[least]))
+            if low is None or out[least][i] < low[least]:
+                low, bottom = tuple(float(a[i]) for a in out), float(ys[i])
+        brackets = [np.linspace(c - h, c + h, moments._REFINE_POINTS)
+                    for c in ((top,) if least is None else (top, bottom))]
+        ys = np.concatenate(brackets)
+        h = float(brackets[0][1] - brackets[0][0])
+    return best if least is None else (best, low)
+
+
+def parent_compact_moment(profile, scheme, beta):
+    """(value, least, remainder) of discrete_moment's compact sweep before
+    the dense grid supplied the probe: the probe grid summed and refined
+    (parent_refined_sup), then the grid of twice its density summed on its
+    own."""
+    lower = beta == 0.0
+
+    def sums(ys):
+        upper, low, rem, _ = moments._phase_sums(profile, scheme, ys, beta,
+                                                 lower=lower)
+        return (upper, rem, low) if lower else (upper, rem)
+
+    period, probe = scheme.period, moments._PROBE_PHASES
+    ys = np.linspace(0.0, period, probe, endpoint=False)
+    best, low = (parent_refined_sup(sums, ys, period / probe, least=2)
+                 if lower else
+                 (parent_refined_sup(sums, ys, period / probe), None))
+    dense = sums(np.linspace(0.0, period, 2 * probe, endpoint=False))
+    value = max(best[0], float(dense[0].max()))
+    least = None if low is None else min(low[2], float(dense[2].min()))
+    return value, least, best[1]
+
+
 class TestDiscreteMoment:
     def test_bspline_zero_moment_is_one(self):
         rep = moments.discrete_moment(BSPLINE, UNIT, 0.0)
@@ -147,6 +190,13 @@ class TestDiscreteMoment:
     def test_validation(self):
         with pytest.raises(ValidationError):
             moments.discrete_moment(BSPLINE, UNIT, -1.0)
+
+    @pytest.mark.parametrize("profile", [BSPLINE, FEJER],
+                             ids=["bspline", "fejer"])
+    def test_nan_order_is_refused(self, profile):
+        # a Fejer moment of order NaN read value nan, not diverged, before
+        with pytest.raises(ValidationError, match="beta >= 0"):
+            moments.discrete_moment(profile, UNIT, math.nan)
 
     def test_report_records_window_and_remainder(self, monkeypatch):
         rep = moments.discrete_moment(BSPLINE, UNIT, 1.0).to_dict()
@@ -209,6 +259,107 @@ class TestDiscreteMoment:
         assert sup <= fejer.value * (1.0 + 1e-12)
         assert fejer.value < envelope
         assert fejer.exact == (beta == 0.0)
+
+
+def bits(x):
+    """The bytes of a float or an array of them, so -0.0 != 0.0."""
+    return None if x is None else np.asarray(x, dtype=float).tobytes()
+
+
+@st.composite
+def moment_schemes(draw):
+    """A uniform scheme, or a tabulated one whose base points sit on 20ths
+    of the period."""
+    period = draw(st.floats(0.3, 3.0))
+    if draw(st.booleans()):
+        return SamplingScheme.uniform(period, draw(st.floats(-2.0, 2.0)))
+    ticks = draw(st.lists(st.integers(0, 19), min_size=2, max_size=4,
+                          unique=True))
+    return SamplingScheme.tabulated(
+        tuple(period * k / 20.0 for k in sorted(ticks)), period)
+
+
+class TestCompactSweep:
+    """The compact sweep reads its probe off the dense grid and builds its
+    brackets without np.linspace; both leave every report bit for bit as
+    the parent sweep's (parent_compact_moment)."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(2, 6), scheme=moment_schemes(),
+           beta=st.one_of(st.sampled_from([0.0, 0.5, 1.0, 2.0]),
+                          st.floats(0.0, 6.0)))
+    def test_matches_the_parent_sweep_bitwise(self, n, scheme, beta):
+        profile = make_builtin_profile("bspline", n)
+        rep = moments.discrete_moment(profile, scheme, beta)
+        value, least, remainder = parent_compact_moment(profile, scheme, beta)
+        assert bits(rep.value) == bits(value)
+        assert bits(rep.least) == bits(least)
+        assert bits(rep.remainder) == bits(remainder)
+
+    @pytest.mark.parametrize("beta, points", [(1.0, 33), (0.0, 66)])
+    def test_a_sup_makes_nine_sums(self, beta, points, monkeypatch):
+        # the dense grid, then 8 brackets (both ends of m0 at beta = 0)
+        sizes = []
+        orig = backend.profile_sum
+        monkeypatch.setattr(
+            backend, "profile_sum",
+            lambda p, y, *a, **k: sizes.append(np.size(y)) or orig(p, y, *a,
+                                                                   **k))
+        moments.discrete_moment(BSPLINE, UNIT, beta)
+        assert sizes == ([2 * moments._PROBE_PHASES]
+                         + [points] * moments._REFINE_CALLS)
+
+    @settings(max_examples=300, deadline=None)
+    @given(lo=st.floats(-1e300, 1e300), width=st.one_of(
+        st.just(0.0), st.just(5e-324), st.floats(0.0, 1e-300),
+        st.floats(0.0, 1e3)))
+    def test_bracket_is_linspace_bitwise(self, lo, width):
+        # a zero step (width 0, or a subnormal width over 32) is numpy's
+        # denormal branch
+        hi = lo + width
+        assert bits(moments._bracket(lo, hi)) == bits(
+            np.linspace(lo, hi, moments._REFINE_POINTS))
+
+    def test_bracket_offsets_are_read_only(self):
+        with pytest.raises(ValueError):
+            moments._BRACKET_OFFSETS[0] = 1.0
+        ys = moments._bracket(0.25, 0.75)
+        ys[0] = -1.0  # a bracket is a fresh array
+        assert moments._BRACKET_OFFSETS[0] == 0.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(period=st.floats(1e-300, 1e300))
+    def test_dense_grid_holds_the_probe_grid(self, period):
+        probe = moments._PROBE_PHASES
+        dense = np.linspace(0.0, period, 2 * probe, endpoint=False)
+        assert bits(dense[::2]) == bits(
+            np.linspace(0.0, period, probe, endpoint=False))
+
+    @pytest.mark.parametrize("n, beta", [(3, 1e6), (2, math.inf),
+                                         (2, 700.0)])
+    def test_overflowing_order_is_refused_before_any_sum(self, n, beta,
+                                                         monkeypatch):
+        # bspline(3) at beta = 1e6 read value inf, not diverged, before
+        def no_sum(*a, **k):
+            raise AssertionError("summed")
+
+        monkeypatch.setattr(backend, "profile_sum", no_sum)
+        with pytest.raises(ValidationError, match="overflows"):
+            moments.discrete_moment(make_builtin_profile("bspline", n), UNIT,
+                                    beta)
+
+    def test_largest_finite_order_stays_finite(self):
+        # reach R + upper_gap + P = 4 on the unit scheme for bspline(2): a
+        # beta just inside the check sums without overflow
+        profile = make_builtin_profile("bspline", 2)
+        reach = profile.support_radius + UNIT.upper_gap + UNIT.period
+        k_lo, k_hi = UNIT.index_range(-reach, UNIT.period + reach)
+        beta = math.floor(math.log(sys.float_info.max / (k_hi - k_lo + 1))
+                          / math.log(reach))
+        rep = moments.discrete_moment(profile, UNIT, float(beta))
+        assert math.isfinite(rep.value) and rep.value > 0.0
+        with pytest.raises(ValidationError):
+            moments.discrete_moment(profile, UNIT, float(beta + 1))
 
 
 class TestRefinedSup:
