@@ -11,13 +11,12 @@ from .core import (EvaluationError, ExpKantError, KernelProfile,
                    make_response)
 from .mellin import mellin_derivative, voronovskaja_experiment
 from .modular import (check_H, log_smoothness, make_phi, modular_error,
-                      modular_lipschitz_check, power_pair, smoothness_curve)
-from .moduli import holder_fit, log_modulus
+                      modular_lipschitz_check, power_pair)
+from .moduli import log_modulus
 from .moments import (check_chi4, check_chi4_star, check_e3_1, check_L3,
                       discrete_moment, moment_value, partition_bounds,
                       tail_sum)
-from .operator import (eval_generalized, eval_kantorovich, eval_on_log_grid,
-                       sup_error)
+from .operator import eval_kantorovich, eval_on_log_grid, sup_error
 from .ratefit import RateFit, fit_loglog
 from .signals import make_signal
 
@@ -29,11 +28,11 @@ __all__ = [
     "ResponseFamily", "SamplingScheme", "Signal", "SlopeFunction",
     "ValidationError", "backend", "check_H",
     "check_chi4", "check_chi4_star", "check_e3_1", "check_L3",
-    "difference_signal", "discrete_moment", "eval_generalized",
-    "eval_kantorovich", "eval_on_log_grid", "fit_loglog", "holder_fit",
-    "log_modulus", "log_smoothness", "make_builtin_profile", "make_phi",
-    "make_response", "make_signal", "mellin_derivative",
+    "difference_signal", "discrete_moment", "eval_kantorovich",
+    "eval_on_log_grid", "fit_loglog", "log_modulus", "log_smoothness",
+    "make_builtin_profile", "make_phi", "make_response", "make_signal",
+    "mellin_derivative",
     "modular_error", "modular_lipschitz_check", "moment_value",
-    "partition_bounds", "power_pair", "smoothness_curve", "sup_error",
+    "partition_bounds", "power_pair", "sup_error",
     "tail_sum", "voronovskaja_experiment",
 ]

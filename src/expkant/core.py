@@ -322,9 +322,8 @@ class Signal:
     ``log_mean(a, b)`` declares the cell mean
     ``(1/(b - a)) * int_a^b f(e^v) dv``, elementwise over arrays of cell
     edges a < b; ``operator.mean_values`` takes every Steklov mean from it,
-    and raises ValidationError for a signal that declares none (the sample
-    values of ``operator.eval_generalized`` need no means).  A user-built
-    signal with an antiderivative G declares
+    and raises ValidationError for a signal that declares none.  A
+    user-built signal with an antiderivative G declares
     ``log_mean=lambda a, b: (G(b) - G(a)) / (b - a)``.  A mean computed as an
     antiderivative difference ``(G(b) - G(a)) / (b - a)`` is off by at most
     ``4 eps max(|G(a)|, |G(b)|) / (b - a) + eps |mean|`` (eps the double

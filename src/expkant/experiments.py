@@ -44,10 +44,17 @@ def _require_dict(value, where: str) -> dict:
 
 
 def _number(value, where: str) -> float:
-    """A number: an int or a float, not a bool."""
+    """A finite number: an int or a float, not a bool, NaN or +-inf (which
+    JSON text such as 1e400, Infinity or NaN reads as)."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValidationError(f"{where} must be a number (got {value!r})")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an int beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ValidationError(f"{where} must be finite (got {value!r})")
+    return number
 
 
 def _integer(value, where: str) -> int:

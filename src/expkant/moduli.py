@@ -1,5 +1,5 @@
 """Log-modulus of continuity: grid-based sup estimation over pairs with
-|ln x - ln y| <= delta, plus the log-Holder order fit.
+|ln x - ln y| <= delta.
 
 Estimates are lower bounds of the true sup (the acceptance signals have
 analytically known moduli, so the bias is measurable); refining the search
@@ -8,14 +8,9 @@ grid never decreases the value.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from .core import Signal, ValidationError
-from .ratefit import fit_loglog
-
-ZERO_MODULUS = 1e-14
 
 # the log radius searched and integrated over for a signal that declares
 # no support: the window [-8, 8] of the log variable
@@ -54,15 +49,3 @@ def log_modulus(f: Signal, delta: float) -> float:
     diff2 = np.abs(f.log_evaluate(v2[None, :] + h2[:, None])
                    - f.log_evaluate(v2))
     return max(float(rows[bj]), float(diff2.max()))
-
-
-def holder_fit(curve) -> Optional[float]:
-    """Log-Holder order: log-log slope of a curve of moduli at deltas
-    (deltas, values, is_zero; modular.SmoothnessCurve), clipped to (0, 1].
-    None marks the zero-modulus case."""
-    if curve.is_zero:
-        return None
-    fit = fit_loglog(1.0 / np.asarray(curve.deltas), np.asarray(curve.values))
-    if fit is None:
-        return None
-    return float(min(1.0, max(1e-12, -fit.slope)))

@@ -1,5 +1,5 @@
-"""Evaluation of the Kantorovich-type series K_w f and the sample-value
-baseline S_w f by truncated summation with a certified truncation bound.
+"""Evaluation of the exponential Kantorovich series K_w f by truncated
+summation with a certified truncation bound.
 
 With y := w ln x the series reads sum_k L(y - t_k) * g_w(m_k) where
 m_k = (w / Delta_k) * integral of f(e^u) over [t_k/w, t_{k+1}/w].
@@ -162,30 +162,17 @@ def _runs(ys: np.ndarray, half: float, support, scheme: SamplingScheme):
     return runs, empty
 
 
-def _coefficients(f: Signal, k_lo: int, k_hi: int, w: float,
-                  scheme: SamplingScheme, means: bool):
-    """Steklov means, or with means False the sample values f(e^{t_k/w})."""
-    if means:
-        return mean_values(f, k_lo, k_hi, w, scheme)
-    samples = f.log_evaluate(scheme.nodes(k_lo, k_hi) / w)
-    if not np.all(np.isfinite(samples)):
-        bad = k_lo + int(np.argmax(~np.isfinite(samples)))
-        raise EvaluationError(f"non-finite sample value at k={bad}")
-    return samples
-
-
 def _series(f: Signal, w: float, ys: np.ndarray, kernel: NonlinearKernel,
-            scheme: SamplingScheme, means: bool):
-    """(values, bound): sum_k L(y - t_k) g_w(c_k) at every phase y of ys
-    over the nodes retained for any of them, with c_k the Steklov means
-    (means True) or the sample values (means False), and the certified
-    truncation bound of each value (_retained_half_width).  With means, a
-    signal that declares none raises ValidationError before any window is
-    formed, at every point alike.
+            scheme: SamplingScheme):
+    """(values, bound): sum_k L(y - t_k) g_w(m_k) at every phase y of ys
+    over the nodes retained for any of them, with m_k the Steklov means,
+    and the certified truncation bound of each value
+    (_retained_half_width).  A signal that declares no means raises
+    ValidationError before any window is formed, at every point alike.
 
     The retained half-width is fixed once per call; the windows around the
-    phases merge into runs of indices, the coefficients are computed once
-    per run, the response applied once and the profile summed once over
+    phases merge into runs of indices, the means are computed once per
+    run, the response applied once and the profile summed once over
     every phase.  A heavy-tailed window writes one debug line with its
     half-width, the nodes retained and the bound.  A node inside another
     phase's window only adds a term the truncation bound already covers
@@ -197,8 +184,7 @@ def _series(f: Signal, w: float, ys: np.ndarray, kernel: NonlinearKernel,
     Horner steps per phase.  Every other profile and scheme goes through
     backend.profile_sum."""
     half, support, bound = _retained_half_width(f, w, kernel, scheme, ys)
-    if means:
-        _require_means(f)
+    _require_means(f)
     runs, empty = _runs(ys, half, support, scheme)
     if support is None and not kernel.profile.is_compact:
         _log.debug("heavy-tailed window: half-width %g, %d nodes retained, "
@@ -209,8 +195,8 @@ def _series(f: Signal, w: float, ys: np.ndarray, kernel: NonlinearKernel,
             "empty retained index set: no node within the profile's reach")
     if not runs:
         return np.zeros(ys.shape), bound  # every term vanishes
-    # the nodes only after the coefficients, and no copy of a lone run
-    c = [_coefficients(f, k_lo, k_hi, w, scheme, means) for k_lo, k_hi in runs]
+    # the nodes only after the means, and no copy of a lone run
+    c = [mean_values(f, k_lo, k_hi, w, scheme) for k_lo, k_hi in runs]
     g = kernel.response(w, c[0] if len(c) == 1 else np.concatenate(c))
     t = [scheme.nodes(k_lo, k_hi) for k_lo, k_hi in runs]
     t = t[0] if len(t) == 1 else np.concatenate(t)
@@ -230,19 +216,8 @@ def eval_kantorovich(f: Signal, w: float, x: float, kernel: NonlinearKernel,
     """(K_w f)(x) by truncated summation; returns (value, truncation_bound)."""
     if w <= 0 or x <= 0:
         raise ValidationError("eval_kantorovich needs w > 0 and x > 0")
-    values, bound = _series(f, w, np.array([w * math.log(x)]), kernel, scheme,
-                            True)
+    values, bound = _series(f, w, np.array([w * math.log(x)]), kernel, scheme)
     return float(values[0]), bound
-
-
-def eval_generalized(f: Signal, w: float, x: float, kernel: NonlinearKernel,
-                     scheme: SamplingScheme) -> float:
-    """(S_w f)(x): sample values f(e^{t_k/w}) instead of Steklov means."""
-    if w <= 0 or x <= 0:
-        raise ValidationError("eval_generalized needs w > 0 and x > 0")
-    values, _ = _series(f, w, np.array([w * math.log(x)]), kernel, scheme,
-                        False)
-    return float(values[0])
 
 
 def sup_error(f: Signal, w: float, grid, kernel: NonlinearKernel,
@@ -253,7 +228,7 @@ def sup_error(f: Signal, w: float, grid, kernel: NonlinearKernel,
         raise ValidationError("sup_error needs a non-empty grid")
     if np.any(grid <= 0):
         raise ValidationError("sup_error grid must be positive")
-    values, _ = _series(f, w, w * np.log(grid), kernel, scheme, True)
+    values, _ = _series(f, w, w * np.log(grid), kernel, scheme)
     return float(np.max(np.abs(values - f(grid))))
 
 
@@ -285,5 +260,5 @@ def eval_on_log_grid(f: Signal, w: float, kernel: NonlinearKernel,
     half = (f.log_support_radius
             + (kernel.profile.support_radius + scheme.upper_gap) / w + 0.25)
     v = np.linspace(-half, half, _GRID_POINTS)
-    values, _ = _series(f, w, w * v, kernel, scheme, True)
+    values, _ = _series(f, w, w * v, kernel, scheme)
     return GridFunction(v, values)

@@ -50,11 +50,29 @@ def constant(c: float) -> Signal:
     )
 
 
+def _exp_param(x: float, what: str) -> float:
+    """math.exp(x) of a builder's parameters; ValidationError naming them
+    where it overflows."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        raise ValidationError(f"{what} is too large: e^{x:g} overflows") \
+            from None
+
+
+def _saturation_slope(a: np.ndarray, clip: float) -> np.ndarray:
+    """e^(clip - a) at |v| = a beyond the clip and 1 inside it: the slope of
+    _saturate.  The exponent is clamped at 0, which changes no selected
+    value and keeps np.where's other branch from overflowing at a clip
+    above 709.78."""
+    return np.where(a <= clip, 1.0, np.exp(np.minimum(clip - a, 0.0)))
+
+
 def _saturate(v: np.ndarray, clip: float) -> np.ndarray:
     """v on [-clip, clip], saturating smoothly (C^1, slope <= 1) outside."""
     a = np.abs(v)
-    out = np.where(a <= clip, v, np.sign(v) * (clip + 1.0 - np.exp(clip - a)))
-    return out
+    return np.where(a <= clip, v,
+                    np.sign(v) * (clip + 1.0 - _saturation_slope(a, clip)))
 
 
 def _saturate_antiderivative(v: np.ndarray, clip: float) -> np.ndarray:
@@ -93,9 +111,8 @@ def clipped_log(clip: float = 6.0) -> Signal:
         raise ValidationError("clipped_log needs clip > 0")
 
     def theta(x):
-        v = np.log(np.asarray(x, dtype=float))
-        a = np.abs(v)
-        return np.where(a <= clip, 1.0, np.exp(clip - a))
+        return _saturation_slope(np.abs(np.log(np.asarray(x, dtype=float))),
+                                 clip)
 
     return Signal(
         name=f"clipped_log({clip:g})",
@@ -162,15 +179,16 @@ def power_clipped(a: float, clip: float = 6.0) -> Signal:
 
     def theta(x):
         v = np.log(np.asarray(x, dtype=float))
-        slope = np.where(np.abs(v) <= clip, 1.0, np.exp(clip - np.abs(v)))
-        return a * slope * core(v)
+        return a * _saturation_slope(np.abs(v), clip) * core(v)
 
+    norm = _exp_param(abs(a) * (clip + 1.0), f"power_clipped's |a| (clip + 1) "
+                      f"(a={a:g}, clip={clip:g})")
     return Signal(
         name=f"power_clipped({a:g},{clip:g})",
         log_core=core,
         log_mean=lambda lo, hi: _power_clipped_mean(lo, hi, a, clip),
-        sup_norm=math.exp(abs(a) * (clip + 1.0)),
-        spread=math.exp(abs(a) * (clip + 1.0)),
+        sup_norm=norm,
+        spread=norm,
         mellin_derivative=theta,
     )
 
@@ -236,7 +254,7 @@ def holder_bump(nu: float, radius: float = 2.0) -> Signal:
         log_mean=lambda a, b: (antiderivative(b) - antiderivative(a)) / (b - a),
         sup_norm=1.0,
         spread=1.0,
-        support=math.exp(radius),
+        support=_exp_param(radius, f"holder_bump's radius={radius:g}"),
         holder=(nu, radius ** (-nu)),
         mellin_derivative=theta if nu == 1.0 else None,
     )
@@ -382,7 +400,7 @@ def cc_bump(radius: float = 2.0, height: float = 1.0) -> Signal:
         log_mean=lambda a, b: _bump_mean(a, b, *parts),
         sup_norm=abs(height),
         spread=abs(height),
-        support=math.exp(radius),
+        support=_exp_param(radius, f"cc_bump's radius={radius:g}"),
         holder=(1.0, None),
         mellin_derivative=theta,
     )

@@ -484,6 +484,64 @@ class TestSignals:
         with pytest.raises(ValidationError):
             signals.make_signal("nope")
 
+    @pytest.mark.parametrize("name, params, named", [
+        ("holder_bump", {"nu": 0.5, "radius": 710.0}, "radius"),
+        ("cc_bump", {"radius": 710.0}, "radius"),
+        ("power_clipped", {"a": 1.0, "clip": 800.0}, "clip"),
+        ("power_clipped", {"a": -800.0, "clip": 1.0}, "a=-800"),
+    ], ids=["holder_bump", "cc_bump", "power_clipped-clip",
+            "power_clipped-a"])
+    def test_builder_refuses_an_overflowing_parameter(self, name, params,
+                                                      named):
+        # an OverflowError from math.exp before
+        with pytest.raises(ValidationError, match=named):
+            signals.make_signal(name, **params)
+
+    @pytest.mark.parametrize("clip", [710.0, 800.0, 1e4])
+    def test_saturation_beyond_the_exp_range(self, clip):
+        # e^(clip - |v|) on np.where's unselected branch overflowed for
+        # every |v| inside a clip above 709.78
+        v = np.array([-1e5, -clip - 1.0, -clip, -3.0, 0.0, 2.5, clip,
+                      clip + 0.5, 1e5])
+        x = np.exp(np.clip(v, -700.0, 700.0))
+        with np.errstate(over="raise"):
+            core_values = signals.clipped_log(clip).log_evaluate(v)
+            slopes = signals.clipped_log(clip).mellin_derivative(x)
+            power_slopes = signals.power_clipped(1e-3, clip) \
+                .mellin_derivative(x)
+        assert np.all(np.isfinite(core_values))
+        inside = np.abs(v) <= clip
+        np.testing.assert_array_equal(core_values[inside], v[inside])
+        np.testing.assert_array_equal(slopes[np.abs(np.log(x)) <= clip], 1.0)
+        assert np.all(np.isfinite(power_slopes))
+
+
+def _unclamped_saturation(v, clip):
+    """_saturate and the slope of clipped_log and power_clipped with the
+    exponent e^(clip - |v|) unclamped."""
+    a = np.abs(v)
+    return (np.where(a <= clip, v, np.sign(v) * (clip + 1.0
+                                                 - np.exp(clip - a))),
+            np.where(a <= clip, 1.0, np.exp(clip - a)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(clip=st.floats(1e-3, 700.0),
+       v=st.lists(st.floats(-700.0, 700.0), min_size=1, max_size=20))
+def test_clamped_saturation_is_bitwise_the_unclamped(clip, v):
+    v = np.array(v)
+    x = np.exp(v)
+    lv = np.log(x)
+    core_want, slope_want = _unclamped_saturation(lv, clip)
+    f = signals.clipped_log(clip)
+    assert np.array_equal(f.log_evaluate(lv), core_want)
+    assert np.array_equal(f.mellin_derivative(x), slope_want)
+    for a in (1.0, -0.5):
+        g = signals.power_clipped(a, min(clip, 100.0))
+        slope = _unclamped_saturation(lv, min(clip, 100.0))[1]
+        assert np.array_equal(g.mellin_derivative(x),
+                              a * slope * g.log_core(lv))
+
 
 def test_cached_rule_read_only():
     nodes, weights = core.gauss_legendre(8)

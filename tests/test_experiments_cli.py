@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -481,19 +482,55 @@ class TestCli:
           "betas": [0.0, 1e6]}, "overflows"),
         # value NaN, passed true and exit 0 before
         ({"experiment": "moments", "profile": {"name": "mellin_fejer"},
-          "betas": [math.nan]}, "beta >= 0"),
+          "betas": [math.nan]}, "betas[0] must be finite"),
         # numpy's ValueError and exit 1 before
         ({"experiment": "modular_inequality",
           "kernel": {"profile": {"name": "bspline", "n": 2}},
           "w_list": [4, 8, 16, 32], "seeds": [-229, 323]}, "seed >= 0"),
-    ], ids=["moment-overflow", "moment-nan", "negative-seed"])
+        # exit 1 with a traceback before
+        (base_config(grid={"lo": 0.5, "hi": math.inf}), "grid.hi"),
+        (base_config(experiment="converge_pointwise", x=math.inf), "x must"),
+        (base_config(experiment="converge_pointwise", x=1.5,
+                     w_list=[4, 8, 16, math.inf]), "w_list[3]"),
+        (base_config(experiment="modular_convergence",
+                     signal={"name": "cc_bump"}, **{"lambda": math.inf}),
+         "lambda"),
+        # PASS and exit 0 before
+        (base_config(experiment="modular_convergence",
+                     signal={"name": "cc_bump"},
+                     phi={"name": "power", "p": math.inf}), "phi.p"),
+        (base_config(experiment="quantitative_3_2",
+                     signal={"name": "cc_bump"}, beta=math.inf), "beta"),
+        # an OverflowError from float() or math.exp before
+        (base_config(experiment="converge_pointwise", x=1.5,
+                     w_list=[4, 8, 16, 10**400]), "w_list[3]"),
+        (base_config(experiment="converge_pointwise", x=1.5,
+                     signal={"name": "cc_bump", "radius": 710}),
+         "radius=710"),
+    ], ids=["moment-overflow", "moment-nan", "negative-seed", "grid-hi",
+            "x", "w-list", "lambda", "phi-p", "beta", "w-list-int",
+            "cc-bump-radius"])
     def test_run_out_of_range_exit_3(self, tmp_path, cfg, message):
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(cfg))
+        # JSON text 1e400 reads as inf, as Infinity does
+        cfg_path.write_text(json.dumps(cfg).replace("Infinity", "1e400"))
         proc = run_cli(["run", str(cfg_path)])
         assert proc.returncode == cli.EXIT_VALIDATION, proc.stderr
         assert proc.stderr.startswith("error:") and message in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("cfg", [
+        base_config(experiment="converge_pointwise", x=1.5,
+                    signal={"name": "clipped_log", "clip": 800}),
+        base_config(experiment="voronovskaja", x=1.5, r=0.5,
+                    signal={"name": "clipped_log", "clip": 800}),
+    ], ids=["converge_pointwise", "voronovskaja"])
+    def test_clip_beyond_the_exp_range_warns_nothing(self, cfg):
+        # an overflow warning on every point inside the clip before
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            report = experiments.run(cfg)
+        assert report["passed"]
 
     def test_run_bad_bspline_order_exit_3(self, tmp_path):
         cfg = base_config(kernel={"profile": {"name": "bspline", "n": "x"}})

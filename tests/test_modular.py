@@ -11,6 +11,7 @@ import pytest
 from expkant import experiments, modular, moduli, signals
 from expkant.core import (NonlinearKernel, SamplingScheme, Signal,
                           ValidationError, make_builtin_profile, make_response)
+from expkant.ratefit import fit_loglog
 
 UNIT = SamplingScheme.uniform()
 
@@ -34,6 +35,19 @@ class TestModularFunctional:
             got = modular.modular(modular.phi_power(p), f, lam)
             assert got.value == pytest.approx((2.0 * lam) ** p, rel=1e-6)
             assert not got.diverged
+        # u^p (1 + |ln u|) at u = 2 lam: the jumps at v = 0 and 1 sit on
+        # panel edges, so every panel integrates a constant
+        for p, lam in ((1.0, 1.0), (2.0, 0.25), (3.0, 1.5)):
+            u = 2.0 * lam
+            got = modular.modular(modular.phi_power_log(p), f, lam)
+            assert got.value == pytest.approx(u ** p * (1.0 + abs(math.log(u))),
+                                              rel=1e-12)
+            assert not got.diverged
+
+    def test_power_log_vanishes_at_zero(self):
+        phi = modular.phi_power_log(2.0)
+        assert phi(0.0) == 0.0
+        assert phi(np.array([0.0, -0.0]))[1] == 0.0
 
     def test_wide_indicator_oracle(self):
         # lam = 3 on 1_{[1, e^2]} with phi = u^2: 3^2 * 2 = 18
@@ -238,17 +252,20 @@ class TestLogSmoothness:
         assert b == pytest.approx(a / 4.0, rel=1e-9)
 
     def test_curve_order_for_lipschitz_signal(self):
-        # f Lipschitz in v, phi = u^2: omega_phi ~ delta^2, clipped to 1
+        # f Lipschitz in v, phi = u^2: omega_phi ~ delta^2, so the log-log
+        # slope of omega against 1/delta is -2
         f = signals.cc_bump(1.0)
-        curve = modular.smoothness_curve(modular.phi_power(2.0), f, 1.0,
-                                         np.geomspace(1e-3, 0.1, 6))
-        assert curve.fitted_order == pytest.approx(1.0, abs=1e-9)
+        deltas = np.geomspace(1e-3, 0.1, 6)
+        omegas = [modular.log_smoothness(modular.phi_power(2.0), f, 1.0, d)
+                  for d in deltas]
+        fit = fit_loglog(1.0 / deltas, omegas)
+        assert fit.slope == pytest.approx(-2.0, abs=1e-3)
 
     def test_zero_curve(self):
-        curve = modular.smoothness_curve(modular.phi_power(2.0),
-                                         signals.constant(5.0), 1.0,
-                                         [0.1, 0.2])
-        assert curve.is_zero and curve.fitted_order is None
+        for delta in (0.1, 0.2):
+            assert modular.log_smoothness(modular.phi_power(2.0),
+                                          signals.constant(5.0), 1.0,
+                                          delta) == 0.0
 
 
 def smoothness_reference(phi, f, lam, delta, t_points=17):
@@ -294,6 +311,17 @@ def test_shift_grid_holds_every_shift(t_points, delta):
                                rtol=0, atol=4e-16 * delta)
     assert shifts[0] == -shifts[-1] and step * shifts[-1] == pytest.approx(
         delta, rel=1e-15)
+
+
+def test_modular_convergence_with_power_log():
+    rep = experiments.run({"experiment": "modular_convergence",
+                           "kernel": {"profile": {"name": "bspline", "n": 2}},
+                           "signal": {"name": "cc_bump"},
+                           "phi": {"name": "power_log", "p": 2.0},
+                           "w_list": [4, 8, 16, 32]})
+    errors = [row["modular_error"] for row in rep["rows"]]
+    assert all(math.isfinite(e) and e >= 0.0 for e in errors)
+    assert rep["decreasing"]
 
 
 def test_modular_inequality_rhs_once_per_signal_pair(monkeypatch):

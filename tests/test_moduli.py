@@ -1,7 +1,6 @@
 """Log-modulus of continuity against closed-form moduli."""
 
 import math
-from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -104,38 +103,3 @@ def test_two_dimensional_sweep_breaks_ties_like_rows(ys, delta):
         with mock.patch.multiple(moduli, _ANCHORS=anchors, _OFFSETS=offsets):
             got = moduli.log_modulus(f, delta)
         assert got == _log_modulus_by_rows(f, delta, anchors, offsets)
-
-
-def modulus_points(f, deltas):
-    """The log moduli of f at deltas, as the (deltas, values, is_zero)
-    curve that holder_fit reads."""
-    values = [moduli.log_modulus(f, d) for d in deltas]
-    return SimpleNamespace(
-        deltas=tuple(deltas), values=tuple(values),
-        is_zero=all(v < moduli.ZERO_MODULUS for v in values))
-
-
-class TestCurveAndFit:
-    def test_holder_order_recovered(self):
-        f = signals.holder_bump(0.5, radius=1.0)
-        deltas = np.geomspace(1e-3, 0.25, 9)
-        curve = modulus_points(f, deltas)
-        assert moduli.holder_fit(curve) == pytest.approx(0.5, abs=0.05)
-
-    def test_lipschitz_order_clipped_to_one(self):
-        curve = modulus_points(signals.clipped_log(),
-                               np.geomspace(1e-3, 0.2, 7))
-        assert moduli.holder_fit(curve) == pytest.approx(1.0, abs=1e-6)
-
-    def test_zero_marker(self):
-        curve = modulus_points(signals.constant(2.0), [0.1, 0.2, 0.4])
-        assert curve.is_zero
-        assert moduli.holder_fit(curve) is None
-
-    def test_deltas_sorted_descending(self):
-        # the fit reads the curve in any order of its deltas
-        down = modulus_points(signals.random_bump(1), [0.4, 0.2, 0.1])
-        up = SimpleNamespace(deltas=down.deltas[::-1],
-                             values=down.values[::-1], is_zero=down.is_zero)
-        assert moduli.holder_fit(down) is not None
-        assert moduli.holder_fit(up) == moduli.holder_fit(down)

@@ -608,9 +608,6 @@ class TestKantorovich:
         for x in (100.0, 1.0):
             with pytest.raises(ValidationError, match="declares no cell"):
                 operator.eval_kantorovich(f, 8.0, x, bspline_kernel(), UNIT)
-        # sample values need no means
-        assert operator.eval_generalized(f, 8.0, 100.0, bspline_kernel(),
-                                         UNIT) == 0.0
 
     def test_unbounded_signal_needs_metadata(self):
         raw = Signal("raw", lambda v: v)
@@ -812,7 +809,6 @@ class TestFejerSmallSignals:
         k = fejer_kernel()
         assert operator.eval_kantorovich(f, w, 1.0, k, UNIT) == (0.0, 0.0)
         assert operator.sup_error(f, w, [1.0], k, UNIT) == 0.0
-        assert operator.eval_generalized(f, w, 1.0, k, UNIT) == 0.0
 
     def test_zero_signal_pointwise_config(self):
         from expkant import experiments
@@ -831,37 +827,6 @@ class TestFejerSmallSignals:
                                                  fejer_kernel(), UNIT)
         assert 0.0 < bound < 1e-14
         assert abs(value - c) <= bound
-
-
-class TestGeneralized:
-    def test_constant(self):
-        f = signals.constant(4.2)
-        assert operator.eval_generalized(f, 7.0, 1.9, bspline_kernel(),
-                                         UNIT) == pytest.approx(4.2, abs=1e-12)
-
-    def test_log_exact(self):
-        # sample-value operator reproduces ln exactly (first-moment identity)
-        f = signals.clipped_log()
-        val = operator.eval_generalized(f, 10.0, 2.0, bspline_kernel(), UNIT)
-        assert val == pytest.approx(math.log(2.0), abs=1e-12)
-
-    @settings(max_examples=80, deadline=None)
-    @given(n=st.integers(2, 5), w=st.floats(0.5, 256.0),
-           log_x=st.floats(-40.0, 40.0))
-    def test_log_law_at_unit_step(self, n, w, log_x):
-        # S_w ln = ln at unit step: sum_k B(y - k) k = y for the centred
-        # B-spline, with every retained sample inside the clip
-        kernel = NonlinearKernel(make_builtin_profile("bspline", n),
-                                 make_response("identity"))
-        x = math.exp(log_x)
-        val = operator.eval_generalized(signals.clipped_log(50.0), w, x,
-                                        kernel, UNIT)
-        assert abs(val - math.log(x)) <= 1e-13 * max(1.0, abs(math.log(x)))
-
-    def test_zero(self):
-        f = signals.constant(0.0)
-        assert operator.eval_generalized(f, 5.0, 0.8, bspline_kernel(),
-                                         UNIT) == 0.0
 
 
 class TestGrids:
