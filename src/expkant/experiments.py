@@ -32,6 +32,9 @@ from .signals import make_signal
 
 EXACT_ERROR = 1e-12
 
+# the most points a config's x grid may ask for
+MAX_GRID_POINTS = 10_000
+
 
 # ---------------------------------------------------------------------------
 # config parsing
@@ -190,6 +193,9 @@ def build_grid(spec: Optional[dict], f: Signal) -> np.ndarray:
     n = _integer(spec.get("points", 21), "grid.points")
     if not (0.0 < lo < hi) or n < 1:
         raise ValidationError("grid needs 0 < lo < hi and points >= 1")
+    if n > MAX_GRID_POINTS:
+        raise ValidationError(
+            f"grid.points must be at most {MAX_GRID_POINTS} (got {n})")
     return np.geomspace(lo, hi, n)
 
 

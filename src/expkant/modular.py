@@ -9,6 +9,7 @@ dx/x becomes dv.
 
 from __future__ import annotations
 
+import dataclasses
 import logging
 import math
 from dataclasses import dataclass
@@ -17,16 +18,16 @@ from typing import Callable, Sequence, Union
 import numpy as np
 
 from . import moments
-from .core import (NonlinearKernel, PhiFunction, PhiPair, SamplingScheme,
-                   Signal, SlopeFunction, ValidationError, difference_signal,
-                   gauss_panels)
+from .core import (EvaluationError, NonlinearKernel, PhiFunction, PhiPair,
+                   SamplingScheme, Signal, SlopeFunction, ValidationError,
+                   difference_signal, gauss_panels)
 from .moduli import UNBOUNDED_LOG_RADIUS
 from .operator import GridFunction, eval_on_log_grid
 
 _log = logging.getLogger(__name__)
 
-# the trapezoid resolution of the grid modulars: modular_error's coarse
-# rule and log_smoothness's base step, each on MODULAR_POINTS points
+# log_smoothness's base resolution: its grid step is no coarser than
+# MODULAR_POINTS points over the window
 MODULAR_POINTS = 8192
 
 
@@ -101,6 +102,22 @@ def matched_pair(p: float, slope: SlopeFunction) -> PhiPair:
 # modular functionals
 
 
+def _phi_of(phi: PhiFunction, lam: float, h: np.ndarray,
+            tail: bool = False) -> np.ndarray:
+    """phi(lam |h|), the integrand of every modular.  EvaluationError when a
+    value overflowed to a non-finite one, or, except on a tail, where the
+    whole may underflow harmlessly, when all are 0 while h is not."""
+    with np.errstate(over="ignore"):
+        out = phi(lam * np.abs(h))
+    if not np.all(np.isfinite(out)):
+        raise EvaluationError(f"phi = {phi.name} at lambda = {lam:g} "
+                              f"overflows: phi(lambda |h|) is not finite")
+    if not tail and not out.any() and h.any():
+        raise EvaluationError(f"phi = {phi.name} at lambda = {lam:g} "
+                              f"underflows: phi(lambda |h|) is 0 everywhere")
+    return out
+
+
 @dataclass(frozen=True)
 class ModularValue:
     lam: float
@@ -152,8 +169,8 @@ def modular(phi: PhiFunction, f: Signal, lam: float) -> ModularValue:
     if lam <= 0:
         raise ValidationError("modular needs lambda > 0")
 
-    def integrand(v):
-        return phi(lam * np.abs(f.log_evaluate(v)))
+    def integrand(v, tail=False):
+        return _phi_of(phi, lam, f.log_evaluate(v), tail)
 
     if f.log_support_radius is not None:
         r = f.log_support_radius
@@ -161,28 +178,10 @@ def modular(phi: PhiFunction, f: Signal, lam: float) -> ModularValue:
         return ModularValue(lam, value, err, converged=converged)
     # unbounded support: grow the window and watch the tail panels decay
     value, err, converged = _adaptive_integral(integrand, -30.0, 30.0)
-    tail = (_panel_integrate(integrand, 30.0, 60.0, 256)
-            + _panel_integrate(integrand, -60.0, -30.0, 256))
+    tail = sum(_panel_integrate(lambda v: integrand(v, tail=True), lo, hi, 256)
+               for lo, hi in ((30.0, 60.0), (-60.0, -30.0)))
     diverged = tail > max(1e-8 * max(1.0, value), 1e-12)
     return ModularValue(lam, value + tail, max(err, tail), diverged, converged)
-
-
-LogEvaluable = Union[Signal, GridFunction]
-
-
-def _union_window(f: LogEvaluable, g: LogEvaluable) -> tuple:
-    los, his = [], []
-    for h in (f, g):
-        if isinstance(h, GridFunction):
-            los.append(float(h.v[0]))
-            his.append(float(h.v[-1]))
-        elif h.log_support_radius is not None:
-            los.append(-h.log_support_radius)
-            his.append(h.log_support_radius)
-        else:
-            los.append(-UNBOUNDED_LOG_RADIUS)
-            his.append(UNBOUNDED_LOG_RADIUS)
-    return (min(los), max(his))
 
 
 def _trapezoid(values: np.ndarray, step: float) -> np.ndarray:
@@ -190,23 +189,33 @@ def _trapezoid(values: np.ndarray, step: float) -> np.ndarray:
     return step * (values.sum(axis=-1) - 0.5 * (values[..., 0] + values[..., -1]))
 
 
-def modular_error(phi: PhiFunction, f: LogEvaluable, g: LogEvaluable,
-                  lam: float) -> ModularValue:
-    """I_phi[lam (g - f)] by the trapezoid rule on 2 MODULAR_POINTS - 1
-    log-uniform points over the window of f and g; the rule on the even
-    points among them gives the coarse value, and the difference of the
-    two is reported as the quadrature error.  The integrand is evaluated
-    once.
-
-    Operator values enter as GridFunctions (piecewise-linear interpolants),
-    since re-evaluating the series inside an adaptive rule dominates cost.
-    """
+def modular_error(phi: PhiFunction, f: Union[Signal, GridFunction],
+                  g: GridFunction, lam: float) -> ModularValue:
+    """I_phi[lam (g - f)] by the trapezoid rule at g's own log-uniform
+    points, an odd number of them (eval_on_log_grid), and its coarse value
+    by the rule on the even points, both ends among them; the difference is
+    reported as the quadrature error.  f is a Signal, evaluated once at
+    g.v, whose support lies in g's window, or a GridFunction on g's points;
+    any other f, or an even number of points, raises ValidationError."""
     if lam <= 0:
         raise ValidationError("modular_error needs lambda > 0")
-    lo, hi = _union_window(f, g)
-    v = np.linspace(lo, hi, 2 * MODULAR_POINTS - 1)
-    step = (hi - lo) / (v.size - 1)
-    fine = phi(lam * np.abs(g.log_evaluate(v) - f.log_evaluate(v)))
+    v = g.v
+    if v.size < 3 or v.size % 2 == 0:
+        raise ValidationError(
+            f"modular_error needs an odd number >= 3 of points, not {v.size}")
+    if isinstance(f, GridFunction):
+        if not np.array_equal(f.v, v):
+            raise ValidationError("modular_error needs f on g's points")
+        fv = f.values
+    else:
+        r = f.log_support_radius
+        if r is None or not v[0] <= -r <= r <= v[-1]:
+            raise ValidationError(
+                f"signal {f.name!r} has a support that reaches past the "
+                f"window [{v[0]:g}, {v[-1]:g}] of modular_error's points")
+        fv = f.log_evaluate(v)
+    step = (v[-1] - v[0]) / (v.size - 1)
+    fine = _phi_of(phi, lam, g.values - fv)
     i2 = float(_trapezoid(fine, step))
     i1 = float(_trapezoid(fine[::2], 2.0 * step))
     return ModularValue(lam, i2, abs(i2 - i1))
@@ -271,11 +280,16 @@ def modular_lipschitz_check(kernel: NonlinearKernel, scheme: SamplingScheme,
     ModularLipschitzReport per w of w_list, in order, which passes when
     lhs <= rhs (1 + MODULAR_INEQUALITY_SLACK) + 1e-15.  The right-hand side
     does not depend on w, so it and the convergence of its modular are
-    computed once for the whole ladder."""
+    computed once for the whole ladder.  Both signals take the pair's larger
+    declared support, so K_w f and K_w g come on one grid; a support is an
+    enclosure, so the cells this adds have means of exactly 0."""
     if not (0.0 < lam < 1.0):
         raise ValidationError("modular_lipschitz_check needs lambda in (0,1)")
     m0 = moments.moment_value(kernel.profile, scheme, 0.0)
-    rhs_mod = modular(pair.eta, difference_signal(f, g), lam)
+    diff = difference_signal(f, g)  # the larger support, when both have one
+    rhs_mod = modular(pair.eta, diff, lam)
+    if diff.support is not None:
+        f, g = (dataclasses.replace(s, support=diff.support) for s in (f, g))
     rhs = kernel.profile.l1_log_norm / (scheme.lower_gap * m0) * rhs_mod.value
     c = pair.c_lambda(lam) / m0
     reports = []
@@ -337,6 +351,6 @@ def log_smoothness(phi: PhiFunction, f: Signal, lam: float,
     best = 0.0
     for s in shifts.tolist():
         shifted = fv[reach - half + s:reach + half + 1 + s]
-        diff = phi(lam * np.abs(shifted - base))
+        diff = _phi_of(phi, lam, shifted - base)
         best = max(best, float(_trapezoid(diff, step)))
     return best

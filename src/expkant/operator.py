@@ -27,8 +27,9 @@ from .core import (EvaluationError, NonlinearKernel, SamplingScheme, Signal,
 
 MAX_RETAINED_TERMS = 20_000
 
-# points of the log-uniform grid of eval_on_log_grid
-_GRID_POINTS = 4096
+# points of the log-uniform grid of eval_on_log_grid: odd, so that the even
+# points that give modular_error's coarse trapezoid value hold both ends
+_GRID_POINTS = 2 * 4096 + 1
 
 _log = logging.getLogger(__name__)
 
@@ -234,24 +235,20 @@ def sup_error(f: Signal, w: float, grid, kernel: NonlinearKernel,
 
 @dataclass(frozen=True)
 class GridFunction:
-    """Piecewise-linear interpolant of operator values on a log-uniform
-    grid; zero outside the grid window."""
+    """K_w f sampled at log-uniform points, values[i] = (K_w f)(e^{v[i]}),
+    which modular_error integrates as they stand (nothing interpolated)."""
 
     v: np.ndarray
     values: np.ndarray
 
-    def log_evaluate(self, vq) -> np.ndarray:
-        return np.interp(np.asarray(vq, dtype=float), self.v, self.values,
-                         left=0.0, right=0.0)
-
 
 def eval_on_log_grid(f: Signal, w: float, kernel: NonlinearKernel,
                      scheme: SamplingScheme) -> GridFunction:
-    """K_w f on _GRID_POINTS log-uniform points spanning the signal support
-    inflated by the profile's support radius.  Exact (no truncation): it
-    needs a compactly supported signal and a compact profile.  A
-    heavy-tailed profile raises ValidationError, since 4096 points over
-    its reach do not resolve K_w f and no bound covers the interpolant."""
+    """K_w f at _GRID_POINTS log-uniform points spanning the signal support
+    inflated by the profile's support radius, so K_w f vanishes near both
+    ends.  Exact (no truncation): it needs a compactly supported signal and
+    a compact profile; a heavy-tailed one raises ValidationError, since no
+    finite window holds its reach."""
     if f.log_support_radius is None:
         raise ValidationError("grid evaluation needs a compactly supported signal")
     if not kernel.profile.is_compact:

@@ -507,9 +507,23 @@ class TestCli:
         (base_config(experiment="converge_pointwise", x=1.5,
                      signal={"name": "cc_bump", "radius": 710}),
          "radius=710"),
+        # "overflow encountered in power" and exit 1 before
+        (base_config(experiment="modular_convergence",
+                     signal={"name": "cc_bump"}, **{"lambda": 1e300}),
+         "lambda = 1e+300 overflows"),
+        (base_config(experiment="quantitative_5_1", signal={"name": "cc_bump"},
+                     gamma=0.5, lambda0=1e300), "lambda = 1e+300 overflows"),
+        # PASS and exit 0 on rows that are all 0.0 before
+        (base_config(experiment="modular_convergence",
+                     signal={"name": "cc_bump"},
+                     phi={"name": "power", "p": 1e300}), "u^1e+300 at lambda"),
+        # numpy's "Maximum allowed size exceeded" and exit 1 before
+        (base_config(grid={"lo": 0.5, "hi": 2.0, "points": 10**30}),
+         "grid.points must be at most 10000"),
     ], ids=["moment-overflow", "moment-nan", "negative-seed", "grid-hi",
             "x", "w-list", "lambda", "phi-p", "beta", "w-list-int",
-            "cc-bump-radius"])
+            "cc-bump-radius", "lambda-overflow", "lambda0-overflow",
+            "phi-p-underflow", "grid-points"])
     def test_run_out_of_range_exit_3(self, tmp_path, cfg, message):
         cfg_path = tmp_path / "cfg.json"
         # JSON text 1e400 reads as inf, as Infinity does

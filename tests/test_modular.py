@@ -8,9 +8,10 @@ import math
 import numpy as np
 import pytest
 
-from expkant import experiments, modular, moduli, signals
+from expkant import experiments, modular, moduli, operator, signals
 from expkant.core import (NonlinearKernel, SamplingScheme, Signal,
                           ValidationError, make_builtin_profile, make_response)
+from expkant.operator import GridFunction
 from expkant.ratefit import fit_loglog
 
 UNIT = SamplingScheme.uniform()
@@ -134,44 +135,94 @@ class _Recording:
         return self.f.log_evaluate(v)
 
 
+def samples(f, v) -> GridFunction:
+    """f at the log points v, as a GridFunction."""
+    return GridFunction(v, f.log_evaluate(v))
+
+
+def bspline_kernel(n: int) -> NonlinearKernel:
+    return NonlinearKernel(make_builtin_profile("bspline", n),
+                           make_response("identity"))
+
+
 class TestModularError:
     def test_coarse_points_are_the_even_fine_points(self):
-        # integrand v^2 over the common support [-2, 2]: the trapezoid
+        # integrand v^2 over the window [-r, r], r = 2: the trapezoid
         # values differ by O(h^2)
-        support = math.exp(2.0)
-        f = _Recording(Signal("ramp", lambda v: np.where(np.abs(v) <= 2.0,
-                                                          v, 0.0),
-                              support=support))
-        g = _Recording(Signal("zero", lambda v: 0.0 * v, support=support))
+        f = _Recording(Signal("ramp", lambda v: v, support=math.exp(2.0)))
+        r = f.log_support_radius
+        v = np.linspace(-r, r, 2 * 4096 + 1)
+        g = GridFunction(v, np.zeros(v.size))
         phi = modular.phi_power(2.0)
         got = modular.modular_error(phi, f, g, 1.0)
-        # one evaluation of each function on 2 MODULAR_POINTS - 1 points
-        assert len(f.calls) == len(g.calls) == 1
-        v = f.calls[0]
-        assert v.size == 2 * modular.MODULAR_POINTS - 1
-        assert np.array_equal(v, g.calls[0])
-        assert (v[0], v[-1]) == (-f.log_support_radius, f.log_support_radius)
-        vals = phi(np.abs(g.f.log_evaluate(v) - f.f.log_evaluate(v)))
+        # f evaluated once, at g's own points
+        assert len(f.calls) == 1 and np.array_equal(f.calls[0], v)
+        vals = phi(np.abs(v))
         fine = np.trapezoid(vals, dx=v[1] - v[0])
         coarse = np.trapezoid(vals[::2], dx=2.0 * (v[1] - v[0]))
         assert got.value == pytest.approx(fine, rel=1e-14)
-        assert got.value == pytest.approx(16.0 / 3.0, rel=1e-6)
+        assert got.value == pytest.approx(2.0 * r**3 / 3.0, rel=1e-6)
         assert got.quadrature_error > 1e-8
         assert got.quadrature_error == pytest.approx(abs(fine - coarse),
                                                      rel=1e-12)
 
     def test_identical_signals(self):
+        # a signal against its own samples
         f = signals.cc_bump(1.0)
-        got = modular.modular_error(modular.phi_power(2.0), f, f, 1.0)
-        assert got.value == 0.0
+        v = np.linspace(-1.5, 1.5, 1025)
+        got = modular.modular_error(modular.phi_power(2.0), f, samples(f, v),
+                                    1.0)
+        assert got.value == 0.0 and got.quadrature_error == 0.0
 
     def test_indicator_shift_oracle(self):
         # 1_{[1,e]} vs its dilation by e^h differ on log measure ~ 2|h|
         f = indicator(1.0, math.e)
         h = 0.05
-        g = f.dilate(math.exp(h))
-        got = modular.modular_error(modular.phi_power(1.0), f, g, 1.0)
+        v = np.linspace(-1.5, 1.5, 2 * 4096 + 1)
+        got = modular.modular_error(modular.phi_power(1.0), f,
+                                    samples(f.dilate(math.exp(h)), v), 1.0)
         assert got.value == pytest.approx(2 * h, rel=0.02)
+
+    def test_integrates_the_operator_samples_to_the_dense_reference(self):
+        # the trapezoid rule on K_w f at 2^20 + 1 points of the same window;
+        # interpolating 4096 samples onto a finer grid missed it by 3.73e-9
+        f, w = signals.cc_bump(2.0), 4.0
+        kernel = bspline_kernel(2)
+        g = operator.eval_on_log_grid(f, w, kernel, UNIT)
+        phi = modular.phi_power(2.0)
+        got = modular.modular_error(phi, f, g, 1.0)
+        vd = np.linspace(g.v[0], g.v[-1], 2**20 + 1)
+        dense, _ = operator._series(f, w, w * vd, kernel, UNIT)
+        ref = np.trapezoid(phi(np.abs(dense - f.log_evaluate(vd))), vd)
+        assert abs(got.value - ref) <= 1e-10
+        assert got.quadrature_error > abs(got.value - ref)
+
+    def test_refuses_a_grid_function_on_other_points(self):
+        f = signals.cc_bump(1.0)
+        v = np.linspace(-1.5, 1.5, 1025)
+        with pytest.raises(ValidationError, match="g's points"):
+            modular.modular_error(modular.phi_power(2.0), samples(f, v[:-2]),
+                                  samples(f, v[2:]), 1.0)
+
+    def test_refuses_a_signal_reaching_past_the_window(self):
+        f = signals.cc_bump(2.0)
+        r = f.log_support_radius
+        phi = modular.phi_power(2.0)
+        for lo, hi in ((-0.5 * r, 2 * r), (-2 * r, 0.5 * r)):
+            g = samples(f, np.linspace(lo, hi, 1025))
+            with pytest.raises(ValidationError, match="reaches past"):
+                modular.modular_error(phi, f, g, 1.0)
+        unbounded = signals.constant(1.0)
+        with pytest.raises(ValidationError, match="reaches past"):
+            modular.modular_error(phi, unbounded, samples(
+                unbounded, np.linspace(-3.0, 3.0, 1025)), 1.0)
+
+    def test_refuses_an_even_number_of_points(self):
+        f = signals.cc_bump(1.0)
+        with pytest.raises(ValidationError, match="odd number"):
+            modular.modular_error(modular.phi_power(2.0), f,
+                                  samples(f, np.linspace(-1.5, 1.5, 1024)),
+                                  1.0)
 
 
 class TestConditionH:
@@ -225,6 +276,31 @@ class TestModularLipschitz:
         g = signals.random_bump(1005)
         (rep,) = modular.modular_lipschitz_check(k, UNIT, pair, f, g, [12.0])
         assert rep.passed
+
+    def test_both_outputs_on_one_grid(self, monkeypatch):
+        # the pair's supports differ, and both take the larger one
+        f, g = signals.random_bump(0), signals.random_bump(1000)
+        assert f.support != g.support
+        grids = []
+
+        def recording(*args):
+            grids.append(operator.eval_on_log_grid(*args))
+            return grids[-1]
+
+        monkeypatch.setattr(modular, "eval_on_log_grid", recording)
+        modular.modular_lipschitz_check(bspline_kernel(2), UNIT,
+                                        modular.power_pair(2.0), f, g,
+                                        [8.0, 16.0])
+        assert len(grids) == 4
+        for kf, kg in (grids[:2], grids[2:]):
+            assert np.array_equal(kf.v, kg.v)
+        assert abs(grids[0].v[0]) > abs(grids[2].v[0])
+
+    def test_a_signal_without_support_is_refused(self):
+        with pytest.raises(ValidationError, match="compactly supported"):
+            modular.modular_lipschitz_check(
+                bspline_kernel(2), UNIT, modular.power_pair(2.0),
+                signals.cc_bump(), signals.constant(0.5), [8.0])
 
     def test_lambda_validation(self):
         k = NonlinearKernel(make_builtin_profile("bspline", 2),

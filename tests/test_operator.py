@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from expkant import moments, operator, signals
+from expkant import backend, moments, operator, signals
 from expkant.core import (EvaluationError, NonlinearKernel, SamplingScheme,
                           Signal, ValidationError, make_builtin_profile,
                           make_response)
@@ -878,41 +878,58 @@ class TestGrids:
                                       fejer_kernel(), UNIT)
 
     def test_eval_on_log_grid_matches_pointwise(self):
+        # every value is the series at its own point: nothing interpolated
         f = signals.cc_bump(1.5)
         k = bspline_kernel("soft", alpha=1.0)
         gf = operator.eval_on_log_grid(f, 12.0, k, UNIT)
-        for x in (0.7, 1.0, 1.8):
-            direct, _ = operator.eval_kantorovich(f, 12.0, x, k, UNIT)
-            assert float(gf.log_evaluate(math.log(x))) == pytest.approx(
-                direct, abs=1e-6)
-
-    def test_grid_function_zero_outside(self):
-        gf = operator.GridFunction(np.linspace(-1, 1, 11), np.ones(11))
-        assert gf.log_evaluate(np.array([5.0]))[0] == 0.0
+        assert gf.v.size == gf.values.size == 2 * 4096 + 1
+        for i in (0, 1000, 4096, 5555, gf.v.size - 1):
+            direct, _ = operator.eval_kantorovich(f, 12.0,
+                                                  math.exp(gf.v[i]), k, UNIT)
+            assert gf.values[i] == pytest.approx(direct, rel=1e-12,
+                                                 abs=1e-13)
 
 
 class TestUnitLatticePath:
     """B-spline series on uniform schemes of step 1 are summed from the
     spline's piece table (backend.bspline_lattice_sum).  The tabulated
-    scheme with one base point per unit period has the same nodes, as the
-    same floats, and takes the banded profile sum."""
+    scheme with the base points o and o + 1 over a period of 2 has the same
+    nodes and takes the banded profile sum (backend.profile_sum)."""
 
     @staticmethod
     def schemes(offset):
         return (SamplingScheme.uniform(1.0, offset),
-                SamplingScheme.tabulated((offset,), 1.0))
+                SamplingScheme.tabulated((offset, offset + 1.0), 2.0))
 
     @pytest.mark.parametrize("n", [2, 3, 5])
     @pytest.mark.parametrize("offset", [0.0, 0.37, -2.6])
-    def test_agrees_with_the_banded_sum(self, n, offset):
+    def test_agrees_with_the_banded_sum(self, n, offset, monkeypatch):
         kernel = NonlinearKernel(make_builtin_profile("bspline", n),
                                  make_response("soft", alpha=1.0))
-        lattice, tabulated = self.schemes(offset)
+        lattice, banded = self.schemes(offset)
+        calls = []
+        lattice_sum = backend.bspline_lattice_sum
+
+        def spy(*args):
+            calls.append(args)
+            return lattice_sum(*args)
+
+        monkeypatch.setattr(backend, "bspline_lattice_sum", spy)
+
+        def both(evaluate):
+            """evaluate(lattice), then evaluate(banded): one lattice sum for
+            the first, none for the second."""
+            out = []
+            for scheme, uses in ((lattice, 1), (banded, 0)):
+                before = len(calls)
+                out.append(evaluate(scheme))
+                assert len(calls) - before == uses
+            return out
+
         f = signals.random_bump(11)
         eps = np.finfo(float).eps
         for w in (3.0, 24.0, 256.0):
-            a = operator.eval_on_log_grid(f, w, kernel, lattice)
-            b = operator.eval_on_log_grid(f, w, kernel, tabulated)
+            a, b = both(lambda s: operator.eval_on_log_grid(f, w, kernel, s))
             scale = f.sup_norm + 1.0  # bounds |g_w| of the soft response
             bound = 4.0 * eps * scale * (1.0 + np.abs(w * a.v).max() + abs(offset))
             assert np.abs(a.values - b.values).max() <= bound
@@ -920,11 +937,12 @@ class TestUnitLatticePath:
             grid = np.exp(np.linspace(-1.5, 1.5, 7))
             assert len(operator._runs(w * np.log(grid), 0.5 * (n + 1), None,
                                       lattice)[0]) == (7 if w > 3.0 else 1)
-            got = [operator.eval_kantorovich(f, w, x, kernel, s)[0]
-                   for s in (lattice, tabulated) for x in (0.6, 1.3)]
-            assert np.abs(np.subtract(got[:2], got[2:])).max() <= bound
-            assert abs(operator.sup_error(f, w, grid, kernel, lattice)
-                       - operator.sup_error(f, w, grid, kernel, tabulated)) <= bound
+            for x in (0.6, 1.3):
+                va, vb = both(lambda s: operator.eval_kantorovich(
+                    f, w, x, kernel, s)[0])
+                assert abs(va - vb) <= bound
+            sa, sb = both(lambda s: operator.sup_error(f, w, grid, kernel, s))
+            assert abs(sa - sb) <= bound
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     @pytest.mark.parametrize("offset", [0.0, 0.37, -2.6])

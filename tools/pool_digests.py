@@ -2,22 +2,27 @@
 
 For every pool config of the given workloads and seeds, prints one line
 
-    <workload> <seed> <index> <sha256>
+    <workload> <seed> <index> <sha256> <verdict>
 
 where the digest is taken over ``experiments.to_json(report,
 sort_keys=True)``, or over ``"<ErrorType>: <message>"`` when the run
-raises.  The configs come from ``perfbench/workloads.py``, which this
-script only reads; each run goes through ``expkant.experiments.run`` in
-pool order, in one process, as the benchmark runs them.
+raises, and the verdict is the report's ``PASS`` or ``FAIL``, or the
+exception's type name when the run raises.  The configs come from
+``perfbench/workloads.py``, which this script only reads; each run goes
+through ``expkant.experiments.run`` in pool order, in one process, as the
+benchmark runs them.
 
 Two checkouts give byte-identical reports when their outputs are equal.
 ``--against OTHER`` checks that in one command: it runs this script on
 the checkout OTHER in a subprocess while it digests its own, prints only
-the lines that differ, as
+the lines whose digests differ, as
 
-    <workload> <seed> <index> <this digest> <OTHER's digest>
+    <workload> <seed> <index> <this digest> <this verdict>
+        <OTHER's digest> <OTHER's verdict>
 
-(``-`` for a config that one side lacks), and exits 1 on any difference:
+on one line (``- -`` for a config that one side lacks), writes to
+stderr how many reports and how many verdicts differ, and exits 1 on any
+difference:
 
     python3 tools/pool_digests.py --against ../parent
 
@@ -35,7 +40,8 @@ from pathlib import Path
 
 
 def digests(workload_names, seeds):
-    """Yield (workload, seed, index, sha256 hex) for every pool config."""
+    """Yield (workload, seed, index, sha256 hex, verdict) for every pool
+    config."""
     from expkant import experiments
     import workloads
 
@@ -43,23 +49,31 @@ def digests(workload_names, seeds):
         for seed in seeds:
             for i, cfg in enumerate(workloads.make_plan(name, seed).pool):
                 try:
-                    text = experiments.to_json(experiments.run(cfg),
-                                               sort_keys=True)
+                    report = experiments.run(cfg)
+                    text = experiments.to_json(report, sort_keys=True)
+                    verdict = "PASS" if report["passed"] else "FAIL"
                 except Exception as exc:
                     text = f"{type(exc).__name__}: {exc}"
-                yield name, seed, i, hashlib.sha256(text.encode()).hexdigest()
+                    verdict = type(exc).__name__
+                digest = hashlib.sha256(text.encode()).hexdigest()
+                yield name, seed, i, digest, verdict
 
 
 def _differences(ours, theirs):
-    """Lines "<workload> <seed> <index> <ours> <theirs>" for every config
-    whose digests differ, "-" for a digest one side lacks, in our order
-    and then theirs; both sides are lines as a plain run prints them."""
-    mine = dict(line.rsplit(" ", 1) for line in ours)
-    other = dict(line.rsplit(" ", 1) for line in theirs)
+    """(line, verdict differs) for every config whose digests differ, the
+    line "<workload> <seed> <index> <our digest> <our verdict> <their
+    digest> <their verdict>", "- -" for a config one side lacks, in our
+    order and then theirs; both sides are lines as a plain run prints
+    them."""
+    def split(lines):
+        return {key: tuple(rest) for key, *rest in
+                (line.rsplit(" ", 2) for line in lines)}
+
+    mine, other = split(ours), split(theirs)
     for key in [*mine, *(k for k in other if k not in mine)]:
-        a, b = mine.get(key, "-"), other.get(key, "-")
-        if a != b:
-            yield f"{key} {a} {b}"
+        a, b = mine.get(key, ("-", "-")), other.get(key, ("-", "-"))
+        if a[0] != b[0]:
+            yield f"{key} {' '.join(a)} {' '.join(b)}", a[1] != b[1]
 
 
 def main(argv=None) -> int:
@@ -99,8 +113,10 @@ def main(argv=None) -> int:
               file=sys.stderr)
         return 2
     lines = list(_differences(ours, theirs.splitlines()))
-    for line in lines:
+    for line, _ in lines:
         print(line)
+    print(f"{len(lines)} of {len(ours)} reports differ, "
+          f"{sum(verdict for _, verdict in lines)} verdicts", file=sys.stderr)
     return 1 if lines else 0
 
 
